@@ -10,8 +10,8 @@ exit, empty or unparsable output, a rejected cover, or a sweep summary that
 certifies fewer quads than requested.
 
 Times are wall times from spawn to exit, scaled to a reference core speed
-that a fixed probe loop measures right before and after each op (see
-``pin_to_quietest_cpu``).
+that a fixed probe loop measures before, during and after each op (see
+``pin_to_quietest_cpu`` and ``spawn``).
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs each op
 twice, untraced and then instrumented from outside (tracer.py), and reports
@@ -49,7 +49,7 @@ CHILD = HERE / "child.py"
 sys.path.insert(0, str(HERE))
 from workloads import SIZES, Workload  # noqa: E402
 
-SETUP_PROBES = 9
+SETUP_PROBES = 15
 # The whole run ends well inside the 180 s a run may take.
 RUN_LIMIT_S = 170.0
 # Spans written per run; the metrics use every span.
@@ -58,9 +58,14 @@ SPANS_WRITTEN = 200_000
 GOLDEN_OPS = 8
 
 # Probe time that defines the reference core speed: a time at reference
-# speed is wall time * PROBE_REF_S / (mean probe time before and after it).
-PROBE_REF_S = 0.012
-PROBE_ROUNDS = 40_000
+# speed is wall time * mean(PROBE_REF_S / probe time) over the probes
+# taken around and during it.
+PROBE_REF_S = 0.00075
+PROBE_ROUNDS = 5_000
+# Probes right before and right after an op, and the interval between the
+# probes taken while it runs.
+PROBES_AROUND = 3
+PROBE_EVERY_S = 0.2
 PROBE_TABLE = list(range(1 << 18))
 # CPUs this process may use, read before the first pin narrows them.
 CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -119,7 +124,7 @@ class Child:
         self.rss_mb = rss_mb
 
 
-def _probe(rounds: int = 15_000) -> float:
+def _probe(rounds: int = PROBE_ROUNDS) -> float:
     """Seconds a fixed pure-Python loop takes on the current core.  It
     reads a table larger than the core's own caches, as the package's
     object-heavy code does."""
@@ -132,28 +137,37 @@ def _probe(rounds: int = 15_000) -> float:
     return time.perf_counter() - start
 
 
-def pin_to_quietest_cpu() -> float:
+def pin_to_quietest_cpu() -> None:
     """Move this process, and so the next child, to the allowed CPU on
-    which a short probe runs fastest right now; return that probe's time.
+    which a short probe runs fastest right now.
 
     On a shared machine each core's speed alternates, independently of the
     others, between states up to 1.7x apart for seconds at a time, and the
     fast state itself drifts over minutes.  Starting each op on the
     currently fast core keeps most ops out of the slow state, and scaling
-    its wall time by the probe time around it (``Child.norm``) removes the
-    drift: run medians of the same code then agree to a few percent, where
-    raw wall times differ by 10-35%."""
+    its wall time by the core speed probed around and during it
+    (``Child.norm``) removes most of the rest: run medians of the same code
+    then agree to a few percent, where raw wall times differ by 10-35%."""
     if len(CPUS) > 1:
         timings = []
         for cpu in CPUS:
             os.sched_setaffinity(0, {cpu})
-            timings.append((_probe(), cpu))
+            timings.append((_probe(3 * PROBE_ROUNDS), cpu))
         os.sched_setaffinity(0, {min(timings)[1]})
-    return _probe(PROBE_ROUNDS)
+
+
+def _probe_until(stop: threading.Event, probes: list[float]) -> None:
+    """Probe the core every PROBE_EVERY_S until ``stop`` is set.  The probe
+    runs on the child's core (this process is pinned to it) and takes about
+    half a percent of its time; an op that spans several speed states is
+    scaled by their time-weighted mean."""
+    while not stop.wait(PROBE_EVERY_S):
+        probes.append(_probe())
 
 
 def spawn(kind: str, args: list[str], timeout: float, trace: str | None = None) -> Child:
-    probe = pin_to_quietest_cpu()
+    pin_to_quietest_cpu()
+    probes = [_probe() for _ in range(PROBES_AROUND)]
     rusage = OUT / f"rusage-{os.getpid()}.json"
     env = dict(os.environ, PERFBENCH_SRC=str(SRC), PERFBENCH_RUSAGE=str(rusage))
     env.pop("PERFBENCH_TRACE", None)
@@ -173,15 +187,21 @@ def spawn(kind: str, args: list[str], timeout: float, trace: str | None = None) 
         # Kills the op's forked process too, which shares the session.
         timer = threading.Timer(max(timeout, 1.0), os.killpg, (proc.pid, signal.SIGKILL))
         timer.start()
+        stop = threading.Event()
+        sampler = threading.Thread(target=_probe_until, args=(stop, probes))
+        sampler.start()
         try:
             _, status, usage = os.wait4(proc.pid, 0)
         finally:
             timer.cancel()
-        wall = time.perf_counter() - start
+            wall = time.perf_counter() - start
+            stop.set()
+            sampler.join()
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        speed = PROBE_REF_S / ((probe + _probe(PROBE_ROUNDS)) / 2)
+        probes += [_probe() for _ in range(PROBES_AROUND)]
+        speed = statistics.mean(PROBE_REF_S / probe for probe in probes)
         try:
             maxrss_kb = json.loads(rusage.read_text())["maxrss_kb"]
             rusage.unlink()
@@ -245,8 +265,12 @@ class Run:
             dump = None
         finally:
             path.unlink(missing_ok=True)
-        digest = hashlib.sha256(child.stdout).hexdigest()
-        if child.returncode != 0 or dump is None or digest != rec["digest"]:
+        if child.returncode != 0 or dump is None:
+            rec["certified"] = 0
+            rec["reason"] = f"traced child failed with exit code {child.returncode}"
+            rec["stderr"] = child.stderr.decode("utf-8", "replace")[-2000:]
+            return
+        if hashlib.sha256(child.stdout).hexdigest() != rec["digest"]:
             rec["certified"] = 0
             rec["reason"] = "traced run differs from untraced run"
             return
@@ -300,14 +324,14 @@ def end_to_end(records: list[dict], setup: list[float]) -> tuple[dict, dict]:
     metrics = {
         "cover_s_p50": statistics.median(per_cover),
         "cover_s_tail": value,
-        "quads_per_s": certified / norm,
+        "quads_per_s": statistics.median(r["certified"] / r["norm_s"] for r in records),
         "setup_s": statistics.median(setup),
         "peak_rss_mb": max(r["rss_mb"] for r in records),
     }
     notes = {
         "cover_s_p50": f"median of {n} ops",
         "cover_s_tail": f"p{pct} of {n} ops, {beyond} beyond",
-        "quads_per_s": f"{certified} quads in {norm:.3f} s over {n} ops",
+        "quads_per_s": f"median of {n} ops; {certified} quads in {norm:.3f} s",
         "setup_s": f"median of {len(setup)} fresh interpreters",
         "peak_rss_mb": f"max of {n} ops",
     }
@@ -504,6 +528,9 @@ def main(argv=None) -> int:
               f"(median of {len(records)} ops, raw wall time; not bounded)")
     print(f"  {'fail_ratio':36s} {failed / attempted:14.6g} {'ratio':10s} "
           f"({failed} of {attempted} quads failed)")
+    missing = sorted({hook for dump in run.dumps for hook in dump["missing"]})
+    if missing:
+        print(f"  hooks not found, reported as never called: {', '.join(missing)}")
     for rec in records:
         if rec["reason"]:
             print(f"  op {rec['op']} failed: {rec['reason']}")

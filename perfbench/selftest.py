@@ -121,6 +121,15 @@ class FailureAccounting(unittest.TestCase):
             run.GOLDEN = saved
 
 
+class Tracing(unittest.TestCase):
+    def test_missing_hook_is_listed_not_fatal(self):
+        from tracer import Tracer
+
+        tracer = Tracer(0)
+        tracer._rebind("johnson_p2c.gone", "solve", tracer._span_wrapper("gone", "solve"))
+        self.assertEqual(tracer.missing, ["johnson_p2c.gone.solve"])
+
+
 class BareDirectory(unittest.TestCase):
     def test_refuses_without_sources(self):
         bare = run.OUT / "bare"

@@ -79,7 +79,7 @@ def main(argv=None) -> int:
             table[metric]["spread"] = sp
             bound = bounds.get(metric)
             flag = ""
-            if bound is not None and metric != "setup_s":
+            if bound is not None:
                 worst = max(worst, sp / bound)
                 flag = "ok" if sp < bound / 3 else ("WITHIN BOUND" if sp < bound else "TOO WIDE")
             print(f"  {metric:36s} {med:14.6g} {unit:6s} spread {sp:7.2%} bound {bound} {flag}")

@@ -6,7 +6,9 @@ copies the name into the importing module, so patching only the defining
 module would miss most calls.  Functions in ``SPANS`` get a span per call
 (name, start, end, parent; the op id is the child process's); the
 per-vertex functions in ``COUNTS`` and ``ElementSet.__init__`` only get a
-counter, because a span per vertex would dominate the run.
+counter, because a span per vertex would dominate the run.  A hooked
+function that the package no longer has is listed as missing and its
+counts and times read 0; the op itself is not failed for it.
 
 Spans stay in memory and ``dump()`` writes them once, with marshal, when
 the op ends.  The parent process merges the dumps and derives the layer
@@ -74,16 +76,20 @@ class Tracer:
         self.stack: list[int] = []
         self.counts: dict[str, int] = {}
         self.distinct: dict[str, set] = {}
+        self.missing: list[str] = []
 
     def install(self) -> None:
         import johnson_p2c.cli  # noqa: F401  (loads every package module)
 
         for layer, module, name in SPANS:
-            self._rebind(sys.modules[module], name, self._span_wrapper(layer, name))
+            self._rebind(module, name, self._span_wrapper(layer, name))
         for module, name in COUNTS:
-            self._rebind(sys.modules[module], name, self._count_wrapper(name))
-        element_set = sys.modules["johnson_p2c.subsets"].ElementSet
-        element_set.__init__ = self._count_wrapper("ElementSet")(element_set.__init__)
+            self._rebind(module, name, self._count_wrapper(name))
+        element_set = getattr(sys.modules.get("johnson_p2c.subsets"), "ElementSet", None)
+        if element_set is None:
+            self.missing.append("johnson_p2c.subsets.ElementSet")
+        else:
+            element_set.__init__ = self._count_wrapper("ElementSet")(element_set.__init__)
 
     @staticmethod
     def _modules():
@@ -93,8 +99,14 @@ class Tracer:
             if m is not None and (key == "johnson_p2c" or key.startswith("johnson_p2c."))
         ]
 
-    def _rebind(self, defining, name, make_wrapper) -> None:
-        original = getattr(defining, name)
+    def _rebind(self, module_name, name, make_wrapper) -> None:
+        """Wrap ``module_name.name`` wherever the package binds it.  A hook
+        whose function no longer exists is listed in ``missing`` and counts
+        as never called, so a renamed function does not fail the op."""
+        original = getattr(sys.modules.get(module_name), name, None)
+        if original is None:
+            self.missing.append(f"{module_name}.{name}")
+            return
         wrapper = make_wrapper(original)
         for module in self._modules():
             for attr, value in list(vars(module).items()):
@@ -150,6 +162,7 @@ class Tracer:
             "spans": self.spans,
             "counts": self.counts,
             "distinct": {k: len(v) for k, v in self.distinct.items()},
+            "missing": self.missing,
             **extra,
         }
         with open(path, "wb") as fh:
