@@ -12,6 +12,7 @@ from .graphs import (
 )
 from .hamilton import (
     Path,
+    clear_caches,
     hamilton_bruteforce,
     hamilton_complete,
     hamilton_johnson,
@@ -58,6 +59,7 @@ __all__ = [
     "apply_relabeling",
     "check_hamilton",
     "check_p2c",
+    "clear_caches",
     "complement",
     "down_neighbors",
     "ep2c_expand",

@@ -168,7 +168,18 @@ def _cmd_p2c(args):
 def _cmd_verify(args):
     g = _build_graph(args)
     q = _parse_quad(args)
-    data = json.load(sys.stdin)
+    try:
+        data = json.load(sys.stdin)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"stdin is not valid JSON: {exc}") from None
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("path_uv"), list)
+        and isinstance(data.get("path_xy"), list)
+    ):
+        raise UsageError(
+            "stdin must be a JSON object whose path_uv and path_xy are lists"
+        )
     sol = P2CSolution(
         Path(tuple(_load_vertex(w, args) for w in data["path_uv"])),
         Path(tuple(_load_vertex(w, args) for w in data["path_xy"])),
@@ -179,9 +190,12 @@ def _cmd_verify(args):
 
 
 def _load_vertex(w, args):
-    if isinstance(w, list):
+    if args.fixture:
+        if isinstance(w, int):
+            return w
+    elif isinstance(w, list) and all(isinstance(e, int) for e in w):
         return ElementSet.from_elements(w, args.n)
-    return w
+    raise UsageError(f"not a vertex of the graph: {json.dumps(w)}")
 
 
 def _cmd_oracle(args):
@@ -321,3 +335,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

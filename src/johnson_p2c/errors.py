@@ -55,3 +55,7 @@ class TooLargeForOracle(CoverError):
 
 class SweepBudget(CoverError):
     pass
+
+
+class InvariantViolated(CoverError):
+    """A construction step broke an invariant that its lemma guarantees."""

@@ -8,6 +8,7 @@ oracles and the built-in fixtures.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -15,6 +16,7 @@ from .errors import NotAVertex
 from .subsets import (
     ElementSet,
     down_neighbors,
+    k_masks,
     k_subsets,
     same_level_neighbors,
     up_neighbors,
@@ -225,14 +227,34 @@ def fig1_counterexample() -> tuple[GenericGraph, tuple[int, int, int, int]]:
 
 
 def to_generic(g) -> tuple[GenericGraph, list]:
-    """Materialize an implicit graph; returns (graph, index->vertex list)."""
-    verts = list(g.vertices())
-    index = {v: i for i, v in enumerate(verts)}
+    """Materialize a J(n,k) or QJ(n,A); returns (graph, index->vertex list)
+    with the vertices in ``g.vertices()`` order."""
+    levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels.levels
+    generic, masks = mask_generic(g.n, levels)
+    return generic, [ElementSet(b, g.n) for b in masks]
+
+
+@lru_cache(maxsize=64)
+def mask_generic(n: int, levels: tuple) -> tuple[GenericGraph, tuple[int, ...]]:
+    """Materialize J(n,k) (``levels == (k,)``) or QJ(n,levels) on int masks;
+    returns (graph, index->mask tuple).  Memoized: the exact searches ask
+    for the same few small graphs over and over.
+
+    Vertices are numbered level by level, each level in bit-vector order,
+    as the graph's ``vertices()`` lists them.
+    """
+    verts = tuple(b for a in levels for b in k_masks(n, a))
+    next_level = dict(zip(levels, levels[1:]))
     edges = []
-    for i, v in enumerate(verts):
-        for w in g.neighbors(v):
-            j = index[w]
-            if i < j:
+    for i, a in enumerate(verts):
+        ca = a.bit_count()
+        for j in range(i + 1, len(verts)):
+            b = verts[j]
+            cb = b.bit_count()
+            if cb == ca:
+                if (a ^ b).bit_count() == 2:
+                    edges.append((i, j))
+            elif next_level.get(ca) == cb and a & ~b == 0:
                 edges.append((i, j))
     return GenericGraph(len(verts), edges), verts
 

@@ -6,6 +6,12 @@ isomorphic to J(n-1,k-1)), splicing the smaller side's Hamilton path into
 an edge of the larger side's path.  The QJ builder peels the top level of
 the stack.  Recursion bottoms out in an exact backtracking search on any
 host graph with at most 12 vertices.
+
+The builders work on int bitmasks (see ``subsets``).  On masks the X-side
+embedding J(n-1,k) -> J(n,k) is the identity, the Y-side one is
+``_lift_y`` and its inverse ``_drop_n``.  The public ``hamilton_johnson``
+and ``hamilton_qj`` unwrap their ``ElementSet`` endpoints and wrap the
+finished path.
 """
 
 from __future__ import annotations
@@ -14,10 +20,34 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CoverError, EqualEndpoints, NotAVertex, SpliceEdgeNotFound
-from .graphs import GenericGraph, JohnsonGraph, QJGraph, to_generic
-from .subsets import ElementSet, complement, down_neighbors, k_subsets, up_neighbors
+from .graphs import GenericGraph, JohnsonGraph, QJGraph, mask_generic
+from .subsets import (
+    ElementSet,
+    down_masks,
+    full_mask,
+    k_masks,
+    mask_elements,
+    up_masks,
+)
 
 BRUTE_FORCE_LIMIT = 12
+
+# The memos of results, keyed by masks or explicit graphs: Hamilton paths
+# of explicit graphs, of J(n,k) and of QJ(n,A), and P2C covers from the
+# exact oracle (filled by p2c_johnson).
+_BF_CACHE: dict = {}
+_JOHNSON_CACHE: dict = {}
+_QJ_CACHE: dict = {}
+_ORACLE_CACHE: dict = {}
+
+
+def clear_caches() -> None:
+    """Empty every memo, so the next construction starts cold."""
+    _BF_CACHE.clear()
+    _JOHNSON_CACHE.clear()
+    _QJ_CACHE.clear()
+    _ORACLE_CACHE.clear()
+    mask_generic.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -44,14 +74,20 @@ class Path:
         ]
 
 
+def mask_path(masks, n: int) -> Path:
+    """Wrap a path of masks over [n] as a Path of ElementSets."""
+    # tuple() of a list allocates the tuple at its final size, reusing freed
+    # tuples of that size; tuple() of a generator grows one by resizing, and
+    # the freed path tuples then pile up in the interpreter's free lists.
+    return Path(tuple([ElementSet(b, n) for b in masks]))
+
+
 def _sort_key(v):
     return v.bits if isinstance(v, ElementSet) else v
 
 
 # ---------------------------------------------------------------------------
 # Exact search on explicit graphs.
-
-_BF_CACHE: dict = {}
 
 
 def hamilton_bruteforce(g: GenericGraph, s: int, t: int) -> Path | None:
@@ -140,7 +176,15 @@ def hamilton_complete(vertices, s, t) -> Path:
 # ---------------------------------------------------------------------------
 # Johnson graphs.
 
-_JOHNSON_CACHE: dict = {}
+
+def _ham_small(n: int, levels: tuple, s: int, t: int) -> list[int]:
+    generic, verts = mask_generic(n, levels)
+    found = hamilton_bruteforce(generic, verts.index(s), verts.index(t))
+    if found is None:
+        raise CoverError(
+            f"no Hamilton path from {s:#x} to {t:#x} in QJ({n},{set(levels)})"
+        )
+    return [verts[i] for i in found]
 
 
 def hamilton_johnson(g: JohnsonGraph, s: ElementSet, t: ElementSet) -> Path:
@@ -148,42 +192,35 @@ def hamilton_johnson(g: JohnsonGraph, s: ElementSet, t: ElementSet) -> Path:
         raise EqualEndpoints(f"endpoints coincide: {s}")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise NotAVertex(f"{s} or {t} not a vertex of {g}")
-    return Path(tuple(_ham_johnson(g.n, g.k, s, t)))
+    return mask_path(_ham_johnson(g.n, g.k, s.bits, t.bits), g.n)
 
 
-def _ham_small(graph, s, t) -> list:
-    generic, verts = to_generic(graph)
-    index = {v: i for i, v in enumerate(verts)}
-    found = hamilton_bruteforce(generic, index[s], index[t])
-    if found is None:
-        raise CoverError(f"no Hamilton path from {s} to {t} in {graph}")
-    return [verts[i] for i in found]
+def _drop_n(v: int, n: int) -> int:
+    """Y-vertex of J(n,k) to its vertex of J(n-1,k-1)."""
+    return v & ~(1 << n)
 
 
-def _y_neighbors(a: ElementSet, n: int) -> list[ElementSet]:
+def _lift_y(vs, n: int) -> list[int]:
+    """Vertices of J(n-1,k-1) to their Y-vertices in J(n,k)."""
+    nbit = 1 << n
+    return [v | nbit for v in vs]
+
+
+def _y_neighbors(a: int, n: int) -> list[int]:
     """Neighbors of an X-vertex inside Y, bit-vector order: swap one element for n."""
     nbit = 1 << n
-    return sorted(
-        (ElementSet(a.bits ^ (1 << e) | nbit, n) for e in a.elements()),
-        key=_sort_key,
-    )
+    return sorted(a ^ (1 << e) | nbit for e in mask_elements(a))
 
 
-def _x_neighbors(a: ElementSet, n: int) -> list[ElementSet]:
-    """Neighbors of a Y-vertex inside X: swap n for a missing element."""
-    base = a.bits & ~(1 << n)
-    return sorted(
-        (
-            ElementSet(base | (1 << e), n)
-            for e in range(1, n)
-            if not a.bits >> e & 1
-        ),
-        key=_sort_key,
-    )
+def _x_neighbors(a: int, n: int) -> list[int]:
+    """Neighbors of a Y-vertex inside X, bit-vector order: swap n for a
+    missing element."""
+    base = a & ~(1 << n)
+    return [base | (1 << e) for e in range(1, n) if not a >> e & 1]
 
 
-def _ham_johnson(n: int, k: int, s: ElementSet, t: ElementSet) -> list[ElementSet]:
-    key = (n, k, s.bits, t.bits)
+def _ham_johnson(n: int, k: int, s: int, t: int) -> list[int]:
+    key = (n, k, s, t)
     hit = _JOHNSON_CACHE.get(key)
     if hit is not None:
         return list(hit)
@@ -195,66 +232,44 @@ def _ham_johnson(n: int, k: int, s: ElementSet, t: ElementSet) -> list[ElementSe
 def _ham_johnson_build(n, k, s, t):
     if 2 * k > n:
         # J(n,k) and J(n,n-k) are isomorphic under complementation.
-        return [complement(v) for v in _ham_johnson(n, n - k, complement(s), complement(t))]
+        full = full_mask(n)
+        return [full ^ v for v in _ham_johnson(n, n - k, full ^ s, full ^ t)]
     if k == 1:
-        return list(hamilton_complete(k_subsets(n, 1), s, t))
+        return list(hamilton_complete(k_masks(n, 1), s, t))
     if comb(n, k) <= BRUTE_FORCE_LIMIT:
-        return _ham_small(JohnsonGraph(n, k), s, t)
+        return _ham_small(n, (k,), s, t)
 
     nbit = 1 << n
-    s_in_y = bool(s.bits & nbit)
-    t_in_y = bool(t.bits & nbit)
+    s_in_y = bool(s & nbit)
+    t_in_y = bool(t & nbit)
 
     if not s_in_y and not t_in_y:
-        sub = _ham_johnson(n - 1, k, s.with_ground_set(n - 1), t.with_ground_set(n - 1))
-        h = [v.with_ground_set(n) for v in sub]
+        h = _ham_johnson(n - 1, k, s, t)
         a, b = h[0], h[1]
         ap = _y_neighbors(a, n)[0]
         bp = next(w for w in _y_neighbors(b, n) if w != ap)
-        detour = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(ap), _drop_n(bp)), n)
+        detour = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(ap, n), _drop_n(bp, n)), n)
         return [h[0], *detour, *h[1:]]
 
     if s_in_y and t_in_y:
-        sub = _ham_johnson(n - 1, k - 1, _drop_n(s), _drop_n(t))
-        h = _lift_y(sub, n)
+        h = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(s, n), _drop_n(t, n)), n)
         a, b = h[0], h[1]
         ap = _x_neighbors(a, n)[0]
         bp = next(w for w in _x_neighbors(b, n) if w != ap)
-        detour = [
-            v.with_ground_set(n)
-            for v in _ham_johnson(
-                n - 1, k, ap.with_ground_set(n - 1), bp.with_ground_set(n - 1)
-            )
-        ]
-        return [h[0], *detour, *h[1:]]
+        return [h[0], *_ham_johnson(n - 1, k, ap, bp), *h[1:]]
 
     if s_in_y:
         return list(reversed(_ham_johnson_build(n, k, t, s)))
 
     # s in X, t in Y: end the X-path at an auxiliary vertex bridging into Y.
-    a = next(v.with_ground_set(n) for v in k_subsets(n - 1, k) if v.bits != s.bits)
+    a = next(v for v in k_masks(n - 1, k) if v != s)
     ap = next(w for w in _y_neighbors(a, n) if w != t)
-    h1 = [
-        v.with_ground_set(n)
-        for v in _ham_johnson(n - 1, k, s.with_ground_set(n - 1), a.with_ground_set(n - 1))
-    ]
-    h2 = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(ap), _drop_n(t)), n)
-    return h1 + h2
-
-
-def _drop_n(v: ElementSet) -> ElementSet:
-    return ElementSet(v.bits & ~(1 << v.n), v.n - 1)
-
-
-def _lift_y(vs, n: int) -> list[ElementSet]:
-    nbit = 1 << n
-    return [ElementSet(v.bits | nbit, n) for v in vs]
+    h2 = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(ap, n), _drop_n(t, n)), n)
+    return _ham_johnson(n - 1, k, s, a) + h2
 
 
 # ---------------------------------------------------------------------------
 # Stacked Johnson graphs.
-
-_QJ_CACHE: dict = {}
 
 
 def hamilton_qj(g: QJGraph, s: ElementSet, t: ElementSet) -> Path:
@@ -262,13 +277,13 @@ def hamilton_qj(g: QJGraph, s: ElementSet, t: ElementSet) -> Path:
         raise EqualEndpoints(f"endpoints coincide: {s}")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise NotAVertex(f"{s} or {t} not a vertex of {g}")
-    return Path(tuple(_ham_qj(g.n, g.levels.levels, s, t)))
+    return mask_path(_ham_qj(g.n, g.levels.levels, s.bits, t.bits), g.n)
 
 
-def _ham_qj(n: int, levels: tuple, s: ElementSet, t: ElementSet) -> list[ElementSet]:
+def _ham_qj(n: int, levels: tuple, s: int, t: int) -> list[int]:
     if len(levels) == 1:
         return _ham_johnson(n, levels[0], s, t)
-    key = (n, levels, s.bits, t.bits)
+    key = (n, levels, s, t)
     hit = _QJ_CACHE.get(key)
     if hit is not None:
         return list(hit)
@@ -278,43 +293,40 @@ def _ham_qj(n: int, levels: tuple, s: ElementSet, t: ElementSet) -> list[Element
 
 
 def _ham_qj_build(n, levels, s, t):
-    g = QJGraph(n, levels)
-    if g.vertex_count <= BRUTE_FORCE_LIMIT:
-        return _ham_small(g, s, t)
+    if sum(comb(n, a) for a in levels) <= BRUTE_FORCE_LIMIT:
+        return _ham_small(n, levels, s, t)
 
     top = levels[-1]
     below = levels[-2]
     lower = levels[:-1]
-    s_top = s.cardinality() == top
-    t_top = t.cardinality() == top
+    s_top = s.bit_count() == top
+    t_top = t.bit_count() == top
 
     if not s_top and not t_top:
         h = _ham_qj(n, lower, s, t)
         i = _find_level_edge(h, below)
         a, b = h[i], h[i + 1]
         if top == n:
-            apex = ElementSet(((1 << n) - 1) << 1, n)
-            return [*h[: i + 1], apex, *h[i + 1 :]]
-        ap = up_neighbors(a, top)[0]
-        bp = next(w for w in up_neighbors(b, top) if w != ap)
+            return [*h[: i + 1], full_mask(n), *h[i + 1 :]]
+        ap = up_masks(a, n, top)[0]
+        bp = next(w for w in up_masks(b, n, top) if w != ap)
         return [*h[: i + 1], *_ham_johnson(n, top, ap, bp), *h[i + 1 :]]
 
     if s_top and t_top:
         h = _ham_johnson(n, top, s, t)
         a, b = h[0], h[1]
-        ap = down_neighbors(a, below)[0]
-        bp = next(w for w in down_neighbors(b, below) if w != ap)
+        ap = down_masks(a, below)[0]
+        bp = next(w for w in down_masks(b, below) if w != ap)
         return [h[0], *_ham_qj(n, lower, ap, bp), *h[1:]]
 
     if s_top:
         return list(reversed(_ham_qj_build(n, levels, t, s)))
 
     # s below, t in the top level: bridge through a cross edge.
+    a = next(v for v in k_masks(n, below) if v != s)
     if top == n:
-        a = next(v for v in k_subsets(n, below) if v != s)
         return _ham_qj(n, lower, s, a) + [t]
-    a = next(v for v in k_subsets(n, below) if v != s)
-    ap = next(w for w in up_neighbors(a, top) if w != t)
+    ap = next(w for w in up_masks(a, n, top) if w != t)
     return _ham_qj(n, lower, s, a) + _ham_johnson(n, top, ap, t)
 
 
@@ -324,16 +336,10 @@ def _find_level_edge(path, card: int, forbidden=()) -> int:
     for i in range(len(path) - 1):
         a, b = path[i], path[i + 1]
         if (
-            a.bits.bit_count() == card
-            and b.bits.bit_count() == card
+            a.bit_count() == card
+            and b.bit_count() == card
             and a not in forbidden
             and b not in forbidden
         ):
             return i
     raise SpliceEdgeNotFound(f"no usable within-level edge at cardinality {card}")
-
-
-def clear_caches() -> None:
-    _BF_CACHE.clear()
-    _JOHNSON_CACHE.clear()
-    _QJ_CACHE.clear()

@@ -6,6 +6,11 @@ isomorphic to J(n-1,k)) and Y (with n, isomorphic to J(n-1,k-1)), with the
 dispatch driven by how many of the four endpoints contain n.  Subproblems
 on at most 12 vertices are answered by the exact oracle, which also covers
 the J(4,2) base case.
+
+The induction runs on int bitmasks: the X embedding is the identity, the
+Y embedding is ``_lift_y``/``_drop_n``, complementation is an XOR with the
+full mask.  ``p2c_johnson`` unwraps the ``ElementSet`` endpoints once and
+wraps the finished paths once.
 """
 
 from __future__ import annotations
@@ -15,14 +20,25 @@ from math import comb
 from .covers import EndpointQuad, P2CSolution
 from .errors import (
     BadQuad,
+    InvariantViolated,
     OutOfTheoremRange,
     SelectionExhausted,
     SpliceEdgeNotFound,
     TooFewVertices,
 )
-from .graphs import JohnsonGraph
-from .hamilton import Path, _ham_johnson, _x_neighbors, _y_neighbors
-from .subsets import ElementSet, Relabeling, apply_relabeling, complement, k_subsets
+from .graphs import JohnsonGraph, QJGraph, mask_generic
+from .hamilton import (
+    _ORACLE_CACHE,
+    Path,
+    _drop_n,
+    _ham_johnson,
+    _lift_y,
+    _sort_key,
+    _x_neighbors,
+    _y_neighbors,
+    mask_path,
+)
+from .subsets import ElementSet, full_mask, k_masks
 
 ORACLE_GUARD = 12
 
@@ -37,10 +53,7 @@ def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
     for w in q.vertices():
         if w not in vertices:
             raise BadQuad(f"{w} is not among the given vertices")
-    rest = sorted(
-        (w for w in vertices if w not in q.vertices()),
-        key=lambda w: w.bits if isinstance(w, ElementSet) else w,
-    )
+    rest = sorted((w for w in vertices if w not in q.vertices()), key=_sort_key)
     return P2CSolution(
         Path((q.u, q.v)), Path(tuple([q.x, *rest, q.y]))
     )
@@ -51,19 +64,20 @@ def p2c_johnson(g: JohnsonGraph, q: EndpointQuad, debug: bool = False) -> P2CSol
     if g.n < 4 or not 1 <= g.k <= g.n - 1:
         raise OutOfTheoremRange(f"{g} outside n >= 4, 1 <= k <= n-1")
     q.validate(g)
-    p1, p2 = _solve(g.n, g.k, q.u, q.v, q.x, q.y, debug)
-    sol = P2CSolution(Path(tuple(p1)), Path(tuple(p2)))
-    if debug:
-        _debug_check(g, q, sol)
-    return sol
+    p1, p2 = _solve(g.n, g.k, *(w.bits for w in q.vertices()), debug)
+    return P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
 
 
-def _debug_check(g, q, sol):
+def _debug_check(n, levels, quad, p1, p2):
+    """Certify an intermediate cover of J(n,k) (one level) or QJ(n,levels)
+    given on masks; raises AssertionError naming the violations."""
     from .verify import check_p2c
 
-    report = check_p2c(g, q, sol)
+    g = JohnsonGraph(n, levels[0]) if len(levels) == 1 else QJGraph(n, levels)
+    q = EndpointQuad(*(ElementSet(w, n) for w in quad))
+    report = check_p2c(g, q, P2CSolution(mask_path(p1, n), mask_path(p2, n)))
     if not report.valid:
-        raise AssertionError(f"invalid sub-solution on {g}: {report.violations}")
+        raise AssertionError(f"invalid cover of {g}: {report.violations}")
 
 
 def _orient(p1, p2, u, v, x, y):
@@ -76,53 +90,51 @@ def _orient(p1, p2, u, v, x, y):
         puv = list(reversed(puv))
     if pxy[0] != x:
         pxy = list(reversed(pxy))
-    assert puv[0] == u and puv[-1] == v and pxy[0] == x and pxy[-1] == y
+    if not (puv[0] == u and puv[-1] == v and pxy[0] == x and pxy[-1] == y):
+        raise InvariantViolated("the two paths do not end at the paired endpoints")
     return puv, pxy
-
-
-_ORACLE_CACHE: dict = {}
 
 
 def _solve_small(n, k, u, v, x, y):
     from .verify import p2c_bruteforce
 
-    key = (n, k, u.bits, v.bits, x.bits, y.bits)
+    key = (n, k, u, v, x, y)
     hit = _ORACLE_CACHE.get(key)
     if hit is None:
-        sol = p2c_bruteforce(JohnsonGraph(n, k), EndpointQuad(u, v, x, y))
+        generic, verts = mask_generic(n, (k,))
+        sol = p2c_bruteforce(generic, EndpointQuad(*map(verts.index, (u, v, x, y))))
         if sol is None:
             raise SelectionExhausted(f"oracle found no cover of J({n},{k})")
-        hit = (tuple(sol.path_uv), tuple(sol.path_xy))
+        hit = (
+            tuple(verts[i] for i in sol.path_uv),
+            tuple(verts[i] for i in sol.path_xy),
+        )
         _ORACLE_CACHE[key] = hit
     return list(hit[0]), list(hit[1])
 
 
 def _solve(n, k, u, v, x, y, debug=False):
-    """Oriented (u-to-v, x-to-y) cover of J(n,k); assumes a valid quad."""
+    """Oriented (u-to-v, x-to-y) cover of J(n,k) on masks; assumes a valid quad."""
     p1, p2 = _dispatch(n, k, u, v, x, y, debug)
     p1, p2 = _orient(p1, p2, u, v, x, y)
     if debug:
-        _debug_check(
-            JohnsonGraph(n, k),
-            EndpointQuad(u, v, x, y),
-            P2CSolution(Path(tuple(p1)), Path(tuple(p2))),
-        )
+        _debug_check(n, (k,), (u, v, x, y), p1, p2)
     return p1, p2
 
 
 def _dispatch(n, k, u, v, x, y, debug):
     if k == 1 or k == n - 1:
-        sol = p2c_complete(k_subsets(n, k), EndpointQuad(u, v, x, y))
+        sol = p2c_complete(k_masks(n, k), EndpointQuad(u, v, x, y))
         return list(sol.path_uv), list(sol.path_xy)
     if comb(n, k) <= ORACLE_GUARD:
         return _solve_small(n, k, u, v, x, y)
     if 2 * k > n:
-        cu, cv, cx, cy = complement(u), complement(v), complement(x), complement(y)
-        p1, p2 = _solve(n, n - k, cu, cv, cx, cy, debug)
-        return [complement(w) for w in p1], [complement(w) for w in p2]
+        full = full_mask(n)
+        p1, p2 = _solve(n, n - k, full ^ u, full ^ v, full ^ x, full ^ y, debug)
+        return [full ^ w for w in p1], [full ^ w for w in p2]
 
     nbit = 1 << n
-    in_y = [bool(w.bits & nbit) for w in (u, v, x, y)]
+    in_y = [bool(w & nbit) for w in (u, v, x, y)]
     cnt = sum(in_y)
     if cnt == 4:
         return _case_all_in_y(n, k, u, v, x, y, debug)
@@ -135,57 +147,35 @@ def _dispatch(n, k, u, v, x, y, debug):
     return _case_two_in_y(n, k, u, v, x, y, in_y, debug)
 
 
-def _drop_n(w):
-    return ElementSet(w.bits & ~(1 << w.n), w.n - 1)
-
-
-def _lift_y(vs, n):
-    nbit = 1 << n
-    return [ElementSet(w.bits | nbit, n) for w in vs]
-
-
-def _shrink(w, n):
-    return w.with_ground_set(n - 1)
-
-
-def _grow(vs, n):
-    return [w.with_ground_set(n) for w in vs]
-
-
 def _case_all_in_y(n, k, u, v, x, y, debug):
-    s1, s2 = _solve(n - 1, k - 1, _drop_n(u), _drop_n(v), _drop_n(x), _drop_n(y), debug)
+    nbit = 1 << n
+    s1, s2 = _solve(
+        n - 1, k - 1, _drop_n(u, n), _drop_n(v, n), _drop_n(x, n), _drop_n(y, n), debug
+    )
     paths = [_lift_y(s1, n), _lift_y(s2, n)]
     for p in paths:
         for i in range(len(p) - 1):
             a, b = p[i], p[i + 1]
-            used = (a.bits | b.bits) & ~(1 << n)
-            free = [e for e in range(1, n) if not used >> e & 1]
+            free = full_mask(n - 1) & ~(a | b)
             if not free:
                 continue
-            repl = free[0]
-            ap = ElementSet((a.bits & ~(1 << n)) | (1 << repl), n)
-            bp = ElementSet((b.bits & ~(1 << n)) | (1 << repl), n)
-            detour = _grow(_ham_johnson(n - 1, k, _shrink(ap, n), _shrink(bp, n)), n)
+            repl = free & -free
+            detour = _ham_johnson(n - 1, k, a ^ nbit | repl, b ^ nbit | repl)
             p[i + 1 : i + 1] = detour
             return paths[0], paths[1]
     raise SpliceEdgeNotFound(f"no spliceable edge in J({n},{k}) with all endpoints in Y")
 
 
 def _case_all_in_x(n, k, u, v, x, y, debug):
-    s1, s2 = _solve(
-        n - 1, k, _shrink(u, n), _shrink(v, n), _shrink(x, n), _shrink(y, n), debug
-    )
-    paths = [_grow(s1, n), _grow(s2, n)]
+    paths = list(_solve(n - 1, k, u, v, x, y, debug))
     for p in paths:
         for i in range(len(p) - 1):
             a, b = p[i], p[i + 1]
-            common = a.bits & b.bits
+            common = a & b
             if not common:
                 continue
-            e = (common & -common).bit_length() - 1
-            ap = ElementSet(a.bits ^ (1 << e) | (1 << n), n)
-            bp = ElementSet(b.bits ^ (1 << e) | (1 << n), n)
-            detour = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(ap), _drop_n(bp)), n)
+            low = common & -common
+            detour = _lift_y(_ham_johnson(n - 1, k - 1, a ^ low, b ^ low), n)
             p[i + 1 : i + 1] = detour
             return paths[0], paths[1]
     raise SpliceEdgeNotFound(f"no spliceable edge in J({n},{k}) with all endpoints in X")
@@ -199,112 +189,92 @@ def _case_one_in_y(n, k, u, v, x, y, in_y, debug):
     # Exactly one endpoint contains n: it heads into Y via a bridge vertex.
     w = (u, v, x, y)[in_y.index(True)]
     partner = _pairing(u, v, x, y)[w]
-    others = [z for z in (u, v, x, y) if z not in (w, partner)]
-    q1, q2 = others
+    q1, q2 = [z for z in (u, v, x, y) if z not in (w, partner)]
     excluded = {partner, q1, q2}
-    a = next(
-        z.with_ground_set(n) for z in k_subsets(n - 1, k)
-        if z.with_ground_set(n) not in excluded
-    )
-    s1, s2 = _solve(
-        n - 1,
-        k,
-        _shrink(a, n),
-        _shrink(partner, n),
-        _shrink(q1, n),
-        _shrink(q2, n),
-        debug,
-    )
+    a = next(z for z in k_masks(n - 1, k) if z not in excluded)
+    s1, s2 = _solve(n - 1, k, a, partner, q1, q2, debug)
     b = next(z for z in _y_neighbors(a, n) if z != w)
-    bridge = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(w), _drop_n(b)), n)
-    return bridge + _grow(s1, n), _grow(s2, n)
+    bridge = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(w, n), _drop_n(b, n)), n)
+    return bridge + s1, s2
 
 
 def _case_one_in_x(n, k, u, v, x, y, in_y, debug):
     # Exactly one endpoint avoids n: mirror of the previous case inside Y.
     w = (u, v, x, y)[in_y.index(False)]
     partner = _pairing(u, v, x, y)[w]
-    others = [z for z in (u, v, x, y) if z not in (w, partner)]
-    q1, q2 = others
+    q1, q2 = [z for z in (u, v, x, y) if z not in (w, partner)]
     excluded = {partner, q1, q2}
-    a = next(
-        z for z in (_lift_y([c], n)[0] for c in k_subsets(n - 1, k - 1))
-        if z not in excluded
-    )
+    nbit = 1 << n
+    a = next(z for z in (c | nbit for c in k_masks(n - 1, k - 1)) if z not in excluded)
     s1, s2 = _solve(
         n - 1,
         k - 1,
-        _drop_n(a),
-        _drop_n(partner),
-        _drop_n(q1),
-        _drop_n(q2),
+        _drop_n(a, n),
+        _drop_n(partner, n),
+        _drop_n(q1, n),
+        _drop_n(q2, n),
         debug,
     )
     b = next(z for z in _x_neighbors(a, n) if z != w)
-    bridge = _grow(_ham_johnson(n - 1, k, _shrink(w, n), _shrink(b, n)), n)
+    bridge = _ham_johnson(n - 1, k, w, b)
     return bridge + _lift_y(s1, n), _lift_y(s2, n)
 
 
 def _case_two_in_y(n, k, u, v, x, y, in_y, debug):
-    counts = [0] * (n + 1)
-    for w in (u, v, x, y):
-        for e in w.elements():
-            counts[e] += 1
-    odd = [e for e in range(1, n + 1) if counts[e] != 2]
-    if odd:
+    quad = (u, v, x, y)
+    odd = next(
+        (e for e in range(1, n + 1) if sum(w >> e & 1 for w in quad) != 2), None
+    )
+    if odd is not None:
         # Swap an unbalanced element with n and re-dispatch: the swapped quad
         # no longer has exactly two endpoints containing n.
-        r = Relabeling.swap(odd[0], n, n)
-        p1, p2 = _solve(
-            n,
-            k,
-            apply_relabeling(r, u),
-            apply_relabeling(r, v),
-            apply_relabeling(r, x),
-            apply_relabeling(r, y),
-            debug,
-        )
-        return [apply_relabeling(r, w) for w in p1], [apply_relabeling(r, w) for w in p2]
+        swap = (1 << odd) | (1 << n)
 
-    assert n == 2 * k, "balanced element counts force n = 2k"
-    pair_y = {w for w, flag in zip((u, v, x, y), in_y) if flag}
+        def relabel(w):
+            return w ^ swap if (w >> odd ^ w >> n) & 1 else w
+
+        p1, p2 = _solve(n, k, *map(relabel, quad), debug)
+        return [relabel(w) for w in p1], [relabel(w) for w in p2]
+
+    if n != 2 * k:
+        raise InvariantViolated(f"balanced element counts in J({n},{k}) force n = 2k")
+    pair_y = {w for w, flag in zip(quad, in_y) if flag}
     if pair_y == {u, v} or pair_y == {x, y}:
         # One pair lives entirely in Y, the other entirely in X: two
         # independent Hamilton paths.
         if pair_y == {u, v}:
-            p_uv = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(u), _drop_n(v)), n)
-            p_xy = _grow(_ham_johnson(n - 1, k, _shrink(x, n), _shrink(y, n)), n)
+            p_uv = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(u, n), _drop_n(v, n)), n)
+            p_xy = _ham_johnson(n - 1, k, x, y)
         else:
-            p_uv = _grow(_ham_johnson(n - 1, k, _shrink(u, n), _shrink(v, n)), n)
-            p_xy = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(x), _drop_n(y)), n)
+            p_uv = _ham_johnson(n - 1, k, u, v)
+            p_xy = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(x, n), _drop_n(y, n)), n)
         return p_uv, p_xy
 
     # One endpoint of each pair lies in Y.  Two bridged covers,
     # one in X and one in Y, joined by the edges a-a' and b-b'.
     w1 = u if u in pair_y else v
-    p1_ = v if w1 is u else u
+    p1_ = v if w1 == u else u
     w2 = x if x in pair_y else y
-    p2_ = y if w2 is x else x
-    choice = _pick_bridges(n, k, w1, w2, p1_, p2_)
-    a, ap, b, bp = choice
-    solx1, solx2 = _solve(
-        n - 1, k, _shrink(p1_, n), _shrink(ap, n), _shrink(p2_, n), _shrink(bp, n), debug
-    )
+    p2_ = y if w2 == x else x
+    a, ap, b, bp = _pick_bridges(n, k, w1, w2, p1_, p2_)
+    solx1, solx2 = _solve(n - 1, k, p1_, ap, p2_, bp, debug)
     soly1, soly2 = _solve(
-        n - 1, k - 1, _drop_n(a), _drop_n(w1), _drop_n(b), _drop_n(w2), debug
+        n - 1,
+        k - 1,
+        _drop_n(a, n),
+        _drop_n(w1, n),
+        _drop_n(b, n),
+        _drop_n(w2, n),
+        debug,
     )
     # solx1 runs p1_ -> ap; soly1 runs a -> w1; joined via the edge ap-a.
-    path_a = _grow(solx1, n) + _lift_y(soly1, n)
-    path_b = _grow(solx2, n) + _lift_y(soly2, n)
-    return path_a, path_b
+    return solx1 + _lift_y(soly1, n), solx2 + _lift_y(soly2, n)
 
 
 def _pick_bridges(n, k, w1, w2, p1_, p2_):
     """First (a, a', b, b') in scan order: a,b in Y distinct and not w1/w2,
     a',b' their X-neighbors, distinct and not p1_/p2_."""
-    y_vertices = [
-        _lift_y([c], n)[0] for c in k_subsets(n - 1, k - 1)
-    ]
+    y_vertices = _lift_y(k_masks(n - 1, k - 1), n)
     partners = {p1_, p2_}
     for a in y_vertices:
         if a == w1 or a == w2:

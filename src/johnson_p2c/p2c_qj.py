@@ -7,6 +7,11 @@ by splicing Hamilton paths of the level ranges below and above through
 boundary-level edges (the EP2C expansion).  An apex level J(n,n) is
 absorbed separately: its single vertex is either inserted into a
 top-level edge or attached by a pendant cross edge.
+
+Vertices are int bitmasks throughout, as in the Johnson constructor; the
+lemma functions ``pick_one_avoiding``, ``pick_two_avoiding`` and
+``ep2c_expand`` take and return masks.  ``p2c_qj`` and ``absorb_apex``
+take an ``EndpointQuad`` of ``ElementSet``s and return wrapped paths.
 """
 
 from __future__ import annotations
@@ -19,19 +24,19 @@ from .errors import (
     SpliceEdgeNotFound,
 )
 from .graphs import QJGraph
-from .hamilton import Path, _find_level_edge, _ham_johnson, _ham_qj
-from .p2c_johnson import _orient, _solve as _solve_johnson
-from .subsets import ElementSet, complement, down_neighbors, k_subsets, up_neighbors
+from .hamilton import _find_level_edge, _ham_johnson, _ham_qj, mask_path
+from .p2c_johnson import _debug_check, _orient, _solve as _solve_johnson
+from .subsets import down_masks, full_mask, k_masks, up_masks
 
 
 # ---------------------------------------------------------------------------
 # Neighbor selection (distinct-neighbor and single-neighbor picks).
 
 
-def _cross_neighbors(s: ElementSet, card_to: int) -> list[ElementSet]:
-    if card_to > s.cardinality():
-        return up_neighbors(s, card_to)
-    return down_neighbors(s, card_to)
+def _cross_neighbors(s: int, n: int, card_to: int) -> list[int]:
+    if card_to > s.bit_count():
+        return up_masks(s, n, card_to)
+    return down_masks(s, card_to)
 
 
 def _check_cards(n, card_from, card_to, *vertices):
@@ -40,38 +45,36 @@ def _check_cards(n, card_from, card_to, *vertices):
             f"bad level cardinalities {card_from} -> {card_to} for n={n}"
         )
     for w in vertices:
-        if w.cardinality() != card_from:
-            raise LemmaPreconditionViolated(f"{w} is not at level {card_from}")
+        if w.bit_count() != card_from:
+            raise LemmaPreconditionViolated(f"{w:#x} is not at level {card_from}")
 
 
-def pick_one_avoiding(n, card_from, card_to, a, avoid) -> ElementSet:
-    """Smallest neighbor of a at the target level outside `avoid`."""
+def pick_one_avoiding(n, card_from, card_to, a, avoid) -> int:
+    """Smallest neighbor of the mask a at the target level outside `avoid`."""
     _check_cards(n, card_from, card_to, a)
-    for w in _cross_neighbors(a, card_to):
+    for w in _cross_neighbors(a, n, card_to):
         if w not in avoid:
             return w
     raise SelectionExhausted(
-        f"no neighbor of {a} at cardinality {card_to} avoiding {set(avoid)}"
+        f"no neighbor of {a:#x} at cardinality {card_to} avoiding {set(avoid)}"
     )
 
 
-def pick_two_avoiding(
-    n, card_from, card_to, a, b, avoid
-) -> tuple[ElementSet, ElementSet]:
-    """First pair (a', b') in scan order of distinct neighbors of a and b at
-    the target level, both outside `avoid`."""
+def pick_two_avoiding(n, card_from, card_to, a, b, avoid) -> tuple[int, int]:
+    """First pair (a', b') in scan order of distinct neighbors of the masks
+    a and b at the target level, both outside `avoid`."""
     _check_cards(n, card_from, card_to, a, b)
     if a == b:
         raise LemmaPreconditionViolated("a and b must be distinct")
-    cand_b = [w for w in _cross_neighbors(b, card_to) if w not in avoid]
-    for ap in _cross_neighbors(a, card_to):
+    cand_b = [w for w in _cross_neighbors(b, n, card_to) if w not in avoid]
+    for ap in _cross_neighbors(a, n, card_to):
         if ap in avoid:
             continue
         for bp in cand_b:
             if bp != ap:
                 return ap, bp
     raise SelectionExhausted(
-        f"no distinct neighbor pair for {a},{b} at cardinality {card_to}"
+        f"no distinct neighbor pair for {a:#x},{b:#x} at cardinality {card_to}"
     )
 
 
@@ -101,11 +104,11 @@ def _splice_between(paths, c, d, detour):
             if p[i] == d and p[i + 1] == c:
                 p[i + 1 : i + 1] = list(reversed(detour))
                 return
-    raise SpliceEdgeNotFound(f"edge {c} -- {d} vanished during expansion")
+    raise SpliceEdgeNotFound(f"edge {c:#x} -- {d:#x} vanished during expansion")
 
 
 def ep2c_expand(paths, n, A, lo, hi):
-    """Expand a local cover of levels A[lo..hi] to all of QJ(n,A)."""
+    """Expand a local cover of levels A[lo..hi] to all of QJ(n,A), on masks."""
     m = len(A)
     if lo == 0 and hi == m - 1:
         return [list(paths[0]), list(paths[1])]
@@ -143,28 +146,25 @@ def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution
     sub_levels = tuple(a for a in A if a != n)
     if not sub_levels:
         raise OutOfTheoremRange("QJ(n,{n}) is a single vertex")
-    apex = ElementSet(((1 << n) - 1) << 1, n)
+    apex = full_mask(n)
     top = sub_levels[-1]
+    u, v, x, y = quad = tuple(w.bits for w in q.vertices())
 
-    if apex not in q.vertices():
-        p1, p2 = _solve_qj(n, sub_levels, q.u, q.v, q.x, q.y, debug)
+    if apex not in quad:
+        p1, p2 = _solve_qj(n, sub_levels, u, v, x, y, debug)
         pi, t = _locate_level_edge([p1, p2], top)
         (p1, p2)[pi].insert(t + 1, apex)
-        return P2CSolution(Path(tuple(p1)), Path(tuple(p2)))
-
-    pairing = {q.u: q.v, q.v: q.u, q.x: q.y, q.y: q.x}
-    partner = pairing[apex]
-    others = [w for w in q.vertices() if w not in (apex, partner)]
-    cp = next(
-        w for w in k_subsets(n, top) if w not in (partner, others[0], others[1])
-    )
-    p1, p2 = _solve_qj(n, sub_levels, cp, partner, others[0], others[1], debug)
-    paths = _orient_quad([[apex] + p1, p2], q)
-    return P2CSolution(Path(tuple(paths[0])), Path(tuple(paths[1])))
-
-
-def _orient_quad(paths, q: EndpointQuad):
-    return _orient(paths[0], paths[1], q.u, q.v, q.x, q.y)
+    else:
+        partner = {u: v, v: u, x: y, y: x}[apex]
+        others = [w for w in quad if w not in (apex, partner)]
+        cp = next(
+            w for w in k_masks(n, top) if w not in (partner, others[0], others[1])
+        )
+        p1, p2 = _solve_qj(n, sub_levels, cp, partner, others[0], others[1], debug)
+        p1, p2 = _orient([apex] + p1, p2, u, v, x, y)
+    if debug:
+        _debug_check(n, A, quad, p1, p2)
+    return P2CSolution(mask_path(p1, n), mask_path(p2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -179,50 +179,32 @@ def p2c_qj(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
         raise OutOfTheoremRange(f"{g} has fewer than 4 vertices")
     q.validate(g)
     if g.n in g.levels.levels:
-        sol = absorb_apex(g, q, debug)
-    else:
-        p1, p2 = _solve_qj(g.n, g.levels.levels, q.u, q.v, q.x, q.y, debug)
-        sol = P2CSolution(Path(tuple(p1)), Path(tuple(p2)))
-    if debug:
-        _debug_check(g, q, sol)
-    return sol
-
-
-def _debug_check(g, q, sol):
-    from .verify import check_p2c
-
-    report = check_p2c(g, q, sol)
-    if not report.valid:
-        raise AssertionError(f"invalid cover of {g}: {report.violations}")
+        return absorb_apex(g, q, debug)
+    p1, p2 = _solve_qj(g.n, g.levels.levels, *(w.bits for w in q.vertices()), debug)
+    return P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
 
 
 def _solve_qj(n, A, u, v, x, y, debug=False):
-    """Oriented (u-to-v, x-to-y) cover of QJ(n,A); A excludes n."""
+    """Oriented (u-to-v, x-to-y) cover of QJ(n,A) on masks; A excludes n."""
     if len(A) == 1:
-        p1, p2 = _solve_johnson(n, A[0], u, v, x, y, debug)
-    else:
-        card_index = {a: i for i, a in enumerate(A)}
-        levels = [card_index[w.cardinality()] for w in (u, v, x, y)]
-        lo, hi = min(levels), max(levels)
-        local = _local_p2c(n, A, levels, u, v, x, y, debug)
-        p1, p2 = ep2c_expand(local, n, A, lo, hi)
-        p1, p2 = _orient(p1, p2, u, v, x, y)
+        return _solve_johnson(n, A[0], u, v, x, y, debug)
+    card_index = {a: i for i, a in enumerate(A)}
+    levels = [card_index[w.bit_count()] for w in (u, v, x, y)]
+    lo, hi = min(levels), max(levels)
+    local = _local_p2c(n, A, levels, u, v, x, y, debug)
+    p1, p2 = ep2c_expand(local, n, A, lo, hi)
+    p1, p2 = _orient(p1, p2, u, v, x, y)
     if debug:
-        _debug_check(
-            QJGraph(n, A),
-            EndpointQuad(u, v, x, y),
-            P2CSolution(Path(tuple(p1)), Path(tuple(p2))),
-        )
+        _debug_check(n, A, (u, v, x, y), p1, p2)
     return p1, p2
 
 
 def _flip_solve(n, A, lo, hi, u, v, x, y, debug):
     """Solve on the complement-flipped level range and map the cover back."""
     flipped = tuple(n - a for a in reversed(A[lo : hi + 1]))
-    p1, p2 = _solve_qj(
-        n, flipped, complement(u), complement(v), complement(x), complement(y), debug
-    )
-    return [complement(w) for w in p1], [complement(w) for w in p2]
+    full = full_mask(n)
+    p1, p2 = _solve_qj(n, flipped, full ^ u, full ^ v, full ^ x, full ^ y, debug)
+    return [full ^ w for w in p1], [full ^ w for w in p2]
 
 
 def _local_p2c(n, A, levels, u, v, x, y, debug):
@@ -238,12 +220,8 @@ def _local_p2c(n, A, levels, u, v, x, y, debug):
     return _local_four_levels(n, A, levels, u, v, x, y, debug)
 
 
-def _level_vertices(n, card):
-    return k_subsets(n, card)
-
-
 def _first_vertex(n, card, excluded):
-    for w in _level_vertices(n, card):
+    for w in k_masks(n, card):
         if w not in excluded:
             return w
     raise SelectionExhausted(f"level {card} exhausted avoiding {excluded}")
@@ -268,9 +246,9 @@ def _local_two_levels(n, A, levels, u, v, x, y, debug):
 def _local_interleaved(n, A, i, j, u, v, x, y, debug):
     """One endpoint of each pair per level; u,x low and v,y high after
     normalization."""
-    if u.cardinality() == A[j]:
+    if u.bit_count() == A[j]:
         u, v = v, u
-    if x.cardinality() == A[j]:
+    if x.bit_count() == A[j]:
         x, y = y, x
 
     if A[j] < n - 1:
@@ -331,7 +309,7 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
         if pairing[doubled[0]] == doubled[1]:
             # Doubled level holds a full pair: two independent Hamilton paths.
             other = [w for w in endpoints if w not in doubled]
-            if other[0].cardinality() > other[1].cardinality():
+            if other[0].bit_count() > other[1].bit_count():
                 other = [other[1], other[0]]
             p_low = _ham_johnson(n, A[i], doubled[0], doubled[1])
             p_high = _ham_qj(n, A[i + 1 : l + 1], other[0], other[1])

@@ -1,10 +1,14 @@
 """Ground-set and k-subset arithmetic.
 
-Every vertex of a Johnson-style graph is an ``ElementSet``: a subset of
-[n] = {1, ..., n} packed into a single machine word.  Bit ``e`` stores
-element ``e`` (bit 0 is never used), so the natural unsigned ordering of
-the bit vectors is the canonical "bit-vector order" used whenever a
-deterministic choice of vertex is needed.
+A vertex of a Johnson-style graph is a subset of [n] = {1, ..., n} packed
+into an int: bit ``e`` stores element ``e`` (bit 0 is never used), so the
+natural unsigned ordering of the bit vectors is the canonical "bit-vector
+order" used whenever a deterministic choice of vertex is needed.
+
+The constructors work on these bare int bitmasks (``full_mask``,
+``k_masks``, ``up_masks``, ``down_masks``).  ``ElementSet`` wraps a mask
+together with its ground-set size and is the vertex type of the public
+API: entry points unwrap their endpoints once and wrap finished paths once.
 """
 
 from __future__ import annotations
@@ -14,22 +18,34 @@ from typing import Iterator
 
 from .errors import CardinalityMismatch, CardinalityOrder, NoNeighbors
 
-MAX_GROUND_SET = 62
+
+def full_mask(n: int) -> int:
+    """The mask of [n] itself."""
+    return ((1 << n) - 1) << 1
+
+
+def mask_elements(bits: int) -> list[int]:
+    """The elements of a mask in ascending order, one step per set bit."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 class ElementSet:
-    """An immutable subset of [n], n <= 62, packed into an int."""
+    """An immutable subset of [n], n >= 1, packed into an int."""
 
     __slots__ = ("bits", "n")
 
     def __init__(self, bits: int, n: int):
-        if not 0 < n <= MAX_GROUND_SET:
-            raise ValueError(f"ground set size {n} outside 1..{MAX_GROUND_SET}")
-        mask = ((1 << n) - 1) << 1
-        if bits & ~mask:
+        if n < 1:
+            raise ValueError(f"ground set size {n} below 1")
+        if bits & 1 or bits >> n >> 1:
             raise ValueError(f"bits {bits:#x} outside ground set [1..{n}]")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "n", n)
+        _set_bits(self, bits)
+        _set_n(self, n)
 
     def __setattr__(self, name, value):
         raise AttributeError("ElementSet is immutable")
@@ -44,7 +60,7 @@ class ElementSet:
         return cls(bits, n)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(e for e in range(1, self.n + 1) if self.bits >> e & 1)
+        return tuple(mask_elements(self.bits))
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -58,10 +74,6 @@ class ElementSet:
     def remove(self, e: int) -> "ElementSet":
         return ElementSet(self.bits & ~(1 << e), self.n)
 
-    def with_ground_set(self, n: int) -> "ElementSet":
-        """Reinterpret the same subset over a different ground set size."""
-        return ElementSet(self.bits, n)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ElementSet)
@@ -70,7 +82,7 @@ class ElementSet:
         )
 
     def __hash__(self) -> int:
-        return hash((self.bits, self.n))
+        return hash(self.bits)
 
     def __lt__(self, other: "ElementSet") -> bool:
         return self.bits < other.bits
@@ -82,7 +94,12 @@ class ElementSet:
         return "{%s}" % ",".join(str(e) for e in self.elements())
 
     def to_json(self) -> list[int]:
-        return list(self.elements())
+        return mask_elements(self.bits)
+
+
+# The slots' own setters, which skip the immutability guard above.
+_set_bits = ElementSet.bits.__set__
+_set_n = ElementSet.n.__set__
 
 
 class Relabeling:
@@ -137,8 +154,7 @@ def apply_relabeling(r: Relabeling, s: ElementSet) -> ElementSet:
 
 
 def complement(s: ElementSet) -> ElementSet:
-    full = ((1 << s.n) - 1) << 1
-    return ElementSet(full & ~s.bits, s.n)
+    return ElementSet(full_mask(s.n) ^ s.bits, s.n)
 
 
 def johnson_adjacent(a: ElementSet, b: ElementSet) -> bool:
@@ -155,6 +171,24 @@ def qj_cross_adjacent(lower: ElementSet, upper: ElementSet) -> bool:
     return lower.bits & ~upper.bits == 0
 
 
+def up_masks(s: int, n: int, target_card: int) -> list[int]:
+    """All supersets of the mask s in [n] with the given cardinality,
+    bit-vector order."""
+    missing = [1 << e for e in range(1, n + 1) if not s >> e & 1]
+    extras = combinations(missing, target_card - s.bit_count())
+    out = [s | sum(extra) for extra in extras]
+    out.sort()
+    return out
+
+
+def down_masks(s: int, target_card: int) -> list[int]:
+    """All subsets of the mask s with the given cardinality, bit-vector order."""
+    bits = [1 << e for e in mask_elements(s)]
+    out = [sum(kept) for kept in combinations(bits, target_card)]
+    out.sort()
+    return out
+
+
 def up_neighbors(s: ElementSet, target_card: int) -> list[ElementSet]:
     """All supersets of s with the given cardinality, bit-vector order."""
     p = s.cardinality()
@@ -162,15 +196,7 @@ def up_neighbors(s: ElementSet, target_card: int) -> list[ElementSet]:
         raise CardinalityOrder(
             f"target cardinality {target_card} not in ({p}, {s.n}]"
         )
-    missing = [e for e in range(1, s.n + 1) if not s.bits >> e & 1]
-    out = []
-    for extra in combinations(missing, target_card - p):
-        bits = s.bits
-        for e in extra:
-            bits |= 1 << e
-        out.append(ElementSet(bits, s.n))
-    out.sort()
-    return out
+    return [ElementSet(b, s.n) for b in up_masks(s.bits, s.n, target_card)]
 
 
 def down_neighbors(s: ElementSet, target_card: int) -> list[ElementSet]:
@@ -178,15 +204,7 @@ def down_neighbors(s: ElementSet, target_card: int) -> list[ElementSet]:
     p = s.cardinality()
     if not 0 <= target_card < p:
         raise CardinalityOrder(f"target cardinality {target_card} not in [0, {p})")
-    elems = s.elements()
-    out = []
-    for kept in combinations(elems, target_card):
-        bits = 0
-        for e in kept:
-            bits |= 1 << e
-        out.append(ElementSet(bits, s.n))
-    out.sort()
-    return out
+    return [ElementSet(b, s.n) for b in down_masks(s.bits, target_card)]
 
 
 def same_level_neighbors(s: ElementSet) -> list[ElementSet]:
@@ -204,14 +222,14 @@ def same_level_neighbors(s: ElementSet) -> list[ElementSet]:
     return out
 
 
-def k_subsets(n: int, k: int) -> Iterator[ElementSet]:
-    """All k-subsets of [n] in ascending bit-vector order.
+def k_masks(n: int, k: int) -> Iterator[int]:
+    """All k-subsets of [n] as masks, in ascending bit-vector order.
 
     Iterates Gosper-style over bit patterns so the order is the canonical
     one without a sort.
     """
     if k == 0:
-        yield ElementSet(0, n)
+        yield 0
         return
     if k > n:
         return
@@ -219,7 +237,13 @@ def k_subsets(n: int, k: int) -> Iterator[ElementSet]:
     limit = 1 << n
     v = (1 << k) - 1
     while v < limit:
-        yield ElementSet(v << 1, n)
+        yield v << 1
         c = v & -v
         r = v + c
         v = (((r ^ v) >> 2) // c) | r
+
+
+def k_subsets(n: int, k: int) -> Iterator[ElementSet]:
+    """All k-subsets of [n] in ascending bit-vector order."""
+    for bits in k_masks(n, k):
+        yield ElementSet(bits, n)

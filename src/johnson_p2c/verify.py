@@ -329,6 +329,8 @@ def sweep(
         quads = _ordered_quads(verts)
         mode_json = {"kind": "exhaustive"}
     elif mode == "sampled":
+        if count <= 0:
+            raise ValueError(f"sampled sweep needs a positive count, got {count}")
         rng = random.Random(seed)
         quads = [tuple(rng.sample(verts, 4)) for _ in range(count)]
         mode_json = {"kind": "sampled", "seed": seed, "count": count}

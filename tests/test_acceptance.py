@@ -19,6 +19,7 @@ from johnson_p2c import (
     apply_relabeling,
     check_hamilton,
     check_p2c,
+    clear_caches,
     complement,
     fig1_counterexample,
     hamilton_bruteforce,
@@ -29,8 +30,7 @@ from johnson_p2c import (
     p2c_johnson,
     p2c_qj,
 )
-from johnson_p2c.hamilton import Path, clear_caches
-from johnson_p2c.p2c_johnson import _ORACLE_CACHE
+from johnson_p2c.hamilton import Path
 
 
 def es(elems, n):
@@ -39,7 +39,6 @@ def es(elems, n):
 
 def _reset():
     clear_caches()
-    _ORACLE_CACHE.clear()
 
 
 def _report(name, started, limit, ok):

@@ -1,7 +1,12 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
+import pytest
+
+import johnson_p2c
 from johnson_p2c.cli import run
 
 
@@ -124,6 +129,29 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out2)["valid"] is True
 
+    @pytest.mark.parametrize(
+        "stdin",
+        [
+            json.dumps({"path_uv": [[1, 2], [3, 4]]}),
+            json.dumps({"path_xy": [[1, 3], [2, 5]]}),
+            "{not json",
+            "",
+            json.dumps([[1, 2], [3, 4]]),
+            json.dumps({"path_uv": 3, "path_xy": [[1, 3]]}),
+            json.dumps({"path_uv": [[1, 2], "x"], "path_xy": [[1, 3]]}),
+        ],
+    )
+    def test_malformed_stdin_is_usage_error(self, capsys, monkeypatch, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = invoke(
+            capsys,
+            "verify", "--graph", "johnson", "--n", "5", "--k", "2",
+            "--u", "1,2", "--v", "3,4", "--x", "1,3", "--y", "2,5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_rejects_broken_solution(self, capsys, monkeypatch):
         broken = json.dumps({"path_uv": [[1, 2], [3, 4]], "path_xy": [[1, 3], [2, 5]]})
         monkeypatch.setattr(sys, "stdin", io.StringIO(broken))
@@ -153,6 +181,36 @@ class TestSweepCommand:
         )
         assert code == 0
         assert json.loads(out)["valid"] == 25
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_count_is_usage_error(self, capsys, count):
+        code, out, err = invoke(
+            capsys,
+            "sweep", "--graph", "johnson", "--n", "5", "--k", "2",
+            "--mode", "sampled", "--count", count,
+        )
+        assert code == 2
+        assert out == "" and "usage error" in err
+
+
+class TestModuleEntry:
+    def test_python_m_cli(self):
+        src = os.path.dirname(os.path.dirname(johnson_p2c.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "johnson_p2c.cli",
+                "p2c", "--graph", "johnson", "--n", "4", "--k", "2",
+                "--u", "1,2", "--v", "1,3", "--x", "2,3", "--y", "2,4",
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        sol = json.loads(proc.stdout)
+        assert sol["path_uv"][0] == [1, 2] and sol["path_xy"][-1] == [2, 4]
 
 
 class TestGenAndFixture:

@@ -1,0 +1,80 @@
+"""Byte-identical outputs on a fixed set of instances.
+
+Each digest is the sha256 of ``json.dumps(sol.to_json())`` for one cover,
+recorded when the constructors still ran on ``ElementSet`` objects.  Any
+change to the constructors' scan order or case analysis shows up here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from johnson_p2c import (
+    ElementSet,
+    EndpointQuad,
+    JohnsonGraph,
+    QJGraph,
+    check_p2c,
+    p2c_johnson,
+    p2c_qj,
+)
+
+# (graph, (u, v, x, y) as element lists, sha256 of the cover's JSON)
+GOLDEN = [
+    (("johnson", 10, 5),
+     ([1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [1, 2, 3, 4, 6], [5, 7, 8, 9, 10]),
+     "eb510a53d8425bea171556b6aa1461ae27f575c07e022394448823ead8f5d38f"),
+    (("johnson", 10, 5),
+     ([1, 2, 4, 7, 8], [1, 5, 7, 8, 9], [3, 4, 7, 8, 9], [3, 6, 8, 9, 10]),
+     "01a5a431872924cbe3af8226c12f67b5a06af103f0fc142bb53e58e42a01d07b"),
+    (("johnson", 12, 6),
+     ([1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12], [1, 2, 3, 4, 5, 7],
+      [6, 8, 9, 10, 11, 12]),
+     "76079c965ab67568db7c12d10b9e64187bdf5942c27bb39f6550107d8514acb9"),
+    (("johnson", 12, 6),
+     ([1, 3, 4, 6, 10, 12], [2, 5, 7, 10, 11, 12], [2, 4, 7, 8, 9, 10],
+      [4, 5, 6, 7, 9, 12]),
+     "992a3e945bf6f73da45fb8ce3b78fa78e4e79a10a081994933a50ce7b5fa2274"),
+    (("johnson", 13, 4),
+     ([1, 2, 3, 4], [10, 11, 12, 13], [1, 2, 3, 5], [9, 11, 12, 13]),
+     "2dd14f5a54a8c598f55ece4050131f51794f460b99fe9a5b7ce6704be4751106"),
+    (("johnson", 13, 4),
+     ([3, 4, 7, 10], [5, 9, 12, 13], [1, 7, 11, 13], [1, 3, 8, 12]),
+     "6e6a521906fc939b8f1e6a7e85759b276db72b3682fbb111d8b99e172a25f5d2"),
+    # k > n/2: the cover goes through complement reduction.
+    (("johnson", 11, 8),
+     ([1, 2, 3, 4, 5, 6, 7, 8], [4, 5, 6, 7, 8, 9, 10, 11],
+      [1, 2, 3, 4, 5, 6, 7, 9], [3, 5, 6, 7, 8, 9, 10, 11]),
+     "1f29a00acc9319eecf0de1af14651e6c367dc4de92ce8cafe23ad2c7387c0a0a"),
+    (("johnson", 11, 8),
+     ([1, 2, 3, 5, 7, 9, 10, 11], [1, 2, 3, 4, 6, 7, 9, 11],
+      [1, 2, 3, 4, 6, 7, 9, 10], [3, 4, 5, 7, 8, 9, 10, 11]),
+     "3d8bad15c677ea700f30e3afd6c518caa83ee7c8e43ea8d312d010acd281579e"),
+    (("qj", 7, (2, 3, 5)),
+     ([1, 2], [3, 4, 5, 6, 7], [1, 3], [2, 4, 5, 6, 7]),
+     "6bbec04b3b76c67e3c0d1429385e5ba7af950eda9a5973ce70c5c0c892b27ca4"),
+    (("qj", 7, (2, 3, 5)),
+     ([2, 3], [1, 2, 5], [2, 4, 5], [4, 5, 7]),
+     "a09458e415f45de244f8788079f1fe6803dbdfa5ab0c1e506a1601e44b4fd42b"),
+    # Apex level J(6,6): once as an endpoint, once absorbed into a path.
+    (("qj", 6, (1, 3, 6)),
+     ([1], [1, 2, 3, 4, 5, 6], [2], [4, 5, 6]),
+     "0066ce7b453a6fcb26f88b3d80e76a0ad508833ccffc32016773b663f860ebcd"),
+    (("qj", 6, (1, 3, 6)),
+     ([2, 3, 6], [1, 3, 5], [4, 5, 6], [4]),
+     "2ed8c4979660567a5b38fb8ff973e97df6105d7801c1859add46525b38ed4266"),
+]
+
+
+@pytest.mark.parametrize("graph, endpoints, digest", GOLDEN)
+def test_cover_is_byte_identical(graph, endpoints, digest):
+    kind, n, k_or_levels = graph
+    if kind == "johnson":
+        g, construct = JohnsonGraph(n, k_or_levels), p2c_johnson
+    else:
+        g, construct = QJGraph(n, k_or_levels), p2c_qj
+    q = EndpointQuad(*(ElementSet.from_elements(w, n) for w in endpoints))
+    sol = construct(g, q)
+    assert check_p2c(g, q, sol).valid
+    assert hashlib.sha256(json.dumps(sol.to_json()).encode()).hexdigest() == digest

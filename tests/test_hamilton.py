@@ -5,18 +5,24 @@ import pytest
 
 from johnson_p2c import (
     ElementSet,
+    EndpointQuad,
     GenericGraph,
     JohnsonGraph,
     QJGraph,
     check_hamilton,
+    check_p2c,
+    clear_caches,
     fig1_counterexample,
     hamilton_bruteforce,
     hamilton_complete,
     hamilton_johnson,
     hamilton_qj,
     k_subsets,
+    p2c_johnson,
+    p2c_qj,
     to_generic,
 )
+from johnson_p2c import hamilton
 from johnson_p2c.errors import EqualEndpoints, NotAVertex
 
 
@@ -145,3 +151,27 @@ class TestHamiltonQJ:
                     g = QJGraph(n, A)
                     for s, t in permutations(list(g.vertices()), 2):
                         assert check_hamilton(g, hamilton_qj(g, s, t), s, t).valid
+
+
+class TestLargeGroundSet:
+    def test_j70_1_path(self):
+        g = JohnsonGraph(70, 1)
+        s, t = es([70], 70), es([1], 70)
+        p = hamilton_johnson(g, s, t)
+        assert check_hamilton(g, p, s, t).valid and len(p) == 70
+
+
+def test_clear_caches_empties_every_memo():
+    for g in (JohnsonGraph(6, 3), QJGraph(5, [1, 2, 3])):
+        q = EndpointQuad(*list(g.vertices())[:4])
+        sol = p2c_johnson(g, q) if isinstance(g, JohnsonGraph) else p2c_qj(g, q)
+        assert check_p2c(g, q, sol).valid
+    caches = [
+        hamilton._BF_CACHE,
+        hamilton._JOHNSON_CACHE,
+        hamilton._QJ_CACHE,
+        hamilton._ORACLE_CACHE,
+    ]
+    assert all(caches)
+    clear_caches()
+    assert not any(caches)

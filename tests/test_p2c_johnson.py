@@ -16,8 +16,14 @@ from johnson_p2c import (
     p2c_complete,
     p2c_johnson,
 )
-from johnson_p2c.errors import BadQuad, OutOfTheoremRange, TooFewVertices
+from johnson_p2c.errors import (
+    BadQuad,
+    InvariantViolated,
+    OutOfTheoremRange,
+    TooFewVertices,
+)
 from johnson_p2c.hamilton import Path
+from johnson_p2c.p2c_johnson import _orient
 
 
 def es(elems, n):
@@ -195,3 +201,28 @@ class TestEquivariance:
                 Path(tuple(complement(w) for w in sol.path_xy)),
             )
             assert check_p2c(gc, qc, mapped).valid
+
+
+class TestOrient:
+    # _orient works on bitmask paths; a mis-ended path is a typed error,
+    # which, unlike an assert, survives python -O.
+    def test_orients_both_paths(self):
+        u, v, x, y = 0b10, 0b100, 0b1000, 0b10000
+        puv, pxy = _orient([y, x], [v, u], u, v, x, y)
+        assert puv == [u, v] and pxy == [x, y]
+
+    def test_mis_ended_paths_raise(self):
+        u, v, x, y = 0b10, 0b100, 0b1000, 0b10000
+        with pytest.raises(InvariantViolated):
+            _orient([u, x], [v, y], u, v, x, y)
+        with pytest.raises(InvariantViolated):
+            _orient([u, v], [x, u], u, v, x, y)
+
+
+class TestLargeGroundSet:
+    def test_j64_2_cover(self):
+        g = JohnsonGraph(64, 2)
+        q = quad(64, [1, 2], [63, 64], [1, 64], [2, 63])
+        sol = p2c_johnson(g, q)
+        assert check_p2c(g, q, sol).valid
+        assert len(sol.path_uv) + len(sol.path_xy) == g.vertex_count == 2016

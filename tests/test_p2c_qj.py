@@ -26,56 +26,63 @@ def es(elems, n):
     return ElementSet.from_elements(elems, n)
 
 
+def mask(elems, n):
+    return es(elems, n).bits
+
+
 def quad(n, *pairs):
     return EndpointQuad(*(es(p, n) for p in pairs))
 
 
+# The lemma functions work on bitmasks (bit e = element e).
 class TestPickOne:
     def test_down_to_singletons(self):
-        got = pick_one_avoiding(4, 3, 1, es([1, 2, 3], 4), {es([2], 4)})
-        assert got == es([1], 4)
+        got = pick_one_avoiding(4, 3, 1, mask([1, 2, 3], 4), {mask([2], 4)})
+        assert got == mask([1], 4)
 
     def test_up_scan_order(self):
-        got = pick_one_avoiding(5, 1, 2, es([1], 5), {es([1, 2], 5)})
-        assert got == es([1, 3], 5)
+        got = pick_one_avoiding(5, 1, 2, mask([1], 5), {mask([1, 2], 5)})
+        assert got == mask([1, 3], 5)
 
     def test_only_two_supersets(self):
-        got = pick_one_avoiding(4, 2, 3, es([1, 2], 4), {es([1, 2, 3], 4)})
-        assert got == es([1, 2, 4], 4)
+        got = pick_one_avoiding(4, 2, 3, mask([1, 2], 4), {mask([1, 2, 3], 4)})
+        assert got == mask([1, 2, 4], 4)
 
     def test_precondition(self):
         with pytest.raises(LemmaPreconditionViolated):
-            pick_one_avoiding(4, 2, 2, es([1, 2], 4), set())
+            pick_one_avoiding(4, 2, 2, mask([1, 2], 4), set())
 
 
 class TestPickTwo:
     def test_distinct_up(self):
         ap, bp = pick_two_avoiding(
-            5, 1, 2, es([1], 5), es([2], 5), {es([1, 2], 5), es([1, 3], 5)}
+            5, 1, 2, mask([1], 5), mask([2], 5), {mask([1, 2], 5), mask([1, 3], 5)}
         )
         assert ap != bp
-        assert ap not in {es([1, 2], 5), es([1, 3], 5)}
-        assert 1 in ap and 2 in bp
+        assert ap not in {mask([1, 2], 5), mask([1, 3], 5)}
+        assert ap >> 1 & 1 and bp >> 2 & 1
 
     def test_special_two_level_case(self):
         # A = {1, n-1}: distinct level-(n-1) neighbors exist avoiding any two
-        avoid = {es([1, 2, 3], 4), es([1, 2, 4], 4)}
-        ap, bp = pick_two_avoiding(4, 1, 3, es([1], 4), es([2], 4), avoid)
+        avoid = {mask([1, 2, 3], 4), mask([1, 2, 4], 4)}
+        ap, bp = pick_two_avoiding(4, 1, 3, mask([1], 4), mask([2], 4), avoid)
         assert ap != bp and not {ap, bp} & avoid
 
     def test_disjoint_down(self):
-        ap, bp = pick_two_avoiding(6, 3, 2, es([1, 2, 3], 6), es([4, 5, 6], 6), set())
-        assert ap == es([1, 2], 6) and bp == es([4, 5], 6)
+        ap, bp = pick_two_avoiding(
+            6, 3, 2, mask([1, 2, 3], 6), mask([4, 5, 6], 6), set()
+        )
+        assert ap == mask([1, 2], 6) and bp == mask([4, 5], 6)
 
     def test_equal_inputs_rejected(self):
         with pytest.raises(LemmaPreconditionViolated):
-            pick_two_avoiding(5, 2, 3, es([1, 2], 5), es([1, 2], 5), set())
+            pick_two_avoiding(5, 2, 3, mask([1, 2], 5), mask([1, 2], 5), set())
 
 
 class TestEP2CExpand:
     def test_identity_on_full_range(self):
         p1, p2 = _solve_johnson(
-            4, 2, es([1, 2], 4), es([1, 3], 4), es([2, 3], 4), es([2, 4], 4)
+            4, 2, mask([1, 2], 4), mask([1, 3], 4), mask([2, 3], 4), mask([2, 4], 4)
         )
         out = ep2c_expand([p1, p2], 4, (2,), 0, 0)
         assert out == [list(p1), list(p2)]

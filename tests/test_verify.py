@@ -198,3 +198,9 @@ class TestSweep:
         serial = sweep(g, mode="exhaustive", constructor="johnson", jobs=1)
         parallel = sweep(g, mode="exhaustive", constructor="johnson", jobs=2)
         assert serial.to_json() == parallel.to_json()
+
+    def test_sampled_needs_positive_count(self):
+        g = JohnsonGraph(5, 2)
+        for count in (0, -3):
+            with pytest.raises(ValueError):
+                sweep(g, mode="sampled", count=count)
