@@ -19,7 +19,7 @@ from .hamilton import (
     hamilton_qj,
 )
 from .p2c_johnson import p2c_complete, p2c_johnson
-from .p2c_qj import absorb_apex, ep2c_expand, p2c_qj, pick_one_avoiding, pick_two_avoiding
+from .p2c_qj import p2c_qj
 from .subsets import (
     ElementSet,
     Relabeling,
@@ -55,14 +55,12 @@ __all__ = [
     "QJGraph",
     "Relabeling",
     "SweepSummary",
-    "absorb_apex",
     "apply_relabeling",
     "check_hamilton",
     "check_p2c",
     "clear_caches",
     "complement",
     "down_neighbors",
-    "ep2c_expand",
     "fig1_counterexample",
     "hamilton_bruteforce",
     "hamilton_complete",
@@ -74,8 +72,6 @@ __all__ = [
     "p2c_complete",
     "p2c_johnson",
     "p2c_qj",
-    "pick_one_avoiding",
-    "pick_two_avoiding",
     "qj_cross_adjacent",
     "same_level_neighbors",
     "sweep",

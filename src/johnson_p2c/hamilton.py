@@ -5,19 +5,21 @@ X (vertices without n, isomorphic to J(n-1,k)) and Y (vertices with n,
 isomorphic to J(n-1,k-1)), splicing the smaller side's Hamilton path into
 an edge of the larger side's path.  The QJ builder peels the top level of
 the stack.  Recursion bottoms out in an exact backtracking search on any
-host graph with at most 12 vertices.
+host graph with at most 12 vertices; the same search, with two terminal
+pairs, is the P2C oracle.
 
-The builders work on int bitmasks (see ``subsets``).  On masks the X-side
-embedding J(n-1,k) -> J(n,k) is the identity, the Y-side one is
-``_lift_y`` and its inverse ``_drop_n``.  The public ``hamilton_johnson``
-and ``hamilton_qj`` unwrap their ``ElementSet`` endpoints and wrap the
-finished path.
+The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
+half of the split with its embedding into J(n,k), the identity on X and
+setting bit n on Y, so each mirrored X/Y case is written once.  The public
+``hamilton_johnson`` and ``hamilton_qj`` unwrap their ``ElementSet``
+endpoints and wrap the finished path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import CoverError, EqualEndpoints, NotAVertex, SpliceEdgeNotFound
 from .graphs import GenericGraph, JohnsonGraph, QJGraph, mask_generic
@@ -100,62 +102,96 @@ def hamilton_bruteforce(g: GenericGraph, s: int, t: int) -> Path | None:
     if key in _BF_CACHE:
         hit = _BF_CACHE[key]
         return Path(hit) if hit is not None else None
-    result = _ham_search(g.adjacency, s, t)
-    _BF_CACHE[key] = tuple(result) if result is not None else None
-    return Path(tuple(result)) if result is not None else None
+    found = _cover_search(g.adjacency, ((s, t),))
+    result = tuple(found[0]) if found is not None else None
+    _BF_CACHE[key] = result
+    return Path(result) if result is not None else None
 
 
-def _ham_search(adj, s: int, t: int) -> list[int] | None:
-    n = len(adj)
-    if n == 1:
-        return None
-    path = [s]
-    visited = [False] * n
-    visited[s] = True
+def _cover_search(adj, pairs) -> list[list[int]] | None:
+    """Cover the graph with adjacency lists ``adj`` by vertex-disjoint paths
+    joining the terminal pairs (s_i, t_i), in that order; None if impossible.
 
-    def feasible(cur: int) -> bool:
-        # Every unvisited vertex must be reachable from cur without crossing
-        # visited vertices, and (unless it is the final target) must keep at
-        # least two usable neighbors to pass through.
-        stack = [cur]
-        seen = {cur}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not visited[w] and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        for w in range(n):
-            if visited[w]:
-                continue
-            if w not in seen:
-                return False
-            avail = sum(1 for z in adj[w] if not visited[z] or z == cur)
-            if avail == 0:
-                return False
-            if avail == 1 and w != t:
-                return False
-        return True
+    A Hamilton path is one pair, a paired 2-disjoint path cover two.  The
+    paths are grown one at a time, each scanning its neighbors in adjacency
+    order; path i never steps onto the terminal of a later path, and the
+    last path reaches its terminal only as the last uncovered vertex.
+    """
+    visited = [False] * len(adj)
+    for s, _ in pairs:
+        visited[s] = True
+    paths = [[s] for s, _ in pairs]
+    # Per path: the later paths' start vertices (still path ends to reach),
+    # the terminals still pending, the terminals it must not step onto, and
+    # its own terminal.
+    stages = [
+        (
+            tuple(s for s, _ in pairs[i + 1 :]),
+            frozenset(t for _, t in pairs[i:]),
+            frozenset(t for _, t in pairs[i + 1 :]),
+            pairs[i][1],
+        )
+        for i in range(len(pairs))
+    ]
+    if _extend(adj, visited, paths, stages, 0, len(pairs)):
+        return paths
+    return None
 
-    def dfs(cur: int) -> bool:
-        if len(path) == n:
-            return cur == t
-        if not feasible(cur):
-            return False
-        for nxt in adj[cur]:
-            if visited[nxt]:
-                continue
-            if nxt == t and len(path) != n - 1:
-                continue
-            visited[nxt] = True
-            path.append(nxt)
-            if dfs(nxt):
-                return True
-            path.pop()
-            visited[nxt] = False
+
+def _extend(adj, visited, paths, stages, i, covered) -> bool:
+    """Grow path i (and then the later ones) into a cover; on failure,
+    undo every step taken."""
+    path = paths[i]
+    cur = path[-1]
+    later_starts, pending, forbidden, t = stages[i]
+    last = i == len(paths) - 1
+    if cur == t:
+        if last:
+            return covered == len(adj)
+        return _extend(adj, visited, paths, stages, i + 1, covered)
+    if not _feasible(adj, visited, (cur, *later_starts), pending, len(adj) - covered):
         return False
+    for nxt in adj[cur]:
+        if visited[nxt] or nxt in forbidden:
+            continue
+        if last and nxt == t and covered + 1 != len(adj):
+            continue
+        visited[nxt] = True
+        path.append(nxt)
+        if _extend(adj, visited, paths, stages, i, covered + 1):
+            return True
+        path.pop()
+        visited[nxt] = False
+    return False
 
-    return path if dfs(s) else None
+
+def _feasible(adj, visited, ends, pending, uncovered) -> bool:
+    """Reachability: all ``uncovered`` unvisited vertices connect to a path
+    end through unvisited vertices.  Degree: each keeps a usable neighbor,
+    and two unless it is a pending terminal."""
+    stack = list(ends)
+    seen = set(ends)
+    while stack:
+        w = stack.pop()
+        for z in adj[w]:
+            if not visited[z] and z not in seen:
+                seen.add(z)
+                stack.append(z)
+    if len(seen) - len(ends) != uncovered:
+        return False
+    for w in seen:
+        if visited[w]:
+            continue
+        avail = 0
+        for z in adj[w]:
+            if not visited[z] or z in ends:
+                avail += 1
+                if avail == 2:
+                    break
+        else:
+            if avail == 0 or w not in pending:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +231,47 @@ def hamilton_johnson(g: JohnsonGraph, s: ElementSet, t: ElementSet) -> Path:
     return mask_path(_ham_johnson(g.n, g.k, s.bits, t.bits), g.n)
 
 
-def _drop_n(v: int, n: int) -> int:
-    """Y-vertex of J(n,k) to its vertex of J(n-1,k-1)."""
-    return v & ~(1 << n)
+class _Side(NamedTuple):
+    """A half of J(n,k) split by the element n: X, the masks without n, a
+    copy of J(n-1,k); or Y, the masks with n, a copy of J(n-1,k-1).  The
+    embedding of J(n-1, self.k) into J(n,k) sets ``bit`` (0 on X, 1 << n on
+    Y) and its inverse clears it."""
+
+    n: int
+    k: int
+    bit: int
+
+    def embed(self, vs: list[int]) -> list[int]:
+        """Masks of J(n-1, self.k) as masks of J(n,k); X returns ``vs`` itself."""
+        bit = self.bit
+        return [v | bit for v in vs] if bit else vs
+
+    def vertices(self):
+        """The side's vertices as masks of J(n,k), in bit-vector order."""
+        bit = self.bit
+        return (v | bit for v in k_masks(self.n - 1, self.k))
+
+    def path(self, s: int, t: int) -> list[int]:
+        """Hamilton path of the side between two of its vertices."""
+        keep = ~self.bit
+        return self.embed(_ham_johnson(self.n - 1, self.k, s & keep, t & keep))
 
 
-def _lift_y(vs, n: int) -> list[int]:
-    """Vertices of J(n-1,k-1) to their Y-vertices in J(n,k)."""
-    nbit = 1 << n
-    return [v | nbit for v in vs]
+def _sides(n: int, k: int) -> tuple[_Side, _Side]:
+    """(X, Y) of J(n,k); the side of a mask w is ``_sides(n, k)[w >> n & 1]``."""
+    return _Side(n, k, 0), _Side(n, k - 1, 1 << n)
 
 
-def _y_neighbors(a: int, n: int) -> list[int]:
-    """Neighbors of an X-vertex inside Y, bit-vector order: swap one element for n."""
-    nbit = 1 << n
-    return sorted(a ^ (1 << e) | nbit for e in mask_elements(a))
+def _swappable(a: int, n: int) -> int:
+    """The elements a vertex of J(n,k) trades with n to cross the split by n:
+    its own on X, the ones of [n-1] it lacks on Y."""
+    return (~a if a >> n & 1 else a) & full_mask(n - 1)
 
 
-def _x_neighbors(a: int, n: int) -> list[int]:
-    """Neighbors of a Y-vertex inside X, bit-vector order: swap n for a
-    missing element."""
-    base = a & ~(1 << n)
-    return [base | (1 << e) for e in range(1, n) if not a >> e & 1]
+def _across(a: int, n: int) -> list[int]:
+    """Neighbors of a on the other side of the split by n, in bit-vector order."""
+    flipped = a ^ (1 << n)
+    return sorted(flipped ^ (1 << e) for e in mask_elements(_swappable(a, n)))
 
 
 def _ham_johnson(n: int, k: int, s: int, t: int) -> list[int]:
@@ -239,33 +294,25 @@ def _ham_johnson_build(n, k, s, t):
     if comb(n, k) <= BRUTE_FORCE_LIMIT:
         return _ham_small(n, (k,), s, t)
 
-    nbit = 1 << n
-    s_in_y = bool(s & nbit)
-    t_in_y = bool(t & nbit)
-
-    if not s_in_y and not t_in_y:
-        h = _ham_johnson(n - 1, k, s, t)
+    sides = _sides(n, k)
+    i, j = s >> n & 1, t >> n & 1
+    if i == j:
+        # Both ends on one side: detour through the other side between the
+        # first two path vertices.
+        h = sides[i].path(s, t)
         a, b = h[0], h[1]
-        ap = _y_neighbors(a, n)[0]
-        bp = next(w for w in _y_neighbors(b, n) if w != ap)
-        detour = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(ap, n), _drop_n(bp, n)), n)
-        return [h[0], *detour, *h[1:]]
+        ap = _across(a, n)[0]
+        bp = next(w for w in _across(b, n) if w != ap)
+        return [h[0], *sides[1 - i].path(ap, bp), *h[1:]]
 
-    if s_in_y and t_in_y:
-        h = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(s, n), _drop_n(t, n)), n)
-        a, b = h[0], h[1]
-        ap = _x_neighbors(a, n)[0]
-        bp = next(w for w in _x_neighbors(b, n) if w != ap)
-        return [h[0], *_ham_johnson(n - 1, k, ap, bp), *h[1:]]
-
-    if s_in_y:
+    if i:
         return list(reversed(_ham_johnson_build(n, k, t, s)))
 
     # s in X, t in Y: end the X-path at an auxiliary vertex bridging into Y.
-    a = next(v for v in k_masks(n - 1, k) if v != s)
-    ap = next(w for w in _y_neighbors(a, n) if w != t)
-    h2 = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(ap, n), _drop_n(t, n)), n)
-    return _ham_johnson(n - 1, k, s, a) + h2
+    x_side, y_side = sides
+    a = next(v for v in x_side.vertices() if v != s)
+    ap = next(w for w in _across(a, n) if w != t)
+    return x_side.path(s, a) + y_side.path(ap, t)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ dispatch driven by how many of the four endpoints contain n.  Subproblems
 on at most 12 vertices are answered by the exact oracle, which also covers
 the J(4,2) base case.
 
-The induction runs on int bitmasks: the X embedding is the identity, the
-Y embedding is ``_lift_y``/``_drop_n``, complementation is an XOR with the
-full mask.  ``p2c_johnson`` unwraps the ``ElementSet`` endpoints once and
-wraps the finished paths once.
+The induction runs on int bitmasks: each mirrored X/Y case is written once
+on a ``_Side`` (``hamilton``), whose embedding is the identity on X and
+sets bit n on Y; complementation is an XOR with the full mask.
+``p2c_johnson`` unwraps the ``ElementSet`` endpoints once and wraps the
+finished paths once.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ from .graphs import JohnsonGraph, QJGraph, mask_generic
 from .hamilton import (
     _ORACLE_CACHE,
     Path,
-    _drop_n,
-    _ham_johnson,
-    _lift_y,
+    _across,
+    _sides,
     _sort_key,
-    _x_neighbors,
-    _y_neighbors,
+    _swappable,
     mask_path,
 )
 from .subsets import ElementSet, full_mask, k_masks
@@ -133,95 +132,65 @@ def _dispatch(n, k, u, v, x, y, debug):
         p1, p2 = _solve(n, n - k, full ^ u, full ^ v, full ^ x, full ^ y, debug)
         return [full ^ w for w in p1], [full ^ w for w in p2]
 
-    nbit = 1 << n
-    in_y = [bool(w & nbit) for w in (u, v, x, y)]
+    quad = (u, v, x, y)
+    in_y = [w >> n & 1 for w in quad]
     cnt = sum(in_y)
-    if cnt == 4:
-        return _case_all_in_y(n, k, u, v, x, y, debug)
-    if cnt == 0:
-        return _case_all_in_x(n, k, u, v, x, y, debug)
-    if cnt == 1:
-        return _case_one_in_y(n, k, u, v, x, y, in_y, debug)
-    if cnt == 3:
-        return _case_one_in_x(n, k, u, v, x, y, in_y, debug)
-    return _case_two_in_y(n, k, u, v, x, y, in_y, debug)
+    sides = _sides(n, k)
+    if cnt in (0, 4):
+        side = cnt // 4
+        return _case_all_on_one_side(n, k, sides[side], sides[1 - side], quad, debug)
+    if cnt in (1, 3):
+        # One endpoint apart from the other three: in Y if cnt is 1, else in X.
+        lone = quad[in_y.index(cnt == 1)]
+        side = cnt // 3
+        return _case_one_apart(n, sides[side], sides[1 - side], quad, lone, debug)
+    return _case_two_in_y(n, k, quad, in_y, sides, debug)
 
 
-def _case_all_in_y(n, k, u, v, x, y, debug):
+def _solve_on(side, quad, debug):
+    """Oriented cover of one side of the split, on masks of J(n,k)."""
+    keep = ~side.bit
+    p1, p2 = _solve(side.n - 1, side.k, *(w & keep for w in quad), debug)
+    return side.embed(p1), side.embed(p2)
+
+
+def _case_all_on_one_side(n, k, side, other, quad, debug):
+    # Cover the side, then detour through the other side between the first
+    # path edge whose ends trade a common element for n.
     nbit = 1 << n
-    s1, s2 = _solve(
-        n - 1, k - 1, _drop_n(u, n), _drop_n(v, n), _drop_n(x, n), _drop_n(y, n), debug
-    )
-    paths = [_lift_y(s1, n), _lift_y(s2, n)]
+    paths = _solve_on(side, quad, debug)
     for p in paths:
         for i in range(len(p) - 1):
             a, b = p[i], p[i + 1]
-            free = full_mask(n - 1) & ~(a | b)
-            if not free:
-                continue
-            repl = free & -free
-            detour = _ham_johnson(n - 1, k, a ^ nbit | repl, b ^ nbit | repl)
-            p[i + 1 : i + 1] = detour
-            return paths[0], paths[1]
-    raise SpliceEdgeNotFound(f"no spliceable edge in J({n},{k}) with all endpoints in Y")
-
-
-def _case_all_in_x(n, k, u, v, x, y, debug):
-    paths = list(_solve(n - 1, k, u, v, x, y, debug))
-    for p in paths:
-        for i in range(len(p) - 1):
-            a, b = p[i], p[i + 1]
-            common = a & b
+            common = _swappable(a, n) & _swappable(b, n)
             if not common:
                 continue
-            low = common & -common
-            detour = _lift_y(_ham_johnson(n - 1, k - 1, a ^ low, b ^ low), n)
-            p[i + 1 : i + 1] = detour
-            return paths[0], paths[1]
-    raise SpliceEdgeNotFound(f"no spliceable edge in J({n},{k}) with all endpoints in X")
+            e = common & -common
+            p[i + 1 : i + 1] = other.path(a ^ nbit ^ e, b ^ nbit ^ e)
+            return paths
+    raise SpliceEdgeNotFound(
+        f"no spliceable edge in J({n},{k}) with all endpoints in "
+        + ("Y" if side.bit else "X")
+    )
 
 
 def _pairing(u, v, x, y):
     return {u: v, v: u, x: y, y: x}
 
 
-def _case_one_in_y(n, k, u, v, x, y, in_y, debug):
-    # Exactly one endpoint contains n: it heads into Y via a bridge vertex.
-    w = (u, v, x, y)[in_y.index(True)]
-    partner = _pairing(u, v, x, y)[w]
-    q1, q2 = [z for z in (u, v, x, y) if z not in (w, partner)]
+def _case_one_apart(n, side, other, quad, lone, debug):
+    # Three endpoints on this side: cover it from a bridge vertex a in place
+    # of the lone endpoint, which reaches a through the other side.
+    partner = _pairing(*quad)[lone]
+    q1, q2 = [z for z in quad if z not in (lone, partner)]
     excluded = {partner, q1, q2}
-    a = next(z for z in k_masks(n - 1, k) if z not in excluded)
-    s1, s2 = _solve(n - 1, k, a, partner, q1, q2, debug)
-    b = next(z for z in _y_neighbors(a, n) if z != w)
-    bridge = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(w, n), _drop_n(b, n)), n)
-    return bridge + s1, s2
+    a = next(z for z in side.vertices() if z not in excluded)
+    s1, s2 = _solve_on(side, (a, partner, q1, q2), debug)
+    b = next(z for z in _across(a, n) if z != lone)
+    return other.path(lone, b) + s1, s2
 
 
-def _case_one_in_x(n, k, u, v, x, y, in_y, debug):
-    # Exactly one endpoint avoids n: mirror of the previous case inside Y.
-    w = (u, v, x, y)[in_y.index(False)]
-    partner = _pairing(u, v, x, y)[w]
-    q1, q2 = [z for z in (u, v, x, y) if z not in (w, partner)]
-    excluded = {partner, q1, q2}
-    nbit = 1 << n
-    a = next(z for z in (c | nbit for c in k_masks(n - 1, k - 1)) if z not in excluded)
-    s1, s2 = _solve(
-        n - 1,
-        k - 1,
-        _drop_n(a, n),
-        _drop_n(partner, n),
-        _drop_n(q1, n),
-        _drop_n(q2, n),
-        debug,
-    )
-    b = next(z for z in _x_neighbors(a, n) if z != w)
-    bridge = _ham_johnson(n - 1, k, w, b)
-    return bridge + _lift_y(s1, n), _lift_y(s2, n)
-
-
-def _case_two_in_y(n, k, u, v, x, y, in_y, debug):
-    quad = (u, v, x, y)
+def _case_two_in_y(n, k, quad, in_y, sides, debug):
     odd = next(
         (e for e in range(1, n + 1) if sum(w >> e & 1 for w in quad) != 2), None
     )
@@ -238,55 +207,41 @@ def _case_two_in_y(n, k, u, v, x, y, in_y, debug):
 
     if n != 2 * k:
         raise InvariantViolated(f"balanced element counts in J({n},{k}) force n = 2k")
-    pair_y = {w for w, flag in zip(quad, in_y) if flag}
-    if pair_y == {u, v} or pair_y == {x, y}:
+    u, v, x, y = quad
+    if in_y[0] == in_y[1]:
         # One pair lives entirely in Y, the other entirely in X: two
         # independent Hamilton paths.
-        if pair_y == {u, v}:
-            p_uv = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(u, n), _drop_n(v, n)), n)
-            p_xy = _ham_johnson(n - 1, k, x, y)
-        else:
-            p_uv = _ham_johnson(n - 1, k, u, v)
-            p_xy = _lift_y(_ham_johnson(n - 1, k - 1, _drop_n(x, n), _drop_n(y, n)), n)
-        return p_uv, p_xy
+        return sides[in_y[0]].path(u, v), sides[in_y[2]].path(x, y)
 
     # One endpoint of each pair lies in Y.  Two bridged covers,
     # one in X and one in Y, joined by the edges a-a' and b-b'.
-    w1 = u if u in pair_y else v
-    p1_ = v if w1 == u else u
-    w2 = x if x in pair_y else y
-    p2_ = y if w2 == x else x
-    a, ap, b, bp = _pick_bridges(n, k, w1, w2, p1_, p2_)
-    solx1, solx2 = _solve(n - 1, k, p1_, ap, p2_, bp, debug)
-    soly1, soly2 = _solve(
-        n - 1,
-        k - 1,
-        _drop_n(a, n),
-        _drop_n(w1, n),
-        _drop_n(b, n),
-        _drop_n(w2, n),
-        debug,
-    )
+    w1, p1_ = (u, v) if in_y[0] else (v, u)
+    w2, p2_ = (x, y) if in_y[2] else (y, x)
+    x_side, y_side = sides
+    a, ap, b, bp = _pick_bridges(y_side, w1, w2, p1_, p2_)
+    solx1, solx2 = _solve_on(x_side, (p1_, ap, p2_, bp), debug)
+    soly1, soly2 = _solve_on(y_side, (a, w1, b, w2), debug)
     # solx1 runs p1_ -> ap; soly1 runs a -> w1; joined via the edge ap-a.
-    return solx1 + _lift_y(soly1, n), solx2 + _lift_y(soly2, n)
+    return solx1 + soly1, solx2 + soly2
 
 
-def _pick_bridges(n, k, w1, w2, p1_, p2_):
+def _pick_bridges(y_side, w1, w2, p1_, p2_):
     """First (a, a', b, b') in scan order: a,b in Y distinct and not w1/w2,
     a',b' their X-neighbors, distinct and not p1_/p2_."""
-    y_vertices = _lift_y(k_masks(n - 1, k - 1), n)
+    n = y_side.n
+    y_vertices = list(y_side.vertices())
     partners = {p1_, p2_}
     for a in y_vertices:
         if a == w1 or a == w2:
             continue
-        for ap in _x_neighbors(a, n):
+        for ap in _across(a, n):
             if ap in partners:
                 continue
             for b in y_vertices:
                 if b == w1 or b == w2 or b == a:
                     continue
-                for bp in _x_neighbors(b, n):
+                for bp in _across(b, n):
                     if bp in partners or bp == ap:
                         continue
                     return a, ap, b, bp
-    raise SelectionExhausted(f"no bridge pair found in J({n},{k})")
+    raise SelectionExhausted(f"no bridge pair found in J({n},{y_side.k + 1})")

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graphs import QJGraph
 from .hamilton import _find_level_edge, _ham_johnson, _ham_qj, mask_path
-from .p2c_johnson import _debug_check, _orient, _solve as _solve_johnson
+from .p2c_johnson import _debug_check, _orient, _pairing, _solve as _solve_johnson
 from .subsets import down_masks, full_mask, k_masks, up_masks
 
 
@@ -155,7 +155,7 @@ def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution
         pi, t = _locate_level_edge([p1, p2], top)
         (p1, p2)[pi].insert(t + 1, apex)
     else:
-        partner = {u: v, v: u, x: y, y: x}[apex]
+        partner = _pairing(u, v, x, y)[apex]
         others = [w for w in quad if w not in (apex, partner)]
         cp = next(
             w for w in k_masks(n, top) if w not in (partner, others[0], others[1])
@@ -276,7 +276,7 @@ def _local_trio(n, A, levels, u, v, x, y, debug):
     lone_level = next(li for li, c in counts.items() if c == 1)
     trio_level = next(li for li, c in counts.items() if c == 3)
     lone = endpoints[levels.index(lone_level)]
-    pairing = {u: v, v: u, x: y, y: x}
+    pairing = _pairing(u, v, x, y)
     partner = pairing[lone]
     other_pair = [w for w in endpoints if w not in (lone, partner)]
 
@@ -303,7 +303,7 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
         lo, hi = i, l
         p1, p2 = _flip_solve(n, A, lo, hi, u, v, x, y, debug)
         return [p1, p2]
-    pairing = {u: v, v: u, x: y, y: x}
+    pairing = _pairing(u, v, x, y)
     if counts[i] == 2:
         doubled = [w for w, lw in zip(endpoints, levels) if lw == i]
         if pairing[doubled[0]] == doubled[1]:
@@ -358,7 +358,7 @@ def _local_four_levels(n, A, levels, u, v, x, y, debug):
     order = sorted(range(4), key=lambda idx: levels[idx])
     e1, e2, e3, e4 = (endpoints[idx] for idx in order)
     i, j, k, l = (levels[idx] for idx in order)
-    pairing = {u: v, v: u, x: y, y: x}
+    pairing = _pairing(u, v, x, y)
 
     if pairing[e1] == e2:
         # Two aligned Hamilton stacks.

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 
 from .covers import EndpointQuad, P2CSolution
-from .errors import CoverError, SweepBudget, TooLargeForOracle
+from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
 from .graphs import GenericGraph, to_generic
-from .hamilton import Path
+from .hamilton import Path, _cover_search
 
 DEFAULT_ORACLE_CAP = 20
 DEFAULT_SWEEP_BUDGET = 2_000_000
@@ -40,20 +40,23 @@ class CheckReport:
         }
 
 
-def _check_path_steps(g, path, report: CheckReport) -> None:
+def _check_path_steps(g, path, report: CheckReport) -> set:
+    """Report the path's first foreign, repeated or non-adjacent step, and
+    return the set of its vertices (all of them if nothing was reported)."""
     seen = set()
     for v in path:
         if not g.has_vertex(v):
             report.add("ForeignVertex", f"{v} is not a vertex of the host graph")
-            return
+            return seen
         if v in seen:
             report.add("RepeatedVertex", f"{v} appears more than once")
-            return
+            return seen
         seen.add(v)
-    for a, b in zip(path, list(path)[1:]):
+    for a, b in zip(path, path[1:]):
         if not g.adjacent(a, b):
             report.add("NotAdjacentStep", f"{a} -- {b} is not an edge")
-            return
+            return seen
+    return seen
 
 
 def check_hamilton(g, p, s, t) -> CheckReport:
@@ -80,11 +83,10 @@ def check_p2c(g, q: EndpointQuad, sol: P2CSolution) -> CheckReport:
         report.add("BadEndpoint", f"path_uv endpoints are not {{{q.u},{q.v}}}")
     if not p2 or {p2[0], p2[-1]} != {q.x, q.y}:
         report.add("BadEndpoint", f"path_xy endpoints are not {{{q.x},{q.y}}}")
-    _check_path_steps(g, p1, report)
-    _check_path_steps(g, p2, report)
+    s1 = _check_path_steps(g, p1, report)
+    s2 = _check_path_steps(g, p2, report)
     if not report.valid:
         return report
-    s1, s2 = set(p1), set(p2)
     shared = s1 & s2
     if shared:
         report.add("PathsIntersect", f"shared vertices: {sorted(map(repr, shared))}")
@@ -113,8 +115,8 @@ def p2c_bruteforce(g, q: EndpointQuad, cap: int = DEFAULT_ORACLE_CAP):
     else:
         generic, verts = to_generic(g)
     index = {v: i for i, v in enumerate(verts)}
-    found = _p2c_search(
-        generic.adjacency, index[q.u], index[q.v], index[q.x], index[q.y]
+    found = _cover_search(
+        generic.adjacency, ((index[q.u], index[q.v]), (index[q.x], index[q.y]))
     )
     if found is None:
         return None
@@ -122,85 +124,6 @@ def p2c_bruteforce(g, q: EndpointQuad, cap: int = DEFAULT_ORACLE_CAP):
     return P2CSolution(
         Path(tuple(verts[i] for i in p1)), Path(tuple(verts[i] for i in p2))
     )
-
-
-def _p2c_search(adj, u, v, x, y):
-    n = len(adj)
-    visited = [False] * n
-    visited[u] = True
-    visited[x] = True
-    p1 = [u]
-    p2 = [x]
-
-    def feasible(done1: bool) -> bool:
-        # Reachability: every unvisited vertex must connect to an active path
-        # end through unvisited vertices.  Degree: an unvisited vertex that is
-        # not a pending terminal needs two usable neighbors to pass through.
-        ends = []
-        if not done1:
-            ends.append(p1[-1])
-        ends.append(p2[-1])
-        seen = set(ends)
-        stack = list(ends)
-        while stack:
-            w = stack.pop()
-            for z in adj[w]:
-                if not visited[z] and z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-        targets = {y}
-        if not done1:
-            targets.add(v)
-        endset = set(ends)
-        for w in range(n):
-            if visited[w]:
-                continue
-            if w not in seen:
-                return False
-            avail = sum(1 for z in adj[w] if not visited[z] or z in endset)
-            if avail == 0:
-                return False
-            if avail == 1 and w not in targets:
-                return False
-        return True
-
-    def dfs2() -> bool:
-        cur = p2[-1]
-        if cur == y:
-            return len(p1) + len(p2) == n
-        if not feasible(True):
-            return False
-        for nxt in adj[cur]:
-            if visited[nxt]:
-                continue
-            if nxt == y and len(p1) + len(p2) + 1 != n:
-                continue
-            visited[nxt] = True
-            p2.append(nxt)
-            if dfs2():
-                return True
-            p2.pop()
-            visited[nxt] = False
-        return False
-
-    def dfs1() -> bool:
-        cur = p1[-1]
-        if cur == v:
-            return dfs2()
-        if not feasible(False):
-            return False
-        for nxt in adj[cur]:
-            if visited[nxt] or nxt == y:
-                continue
-            visited[nxt] = True
-            p1.append(nxt)
-            if dfs1():
-                return True
-            p1.pop()
-            visited[nxt] = False
-        return False
-
-    return (list(p1), list(p2)) if dfs1() else None
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +242,13 @@ def sweep(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     jobs: int = 1,
 ) -> SweepSummary:
-    """Run a constructor over endpoint quadruples and certify every result."""
+    """Run a constructor over endpoint quadruples and certify every result.
+    A graph with fewer than 4 vertices has no quadruple and raises
+    ``TooFewVertices`` rather than report an empty success."""
     verts = list(g.vertices())
     nv = len(verts)
+    if nv < 4:
+        raise TooFewVertices(f"need at least 4 vertices to sweep, got {nv}")
     if mode == "exhaustive":
         n_quads = nv * (nv - 1) * (nv - 2) * (nv - 3)
         if n_quads > budget:

@@ -193,6 +193,17 @@ class TestSweepCommand:
         assert out == "" and "usage error" in err
 
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_too_few_vertices_fails(self, capsys, mode):
+        code, out, err = invoke(
+            capsys,
+            "sweep", "--graph", "johnson", "--n", "3", "--k", "1", "--mode", mode,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("TooFewVertices:") and err.count("\n") == 1
+
+
 class TestModuleEntry:
     def test_python_m_cli(self):
         src = os.path.dirname(os.path.dirname(johnson_p2c.__file__))

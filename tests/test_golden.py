@@ -3,10 +3,14 @@
 Each digest is the sha256 of ``json.dumps(sol.to_json())`` for one cover,
 recorded when the constructors still ran on ``ElementSet`` objects.  Any
 change to the constructors' scan order or case analysis shows up here.
+The oracle digests were recorded while the Hamilton and P2C searches were
+still two separate functions; they pin the exact search's scan order on
+graphs the constructors never hand to it.
 """
 
 import hashlib
 import json
+from itertools import permutations
 
 import pytest
 
@@ -16,6 +20,9 @@ from johnson_p2c import (
     JohnsonGraph,
     QJGraph,
     check_p2c,
+    fig1_counterexample,
+    hamilton_bruteforce,
+    p2c_bruteforce,
     p2c_johnson,
     p2c_qj,
 )
@@ -78,3 +85,50 @@ def test_cover_is_byte_identical(graph, endpoints, digest):
     sol = construct(g, q)
     assert check_p2c(g, q, sol).valid
     assert hashlib.sha256(json.dumps(sol.to_json()).encode()).hexdigest() == digest
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# (graph, (u, v, x, y) as element lists, sha256 of the oracle cover's JSON).
+# J(6,3) has 20 vertices, more than any subproblem the constructors solve
+# with the oracle.
+ORACLE_GOLDEN = [
+    (("johnson", 6, 3), ([1, 2, 3], [4, 5, 6], [1, 2, 4], [3, 5, 6]),
+     "ee8e88b42ad7fb36a78380fcf3a84f894636f96af975bd64304e4b7006dea3d4"),
+    (("johnson", 6, 3), ([1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]),
+     "a66577d1e4b1e91b83a20cf98455907efe5d05c34ab00b6a3f5c8ce3972510ab"),
+    (("johnson", 6, 3), ([1, 4, 6], [2, 3, 5], [3, 4, 6], [1, 2, 5]),
+     "3b6ba1e32b8e8997ae7ed85f31390f462ecac305b694cd6b3a046e34febb1806"),
+    (("johnson", 6, 3), ([2, 5, 6], [1, 3, 4], [1, 5, 6], [2, 3, 4]),
+     "967fa9a89c26a6beebcfa091df098672178863ccebbebe540ad001255375cc63"),
+    (("qj", 5, (1, 2)), ([1], [1, 2], [2], [3, 4]),
+     "3d1a2c4f51c279396e10031ec798a6fe803ec1242fac196c6809966facd032a6"),
+    (("qj", 5, (1, 2)), ([1, 2], [3, 5], [4], [2, 3]),
+     "6dc07fffc190ba793f7409cd0ec22c3ec9cafed0b3254b4ce6e609bc9785b459"),
+    (("qj", 5, (1, 2)), ([5], [1, 2], [1, 3], [4]),
+     "f21bfbcde8889ca495dc2de0871b8100385e972c8e8003cf4f69e8f1226d3902"),
+]
+
+
+@pytest.mark.parametrize("graph, endpoints, digest", ORACLE_GOLDEN)
+def test_oracle_cover_is_byte_identical(graph, endpoints, digest):
+    kind, n, k_or_levels = graph
+    g = JohnsonGraph(n, k_or_levels) if kind == "johnson" else QJGraph(n, k_or_levels)
+    q = EndpointQuad(*(ElementSet.from_elements(w, n) for w in endpoints))
+    sol = p2c_bruteforce(g, q)
+    assert sol is not None and check_p2c(g, q, sol).valid
+    assert _digest(sol.to_json()) == digest
+
+
+def test_oracle_hamilton_paths_of_fig1_are_byte_identical():
+    # All 56 ordered pairs, a missing path recorded as None.
+    g, _ = fig1_counterexample()
+    paths = []
+    for s, t in permutations(range(8), 2):
+        p = hamilton_bruteforce(g, s, t)
+        paths.append(list(p) if p is not None else None)
+    assert _digest(paths) == (
+        "bddaa734b0c529fa6a253eea55b70ea5b4a2d8720f5f1da8eadcd117cc73b74c"
+    )

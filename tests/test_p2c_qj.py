@@ -7,12 +7,8 @@ from johnson_p2c import (
     ElementSet,
     EndpointQuad,
     QJGraph,
-    absorb_apex,
     check_p2c,
-    ep2c_expand,
     p2c_qj,
-    pick_one_avoiding,
-    pick_two_avoiding,
 )
 from johnson_p2c.errors import (
     BadQuad,
@@ -20,6 +16,12 @@ from johnson_p2c.errors import (
     OutOfTheoremRange,
 )
 from johnson_p2c.p2c_johnson import _solve as _solve_johnson
+from johnson_p2c.p2c_qj import (
+    absorb_apex,
+    ep2c_expand,
+    pick_one_avoiding,
+    pick_two_avoiding,
+)
 
 
 def es(elems, n):

@@ -1,3 +1,4 @@
+import gc
 from itertools import permutations
 
 import pytest
@@ -10,13 +11,15 @@ from johnson_p2c import (
     QJGraph,
     check_hamilton,
     check_p2c,
+    clear_caches,
     fig1_counterexample,
+    hamilton_bruteforce,
     k_subsets,
     p2c_bruteforce,
     p2c_johnson,
     sweep,
 )
-from johnson_p2c.errors import SweepBudget, TooLargeForOracle
+from johnson_p2c.errors import SweepBudget, TooFewVertices, TooLargeForOracle
 from johnson_p2c.hamilton import Path
 
 
@@ -165,6 +168,27 @@ class TestOracle:
             assert check_p2c(g, q, built).valid
 
 
+def test_exact_searches_leave_no_reference_cycles():
+    # A search whose state lives in self-referencing closures leaves a
+    # cycle behind on every call, which only the cyclic collector frees.
+    g = JohnsonGraph(5, 2)
+    verts = list(g.vertices())
+    quads = [EndpointQuad(*verts[i : i + 4]) for i in range(0, 7, 2)]
+    fig1, _ = fig1_counterexample()
+    clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        for q in quads:
+            assert p2c_bruteforce(g, q) is not None
+        for s, t in permutations(range(8), 2):
+            assert hamilton_bruteforce(fig1, s, t) is not None
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0
+
+
 class TestSweep:
     def test_j42_exhaustive(self):
         summary = sweep(JohnsonGraph(4, 2), mode="exhaustive", constructor="johnson")
@@ -204,3 +228,9 @@ class TestSweep:
         for count in (0, -3):
             with pytest.raises(ValueError):
                 sweep(g, mode="sampled", count=count)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_too_few_vertices_is_an_error(self, mode):
+        # J(3,1) has no quadruple: an empty sweep must not read as success.
+        with pytest.raises(TooFewVertices):
+            sweep(JohnsonGraph(3, 1), mode=mode)
