@@ -65,12 +65,12 @@ class JohnsonGraph:
         return f"J({self.n},{self.k})"
 
 
-class LevelSpec:
-    """A strictly increasing list of level cardinalities a_1 < ... < a_m."""
+class LevelSpec(tuple):
+    """A strictly increasing tuple of level cardinalities a_1 < ... < a_m."""
 
-    __slots__ = ("levels",)
+    __slots__ = ()
 
-    def __init__(self, levels):
+    def __new__(cls, levels):
         levels = tuple(levels)
         if not levels:
             raise ValueError("level set must be non-empty")
@@ -78,19 +78,7 @@ class LevelSpec:
             raise ValueError(f"levels {levels} not strictly increasing")
         if levels[0] < 1:
             raise ValueError(f"level {levels[0]} below 1")
-        object.__setattr__(self, "levels", levels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LevelSpec is immutable")
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __iter__(self):
-        return iter(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
+        return super().__new__(cls, levels)
 
 
 class QJGraph:
@@ -123,12 +111,12 @@ class QJGraph:
             yield from k_subsets(self.n, a)
 
     def has_vertex(self, s: ElementSet) -> bool:
-        return s.n == self.n and s.cardinality() in self.levels.levels
+        return s.n == self.n and s.cardinality() in self.levels
 
     def level_index(self, s: ElementSet) -> int:
         card = s.cardinality()
         try:
-            return self.levels.levels.index(card)
+            return self.levels.index(card)
         except ValueError:
             raise NotAVertex(f"cardinality {card} not a level of {self}") from None
 
@@ -145,12 +133,11 @@ class QJGraph:
         return a.bits & ~b.bits == 0
 
     def _index_of(self, card: int):
-        levels = self.levels.levels
-        return levels.index(card) if card in levels else None
+        return self.levels.index(card) if card in self.levels else None
 
     def neighbors(self, s: ElementSet) -> list[ElementSet]:
         i = self.level_index(s)
-        levels = self.levels.levels
+        levels = self.levels
         out = []
         if 0 < levels[i] < self.n:
             out.extend(same_level_neighbors(s))
@@ -162,7 +149,7 @@ class QJGraph:
         return out
 
     def key(self):
-        return ("qj", self.n, self.levels.levels)
+        return ("qj", self.n, self.levels)
 
     def descriptor(self) -> dict:
         return {"kind": "qj", "n": self.n, "levels": list(self.levels)}
@@ -229,7 +216,7 @@ def fig1_counterexample() -> tuple[GenericGraph, tuple[int, int, int, int]]:
 def to_generic(g) -> tuple[GenericGraph, list]:
     """Materialize a J(n,k) or QJ(n,A); returns (graph, index->vertex list)
     with the vertices in ``g.vertices()`` order."""
-    levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels.levels
+    levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels
     generic, masks = mask_generic(g.n, levels)
     return generic, [ElementSet(b, g.n) for b in masks]
 

@@ -4,9 +4,10 @@ The Johnson builder recursively splits J(n,k) by the element n into
 X (vertices without n, isomorphic to J(n-1,k)) and Y (vertices with n,
 isomorphic to J(n-1,k-1)), splicing the smaller side's Hamilton path into
 an edge of the larger side's path.  The QJ builder peels the top level of
-the stack.  Recursion bottoms out in an exact backtracking search on any
-host graph with at most 12 vertices; the same search, with two terminal
-pairs, is the P2C oracle.
+the stack.  J(n,k) is the one-level stack QJ(n,{k}), so both builders share
+one memo, ``_ham``, keyed by ``(n, levels, s, t)``.  Recursion bottoms out
+in an exact backtracking search on any host graph with at most 12
+vertices; the same search, with two terminal pairs, is the P2C oracle.
 
 The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
 half of the split with its embedding into J(n,k), the identity on X and
@@ -34,20 +35,16 @@ from .subsets import (
 
 BRUTE_FORCE_LIMIT = 12
 
-# The memos of results, keyed by masks or explicit graphs: Hamilton paths
-# of explicit graphs, of J(n,k) and of QJ(n,A), and P2C covers from the
-# exact oracle (filled by p2c_johnson).
-_BF_CACHE: dict = {}
-_JOHNSON_CACHE: dict = {}
-_QJ_CACHE: dict = {}
+# The memos of results, keyed by masks: Hamilton paths of J(n,k) and
+# QJ(n,A), and P2C covers from the exact oracle (filled by p2c_johnson).
+# The small explicit graphs are memoized by ``mask_generic``.
+_HAM_CACHE: dict = {}
 _ORACLE_CACHE: dict = {}
 
 
 def clear_caches() -> None:
     """Empty every memo, so the next construction starts cold."""
-    _BF_CACHE.clear()
-    _JOHNSON_CACHE.clear()
-    _QJ_CACHE.clear()
+    _HAM_CACHE.clear()
     _ORACLE_CACHE.clear()
     mask_generic.cache_clear()
 
@@ -98,14 +95,8 @@ def hamilton_bruteforce(g: GenericGraph, s: int, t: int) -> Path | None:
         raise EqualEndpoints(f"endpoints coincide: {s}")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise NotAVertex(f"{s} or {t} not in graph")
-    key = (g.key(), s, t)
-    if key in _BF_CACHE:
-        hit = _BF_CACHE[key]
-        return Path(hit) if hit is not None else None
     found = _cover_search(g.adjacency, ((s, t),))
-    result = tuple(found[0]) if found is not None else None
-    _BF_CACHE[key] = result
-    return Path(result) if result is not None else None
+    return Path(tuple(found[0])) if found is not None else None
 
 
 def _cover_search(adj, pairs) -> list[list[int]] | None:
@@ -210,7 +201,38 @@ def hamilton_complete(vertices, s, t) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Johnson graphs.
+# J(n,k) and QJ(n,A) on masks.
+
+
+def hamilton_johnson(g: JohnsonGraph, s: ElementSet, t: ElementSet) -> Path:
+    return _hamilton(g, (g.k,), s, t)
+
+
+def hamilton_qj(g: QJGraph, s: ElementSet, t: ElementSet) -> Path:
+    return _hamilton(g, g.levels, s, t)
+
+
+def _hamilton(g, levels: tuple, s: ElementSet, t: ElementSet) -> Path:
+    if s == t:
+        raise EqualEndpoints(f"endpoints coincide: {s}")
+    if not (g.has_vertex(s) and g.has_vertex(t)):
+        raise NotAVertex(f"{s} or {t} not a vertex of {g}")
+    return mask_path(_ham(g.n, levels, s.bits, t.bits), g.n)
+
+
+def _ham(n: int, levels: tuple, s: int, t: int) -> list[int]:
+    """Hamilton path of QJ(n,levels) from s to t, J(n,k) being ``levels ==
+    (k,)``; memoized, and the caller owns the returned list."""
+    key = (n, levels, s, t)
+    hit = _HAM_CACHE.get(key)
+    if hit is not None:
+        return list(hit)
+    if len(levels) == 1:
+        result = _ham_johnson_build(n, levels[0], s, t)
+    else:
+        result = _ham_qj_build(n, levels, s, t)
+    _HAM_CACHE[key] = tuple(result)
+    return result
 
 
 def _ham_small(n: int, levels: tuple, s: int, t: int) -> list[int]:
@@ -221,14 +243,6 @@ def _ham_small(n: int, levels: tuple, s: int, t: int) -> list[int]:
             f"no Hamilton path from {s:#x} to {t:#x} in QJ({n},{set(levels)})"
         )
     return [verts[i] for i in found]
-
-
-def hamilton_johnson(g: JohnsonGraph, s: ElementSet, t: ElementSet) -> Path:
-    if s == t:
-        raise EqualEndpoints(f"endpoints coincide: {s}")
-    if not (g.has_vertex(s) and g.has_vertex(t)):
-        raise NotAVertex(f"{s} or {t} not a vertex of {g}")
-    return mask_path(_ham_johnson(g.n, g.k, s.bits, t.bits), g.n)
 
 
 class _Side(NamedTuple):
@@ -254,7 +268,7 @@ class _Side(NamedTuple):
     def path(self, s: int, t: int) -> list[int]:
         """Hamilton path of the side between two of its vertices."""
         keep = ~self.bit
-        return self.embed(_ham_johnson(self.n - 1, self.k, s & keep, t & keep))
+        return self.embed(_ham(self.n - 1, (self.k,), s & keep, t & keep))
 
 
 def _sides(n: int, k: int) -> tuple[_Side, _Side]:
@@ -274,21 +288,11 @@ def _across(a: int, n: int) -> list[int]:
     return sorted(flipped ^ (1 << e) for e in mask_elements(_swappable(a, n)))
 
 
-def _ham_johnson(n: int, k: int, s: int, t: int) -> list[int]:
-    key = (n, k, s, t)
-    hit = _JOHNSON_CACHE.get(key)
-    if hit is not None:
-        return list(hit)
-    result = _ham_johnson_build(n, k, s, t)
-    _JOHNSON_CACHE[key] = tuple(result)
-    return result
-
-
 def _ham_johnson_build(n, k, s, t):
     if 2 * k > n:
         # J(n,k) and J(n,n-k) are isomorphic under complementation.
         full = full_mask(n)
-        return [full ^ v for v in _ham_johnson(n, n - k, full ^ s, full ^ t)]
+        return [full ^ v for v in _ham(n, (n - k,), full ^ s, full ^ t)]
     if k == 1:
         return list(hamilton_complete(k_masks(n, 1), s, t))
     if comb(n, k) <= BRUTE_FORCE_LIMIT:
@@ -315,66 +319,45 @@ def _ham_johnson_build(n, k, s, t):
     return x_side.path(s, a) + y_side.path(ap, t)
 
 
-# ---------------------------------------------------------------------------
-# Stacked Johnson graphs.
-
-
-def hamilton_qj(g: QJGraph, s: ElementSet, t: ElementSet) -> Path:
-    if s == t:
-        raise EqualEndpoints(f"endpoints coincide: {s}")
-    if not (g.has_vertex(s) and g.has_vertex(t)):
-        raise NotAVertex(f"{s} or {t} not a vertex of {g}")
-    return mask_path(_ham_qj(g.n, g.levels.levels, s.bits, t.bits), g.n)
-
-
-def _ham_qj(n: int, levels: tuple, s: int, t: int) -> list[int]:
-    if len(levels) == 1:
-        return _ham_johnson(n, levels[0], s, t)
-    key = (n, levels, s, t)
-    hit = _QJ_CACHE.get(key)
-    if hit is not None:
-        return list(hit)
-    result = _ham_qj_build(n, levels, s, t)
-    _QJ_CACHE[key] = tuple(result)
-    return result
-
-
 def _ham_qj_build(n, levels, s, t):
     if sum(comb(n, a) for a in levels) <= BRUTE_FORCE_LIMIT:
         return _ham_small(n, levels, s, t)
 
     top = levels[-1]
-    below = levels[-2]
     lower = levels[:-1]
     s_top = s.bit_count() == top
-    t_top = t.bit_count() == top
-
-    if not s_top and not t_top:
-        h = _ham_qj(n, lower, s, t)
-        i = _find_level_edge(h, below)
-        a, b = h[i], h[i + 1]
+    if s_top == (t.bit_count() == top):
+        # Both ends in one part, the top level or the levels below it: detour
+        # through the other part at the first edge on the part's boundary
+        # level, between distinct cross neighbors (or through the apex).
+        part, other = ((top,), lower) if s_top else (lower, (top,))
+        h = _ham(n, part, s, t)
+        i = _find_level_edge(h, part[-1])
         if top == n:
-            return [*h[: i + 1], full_mask(n), *h[i + 1 :]]
-        ap = up_masks(a, n, top)[0]
-        bp = next(w for w in up_masks(b, n, top) if w != ap)
-        return [*h[: i + 1], *_ham_johnson(n, top, ap, bp), *h[i + 1 :]]
-
-    if s_top and t_top:
-        h = _ham_johnson(n, top, s, t)
-        a, b = h[0], h[1]
-        ap = down_masks(a, below)[0]
-        bp = next(w for w in down_masks(b, below) if w != ap)
-        return [h[0], *_ham_qj(n, lower, ap, bp), *h[1:]]
+            detour = [full_mask(n)]
+        else:
+            ap = _cross_neighbors(h[i], n, other[-1])[0]
+            bp = next(w for w in _cross_neighbors(h[i + 1], n, other[-1]) if w != ap)
+            detour = _ham(n, other, ap, bp)
+        return [*h[: i + 1], *detour, *h[i + 1 :]]
 
     if s_top:
         return list(reversed(_ham_qj_build(n, levels, t, s)))
 
     # s below, t in the top level: bridge through a cross edge.
-    a = next(v for v in k_masks(n, below) if v != s)
+    a = next(v for v in k_masks(n, levels[-2]) if v != s)
     if top == n:
-        return _ham_qj(n, lower, s, a) + [t]
+        return _ham(n, lower, s, a) + [t]
     ap = next(w for w in up_masks(a, n, top) if w != t)
-    return _ham_qj(n, lower, s, a) + _ham_johnson(n, top, ap, t)
+    return _ham(n, lower, s, a) + _ham(n, (top,), ap, t)
+
+
+def _cross_neighbors(s: int, n: int, card_to: int) -> list[int]:
+    """Neighbors of the mask s at the level of cardinality card_to, in
+    bit-vector order."""
+    if card_to > s.bit_count():
+        return up_masks(s, n, card_to)
+    return down_masks(s, card_to)
 
 
 def _find_level_edge(path, card: int, forbidden=()) -> int:

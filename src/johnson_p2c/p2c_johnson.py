@@ -24,7 +24,6 @@ from .errors import (
     InvariantViolated,
     OutOfTheoremRange,
     SelectionExhausted,
-    SpliceEdgeNotFound,
     TooFewVertices,
 )
 from .graphs import JohnsonGraph, QJGraph, mask_generic
@@ -69,14 +68,14 @@ def p2c_johnson(g: JohnsonGraph, q: EndpointQuad, debug: bool = False) -> P2CSol
 
 def _debug_check(n, levels, quad, p1, p2):
     """Certify an intermediate cover of J(n,k) (one level) or QJ(n,levels)
-    given on masks; raises AssertionError naming the violations."""
+    given on masks; raises InvariantViolated naming the violations."""
     from .verify import check_p2c
 
     g = JohnsonGraph(n, levels[0]) if len(levels) == 1 else QJGraph(n, levels)
     q = EndpointQuad(*(ElementSet(w, n) for w in quad))
     report = check_p2c(g, q, P2CSolution(mask_path(p1, n), mask_path(p2, n)))
     if not report.valid:
-        raise AssertionError(f"invalid cover of {g}: {report.violations}")
+        raise InvariantViolated(f"invalid cover of {g}: {report.violations}")
 
 
 def _orient(p1, p2, u, v, x, y):
@@ -155,23 +154,20 @@ def _solve_on(side, quad, debug):
 
 
 def _case_all_on_one_side(n, k, side, other, quad, debug):
-    # Cover the side, then detour through the other side between the first
-    # path edge whose ends trade a common element for n.
+    # Cover the side, then detour through the other side at the first edge
+    # of the u-v path, whose ends trade a common element for n: adjacent
+    # vertices share k-1 >= 1 elements on X and both lack n-k-1 >= 1 of
+    # [n-1] on Y, as k >= 2 and n >= 2k here.
     nbit = 1 << n
     paths = _solve_on(side, quad, debug)
-    for p in paths:
-        for i in range(len(p) - 1):
-            a, b = p[i], p[i + 1]
-            common = _swappable(a, n) & _swappable(b, n)
-            if not common:
-                continue
-            e = common & -common
-            p[i + 1 : i + 1] = other.path(a ^ nbit ^ e, b ^ nbit ^ e)
-            return paths
-    raise SpliceEdgeNotFound(
-        f"no spliceable edge in J({n},{k}) with all endpoints in "
-        + ("Y" if side.bit else "X")
-    )
+    p = paths[0]
+    a, b = p[0], p[1]
+    common = _swappable(a, n) & _swappable(b, n)
+    if not common:
+        raise InvariantViolated(f"edge {a:#x}-{b:#x} of J({n},{k}) trades nothing")
+    e = common & -common
+    p[1:1] = other.path(a ^ nbit ^ e, b ^ nbit ^ e)
+    return paths
 
 
 def _pairing(u, v, x, y):

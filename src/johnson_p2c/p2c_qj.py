@@ -24,19 +24,13 @@ from .errors import (
     SpliceEdgeNotFound,
 )
 from .graphs import QJGraph
-from .hamilton import _find_level_edge, _ham_johnson, _ham_qj, mask_path
+from .hamilton import _cross_neighbors, _find_level_edge, _ham, mask_path
 from .p2c_johnson import _debug_check, _orient, _pairing, _solve as _solve_johnson
-from .subsets import down_masks, full_mask, k_masks, up_masks
+from .subsets import full_mask, k_masks
 
 
 # ---------------------------------------------------------------------------
 # Neighbor selection (distinct-neighbor and single-neighbor picks).
-
-
-def _cross_neighbors(s: int, n: int, card_to: int) -> list[int]:
-    if card_to > s.bit_count():
-        return up_masks(s, n, card_to)
-    return down_masks(s, card_to)
 
 
 def _check_cards(n, card_from, card_to, *vertices):
@@ -95,14 +89,11 @@ def _locate_level_edge(paths, card, forbidden=()):
 
 def _splice_between(paths, c, d, detour):
     """Insert `detour` (running from a neighbor of c to a neighbor of d)
-    between the consecutive vertices c and d, wherever they now sit."""
+    between c and the vertex d after it, wherever that edge now sits."""
     for p in paths:
         for i in range(len(p) - 1):
             if p[i] == c and p[i + 1] == d:
                 p[i + 1 : i + 1] = detour
-                return
-            if p[i] == d and p[i + 1] == c:
-                p[i + 1 : i + 1] = list(reversed(detour))
                 return
     raise SpliceEdgeNotFound(f"edge {c:#x} -- {d:#x} vanished during expansion")
 
@@ -125,11 +116,11 @@ def ep2c_expand(paths, n, A, lo, hi):
     if down_edge is not None:
         a, b = down_edge
         ap, bp = pick_two_avoiding(n, A[lo], A[lo - 1], a, b, frozenset())
-        _splice_between(paths, a, b, _ham_qj(n, A[:lo], ap, bp))
+        _splice_between(paths, a, b, _ham(n, A[:lo], ap, bp))
     if up_edge is not None:
         c, d = up_edge
         cp, dp = pick_two_avoiding(n, A[hi], A[hi + 1], c, d, frozenset())
-        _splice_between(paths, c, d, _ham_qj(n, A[hi + 1 :], cp, dp))
+        _splice_between(paths, c, d, _ham(n, A[hi + 1 :], cp, dp))
     return paths
 
 
@@ -140,7 +131,7 @@ def ep2c_expand(paths, n, A, lo, hi):
 def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     """Cover of QJ(n,A) with n in A, via the cover of QJ(n, A-{n})."""
     n = g.n
-    A = g.levels.levels
+    A = g.levels
     if n not in A:
         raise LemmaPreconditionViolated(f"{g} has no apex level")
     sub_levels = tuple(a for a in A if a != n)
@@ -178,9 +169,9 @@ def p2c_qj(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     if g.vertex_count < 4:
         raise OutOfTheoremRange(f"{g} has fewer than 4 vertices")
     q.validate(g)
-    if g.n in g.levels.levels:
+    if g.n in g.levels:
         return absorb_apex(g, q, debug)
-    p1, p2 = _solve_qj(g.n, g.levels.levels, *(w.bits for w in q.vertices()), debug)
+    p1, p2 = _solve_qj(g.n, g.levels, *(w.bits for w in q.vertices()), debug)
     return P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
 
 
@@ -237,8 +228,8 @@ def _local_two_levels(n, A, levels, u, v, x, y, debug):
         # Aligned: each pair occupies a single level.  The lower pair rides a
         # Hamilton path of the lower stack, the upper pair one of the top level.
         low_pair, high_pair = ((u, v), (x, y)) if levels[0] == i else ((x, y), (u, v))
-        p_low = _ham_qj(n, A[i:j], low_pair[0], low_pair[1])
-        p_high = _ham_johnson(n, A[j], high_pair[0], high_pair[1])
+        p_low = _ham(n, A[i:j], low_pair[0], low_pair[1])
+        p_high = _ham(n, (A[j],), high_pair[0], high_pair[1])
         return [p_low, p_high]
     return _local_interleaved(n, A, i, j, u, v, x, y, debug)
 
@@ -252,14 +243,14 @@ def _local_interleaved(n, A, i, j, u, v, x, y, debug):
         x, y = y, x
 
     if A[j] < n - 1:
-        p1 = _ham_qj(n, A[i:j], u, x)
+        p1 = _ham(n, A[i:j], u, x)
         t = _find_level_edge(p1, A[j - 1])
         a, b = p1[t], p1[t + 1]
         ap, bp = pick_two_avoiding(n, A[j - 1], A[j], a, b, {v, y})
         s1, s2 = _solve_johnson(n, A[j], ap, v, bp, y, debug)
         return [p1[: t + 1] + s1, list(reversed(p1[t + 1 :])) + s2]
 
-    p2 = _ham_johnson(n, A[j], v, y)
+    p2 = _ham(n, (A[j],), v, y)
     c, d = p2[0], p2[1]
     cp, dp = pick_two_avoiding(n, A[j], A[j - 1], c, d, {u, x})
     s1, s2 = _solve_qj(n, A[i:j], cp, u, dp, x, debug)
@@ -283,10 +274,10 @@ def _local_trio(n, A, levels, u, v, x, y, debug):
     a = _first_vertex(n, A[trio_level], set(endpoints) - {lone})
     if trio_level < lone_level:
         ap = pick_one_avoiding(n, A[trio_level], A[trio_level + 1], a, {lone})
-        bridge = _ham_qj(n, A[trio_level + 1 : lone_level + 1], ap, lone)
+        bridge = _ham(n, A[trio_level + 1 : lone_level + 1], ap, lone)
     else:
         ap = pick_one_avoiding(n, A[trio_level], A[trio_level - 1], a, {lone})
-        bridge = _ham_qj(n, A[lone_level:trio_level], ap, lone)
+        bridge = _ham(n, A[lone_level:trio_level], ap, lone)
     s1, s2 = _solve_johnson(
         n, A[trio_level], other_pair[0], other_pair[1], partner, a, debug
     )
@@ -311,8 +302,8 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
             other = [w for w in endpoints if w not in doubled]
             if other[0].bit_count() > other[1].bit_count():
                 other = [other[1], other[0]]
-            p_low = _ham_johnson(n, A[i], doubled[0], doubled[1])
-            p_high = _ham_qj(n, A[i + 1 : l + 1], other[0], other[1])
+            p_low = _ham(n, (A[i],), doubled[0], doubled[1])
+            p_high = _ham(n, A[i + 1 : l + 1], other[0], other[1])
             return [p_low, p_high]
         # Doubled level holds one endpoint of each pair.
         e_mid = endpoints[levels.index(j)]
@@ -322,7 +313,7 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
         a = _first_vertex(n, A[j], {e_mid})
         ap = pick_one_avoiding(n, A[j], A[j + 1], a, {e_top})
         s1, s2 = _solve_qj(n, A[i : j + 1], uu, e_mid, xx, a, debug)
-        bridge = _ham_qj(n, A[j + 1 : l + 1], ap, e_top)
+        bridge = _ham(n, A[j + 1 : l + 1], ap, e_top)
         return [s1, s2 + bridge]
 
     # Doubled level is the middle one.
@@ -337,8 +328,8 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
         ap = pick_one_avoiding(n, A[j], A[j - 1], a, {e_low})
         bp = pick_one_avoiding(n, A[j], A[j + 1], b, {e_top})
         s1, s2 = _solve_johnson(n, A[j], doubled[0], doubled[1], a, b, debug)
-        h_low = _ham_qj(n, A[i:j], e_low, ap)
-        h_high = _ham_qj(n, A[j + 1 : l + 1], bp, e_top)
+        h_low = _ham(n, A[i:j], e_low, ap)
+        h_high = _ham(n, A[j + 1 : l + 1], bp, e_top)
         return [h_low + s2 + h_high, s1]
     # Middle holds one endpoint of each pair.
     f_low = pairing[e_low]  # middle endpoint paired with the bottom one
@@ -348,8 +339,8 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
     ap = pick_one_avoiding(n, A[j], A[j - 1], a, {e_low})
     bp = pick_one_avoiding(n, A[j], A[j + 1], b, {e_top})
     s1, s2 = _solve_johnson(n, A[j], f_low, a, f_top, b, debug)
-    h_low = _ham_qj(n, A[i:j], ap, e_low)
-    h_high = _ham_qj(n, A[j + 1 : l + 1], bp, e_top)
+    h_low = _ham(n, A[i:j], ap, e_low)
+    h_high = _ham(n, A[j + 1 : l + 1], bp, e_top)
     return [s1 + h_low, s2 + h_high]
 
 
@@ -362,16 +353,16 @@ def _local_four_levels(n, A, levels, u, v, x, y, debug):
 
     if pairing[e1] == e2:
         # Two aligned Hamilton stacks.
-        p_low = _ham_qj(n, A[i : j + 1], e1, e2)
-        p_high = _ham_qj(n, A[j + 1 : l + 1], e3, e4)
+        p_low = _ham(n, A[i : j + 1], e1, e2)
+        p_high = _ham(n, A[j + 1 : l + 1], e3, e4)
         return [p_low, p_high]
 
     a = _first_vertex(n, A[j], {e2})
     b = _first_vertex(n, A[k], {e3})
     ap = pick_one_avoiding(n, A[j], A[j - 1], a, {e1})
     bp = pick_one_avoiding(n, A[k], A[k + 1], b, {e4})
-    h_low = _ham_qj(n, A[i:j], e1, ap)
-    h_high = _ham_qj(n, A[k + 1 : l + 1], e4, bp)
+    h_low = _ham(n, A[i:j], e1, ap)
+    h_high = _ham(n, A[k + 1 : l + 1], e4, bp)
 
     if pairing[e1] == e3:
         # Pairs (e1,e3) and (e2,e4): middle cover joins a to e3 and b to e2.

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -70,6 +71,31 @@ class TestP2CCommand:
             "--u", "1", "--v", "2", "--x", "3", "--y", "1",
         )
         assert code != 0
+
+    def test_debug_check_failure_is_one_line(self, capsys, monkeypatch):
+        # An oracle that drops a vertex yields an invalid intermediate cover,
+        # which --debug-check reports as a typed error, not a traceback.
+        # The package exports the function p2c_johnson under the module's name.
+        p2c_johnson = importlib.import_module("johnson_p2c.p2c_johnson")
+        solve_small = p2c_johnson._solve_small
+
+        def drop_one(*args):
+            p1, p2 = solve_small(*args)
+            longer = p1 if len(p1) > len(p2) else p2
+            del longer[1]
+            return p1, p2
+
+        monkeypatch.setattr(p2c_johnson, "_solve_small", drop_one)
+        code, out, err = invoke(
+            capsys,
+            "p2c", "--graph", "johnson", "--n", "5", "--k", "3",
+            "--u", "1,2,3", "--v", "3,4,5", "--x", "1,2,4", "--y", "2,4,5",
+            "--debug-check",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("InvariantViolated: invalid cover of J(5,3)")
+        assert "NotCovering" in err and "Traceback" not in err
 
 
 class TestHamiltonCommand:

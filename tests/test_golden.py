@@ -5,11 +5,13 @@ recorded when the constructors still ran on ``ElementSet`` objects.  Any
 change to the constructors' scan order or case analysis shows up here.
 The oracle digests were recorded while the Hamilton and P2C searches were
 still two separate functions; they pin the exact search's scan order on
-graphs the constructors never hand to it.
+graphs the constructors never hand to it.  The Hamilton path digests were
+recorded while J(n,k) and QJ(n,A) still had separate Hamilton memos.
 """
 
 import hashlib
 import json
+import random
 from itertools import permutations
 
 import pytest
@@ -19,9 +21,12 @@ from johnson_p2c import (
     EndpointQuad,
     JohnsonGraph,
     QJGraph,
+    check_hamilton,
     check_p2c,
     fig1_counterexample,
     hamilton_bruteforce,
+    hamilton_johnson,
+    hamilton_qj,
     p2c_bruteforce,
     p2c_johnson,
     p2c_qj,
@@ -132,3 +137,50 @@ def test_oracle_hamilton_paths_of_fig1_are_byte_identical():
     assert _digest(paths) == (
         "bddaa734b0c529fa6a253eea55b70ea5b4a2d8720f5f1da8eadcd117cc73b74c"
     )
+
+
+# (n, levels, sha256 of the Hamilton paths' JSON over every ordered pair of
+# distinct vertices).  Together with the J(n,k) pins below, these run every
+# branch of both Hamilton builders.
+HAMILTON_QJ_GOLDEN = [
+    (4, (1, 2, 3, 4),
+     "9cca03b6aa3d11d809f4b6c6c8a093e83ced801dbadaf4bd582e661a06d222d8"),
+    (5, (1, 2, 5),
+     "21d3598da709eb3d0d7673a053bbee52bae319f09e2cf6a58b9130e9d7e5fcfc"),
+    (5, (2, 3),
+     "6a6824ae474e318b8052a9181ba8ad201b8a6693d670e0e6dca082512687e86f"),
+]
+
+
+@pytest.mark.parametrize("n, levels, digest", HAMILTON_QJ_GOLDEN)
+def test_hamilton_qj_paths_are_byte_identical(n, levels, digest):
+    g = QJGraph(n, levels)
+    paths = []
+    for s, t in permutations(g.vertices(), 2):
+        p = hamilton_qj(g, s, t)
+        assert check_hamilton(g, p, s, t).valid
+        paths.append(p.to_json())
+    assert _digest(paths) == digest
+
+
+# (n, k, sha256 of the Hamilton paths' JSON on 20 endpoint pairs drawn with
+# random.Random(0)).  J(9,6) goes through complement reduction.
+HAMILTON_JOHNSON_GOLDEN = [
+    (9, 4, "2a2ff0d2ed4ae3d6a0d8b37327086126a5e2d2956dca6f0cb8d917ee153bbc52"),
+    (10, 5, "7b8b1accf6489eaba97619ff8f4c0743ba15196c2cff758056e0614c76a94880"),
+    (9, 6, "a28855d66b995b7f0d02b5f508583a8e0e5dbf9c752a159c6064f435de5d21d3"),
+]
+
+
+@pytest.mark.parametrize("n, k, digest", HAMILTON_JOHNSON_GOLDEN)
+def test_hamilton_johnson_paths_are_byte_identical(n, k, digest):
+    g = JohnsonGraph(n, k)
+    vertices = list(g.vertices())
+    rng = random.Random(0)
+    paths = []
+    for _ in range(20):
+        s, t = rng.sample(vertices, 2)
+        p = hamilton_johnson(g, s, t)
+        assert check_hamilton(g, p, s, t).valid
+        paths.append(p.to_json())
+    assert _digest(paths) == digest

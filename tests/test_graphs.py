@@ -52,6 +52,15 @@ class TestLevelSpec:
         with pytest.raises(ValueError):
             LevelSpec([])
 
+    def test_is_a_validated_immutable_tuple(self):
+        spec = LevelSpec([1, 3])
+        assert isinstance(spec, tuple) and spec == (1, 3)
+        assert QJGraph(4, spec).levels is spec
+        with pytest.raises(AttributeError):
+            spec.levels = (2,)
+        with pytest.raises(ValueError):
+            LevelSpec([0, 1])
+
 
 class TestQJGraph:
     def test_vertex_count(self):

@@ -24,6 +24,7 @@ from johnson_p2c import (
 )
 from johnson_p2c import hamilton
 from johnson_p2c.errors import EqualEndpoints, NotAVertex
+from johnson_p2c.graphs import mask_generic
 
 
 def es(elems, n):
@@ -166,12 +167,9 @@ def test_clear_caches_empties_every_memo():
         q = EndpointQuad(*list(g.vertices())[:4])
         sol = p2c_johnson(g, q) if isinstance(g, JohnsonGraph) else p2c_qj(g, q)
         assert check_p2c(g, q, sol).valid
-    caches = [
-        hamilton._BF_CACHE,
-        hamilton._JOHNSON_CACHE,
-        hamilton._QJ_CACHE,
-        hamilton._ORACLE_CACHE,
-    ]
+    caches = [hamilton._HAM_CACHE, hamilton._ORACLE_CACHE]
     assert all(caches)
+    assert mask_generic.cache_info().currsize
     clear_caches()
     assert not any(caches)
+    assert mask_generic.cache_info().currsize == 0
