@@ -12,13 +12,12 @@ from .graphs import (
 )
 from .hamilton import (
     Path,
-    clear_caches,
     hamilton_bruteforce,
     hamilton_complete,
     hamilton_johnson,
     hamilton_qj,
 )
-from .p2c_johnson import p2c_complete, p2c_johnson
+from .p2c_johnson import clear_caches, p2c_complete, p2c_johnson
 from .p2c_qj import p2c_qj
 from .subsets import (
     ElementSet,

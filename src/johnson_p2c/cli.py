@@ -100,19 +100,16 @@ def _cmd_gen(args):
         print(to_dot(g))
         return 0
     verts = list(g.vertices())
-    edges = []
-    seen = set()
-    for v in verts:
-        for w in g.neighbors(v):
-            key = frozenset((repr(v), repr(w)))
-            if key not in seen:
-                seen.add(key)
-                edges.append([_vertex_json(v), _vertex_json(w)])
     _emit(
         {
             "graph": g.descriptor(),
             "vertices": [_vertex_json(v) for v in verts],
-            "edges": edges,
+            "edges": [
+                [_vertex_json(v), _vertex_json(w)]
+                for v in verts
+                for w in g.neighbors(v)
+                if v < w
+            ],
         }
     )
     return 0

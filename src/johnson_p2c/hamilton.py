@@ -5,9 +5,10 @@ X (vertices without n, isomorphic to J(n-1,k)) and Y (vertices with n,
 isomorphic to J(n-1,k-1)), splicing the smaller side's Hamilton path into
 an edge of the larger side's path.  The QJ builder peels the top level of
 the stack.  J(n,k) is the one-level stack QJ(n,{k}), so both builders share
-one memo, ``_ham``, keyed by ``(n, levels, s, t)``.  Recursion bottoms out
-in an exact backtracking search on any host graph with at most 12
-vertices; the same search, with two terminal pairs, is the P2C oracle.
+one memo, ``_ham_path``, keyed by ``(n, levels, s, t)``.  Recursion bottoms
+out in an exact backtracking search on any host graph with at most
+``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two terminal
+pairs, is the P2C oracle.
 
 The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
 half of the split with its embedding into J(n,k), the identity on X and
@@ -19,11 +20,13 @@ endpoints and wrap the finished path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
 from .errors import CoverError, EqualEndpoints, NotAVertex, SpliceEdgeNotFound
-from .graphs import GenericGraph, JohnsonGraph, QJGraph, mask_generic
+from .graphs import MEMO_SIZE, GenericGraph, JohnsonGraph, QJGraph, mask_generic
 from .subsets import (
     ElementSet,
     down_masks,
@@ -33,20 +36,9 @@ from .subsets import (
     up_masks,
 )
 
+# Graphs with at most this many vertices are small enough for the exact
+# search: the Hamilton builders and the P2C constructor both bottom out there.
 BRUTE_FORCE_LIMIT = 12
-
-# The memos of results, keyed by masks: Hamilton paths of J(n,k) and
-# QJ(n,A), and P2C covers from the exact oracle (filled by p2c_johnson).
-# The small explicit graphs are memoized by ``mask_generic``.
-_HAM_CACHE: dict = {}
-_ORACLE_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    """Empty every memo, so the next construction starts cold."""
-    _HAM_CACHE.clear()
-    _ORACLE_CACHE.clear()
-    mask_generic.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,7 @@ def mask_path(masks, n: int) -> Path:
     # tuple() of a list allocates the tuple at its final size, reusing freed
     # tuples of that size; tuple() of a generator grows one by resizing, and
     # the freed path tuples then pile up in the interpreter's free lists.
-    return Path(tuple([ElementSet(b, n) for b in masks]))
+    return Path(tuple([*map(ElementSet, masks, repeat(n))]))
 
 
 def _sort_key(v):
@@ -107,81 +99,77 @@ def _cover_search(adj, pairs) -> list[list[int]] | None:
     paths are grown one at a time, each scanning its neighbors in adjacency
     order; path i never steps onto the terminal of a later path, and the
     last path reaches its terminal only as the last uncovered vertex.
+    Vertex sets are int bitmasks over the indices, bit i for vertex i.
     """
-    visited = [False] * len(adj)
-    for s, _ in pairs:
-        visited[s] = True
+    nbrs = [sum(1 << z for z in a) for a in adj]
+    visited = sum(1 << s for s, _ in pairs)
     paths = [[s] for s, _ in pairs]
     # Per path: the later paths' start vertices (still path ends to reach),
     # the terminals still pending, the terminals it must not step onto, and
     # its own terminal.
     stages = [
         (
-            tuple(s for s, _ in pairs[i + 1 :]),
-            frozenset(t for _, t in pairs[i:]),
-            frozenset(t for _, t in pairs[i + 1 :]),
+            sum(1 << s for s, _ in pairs[i + 1 :]),
+            sum(1 << t for _, t in pairs[i:]),
+            sum(1 << t for _, t in pairs[i + 1 :]),
             pairs[i][1],
         )
         for i in range(len(pairs))
     ]
-    if _extend(adj, visited, paths, stages, 0, len(pairs)):
+    if _extend(adj, nbrs, visited, paths, stages, 0):
         return paths
     return None
 
 
-def _extend(adj, visited, paths, stages, i, covered) -> bool:
+def _extend(adj, nbrs, visited, paths, stages, i) -> bool:
     """Grow path i (and then the later ones) into a cover; on failure,
     undo every step taken."""
     path = paths[i]
     cur = path[-1]
     later_starts, pending, forbidden, t = stages[i]
     last = i == len(paths) - 1
+    full = (1 << len(adj)) - 1
     if cur == t:
         if last:
-            return covered == len(adj)
-        return _extend(adj, visited, paths, stages, i + 1, covered)
-    if not _feasible(adj, visited, (cur, *later_starts), pending, len(adj) - covered):
+            return visited == full
+        return _extend(adj, nbrs, visited, paths, stages, i + 1)
+    if not _feasible(nbrs, full ^ visited, later_starts | 1 << cur, pending):
         return False
+    blocked = visited | forbidden
     for nxt in adj[cur]:
-        if visited[nxt] or nxt in forbidden:
+        bit = 1 << nxt
+        if blocked & bit or last and nxt == t and visited | bit != full:
             continue
-        if last and nxt == t and covered + 1 != len(adj):
-            continue
-        visited[nxt] = True
         path.append(nxt)
-        if _extend(adj, visited, paths, stages, i, covered + 1):
+        if _extend(adj, nbrs, visited | bit, paths, stages, i):
             return True
         path.pop()
-        visited[nxt] = False
     return False
 
 
-def _feasible(adj, visited, ends, pending, uncovered) -> bool:
-    """Reachability: all ``uncovered`` unvisited vertices connect to a path
-    end through unvisited vertices.  Degree: each keeps a usable neighbor,
-    and two unless it is a pending terminal."""
-    stack = list(ends)
-    seen = set(ends)
-    while stack:
-        w = stack.pop()
-        for z in adj[w]:
-            if not visited[z] and z not in seen:
-                seen.add(z)
-                stack.append(z)
-    if len(seen) - len(ends) != uncovered:
+def _feasible(nbrs, unvisited, ends, pending) -> bool:
+    """Reachability: every unvisited vertex connects to a path end through
+    unvisited vertices.  Degree: each keeps a usable neighbor, and two
+    unless it is a pending terminal."""
+    reached, frontier = 0, ends
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & unvisited & ~reached
+        reached |= frontier
+    if reached != unvisited:
         return False
-    for w in seen:
-        if visited[w]:
-            continue
-        avail = 0
-        for z in adj[w]:
-            if not visited[z] or z in ends:
-                avail += 1
-                if avail == 2:
-                    break
-        else:
-            if avail == 0 or w not in pending:
-                return False
+    usable = unvisited | ends
+    while unvisited:
+        low = unvisited & -unvisited
+        unvisited ^= low
+        avail = nbrs[low.bit_length() - 1] & usable
+        # At most one usable neighbor: only a pending terminal may keep one.
+        if not avail & (avail - 1) and not (avail and pending & low):
+            return False
     return True
 
 
@@ -222,17 +210,15 @@ def _hamilton(g, levels: tuple, s: ElementSet, t: ElementSet) -> Path:
 
 def _ham(n: int, levels: tuple, s: int, t: int) -> list[int]:
     """Hamilton path of QJ(n,levels) from s to t, J(n,k) being ``levels ==
-    (k,)``; memoized, and the caller owns the returned list."""
-    key = (n, levels, s, t)
-    hit = _HAM_CACHE.get(key)
-    if hit is not None:
-        return list(hit)
+    (k,)``; the caller owns the returned list."""
+    return list(_ham_path(n, levels, s, t))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ham_path(n: int, levels: tuple, s: int, t: int) -> tuple[int, ...]:
     if len(levels) == 1:
-        result = _ham_johnson_build(n, levels[0], s, t)
-    else:
-        result = _ham_qj_build(n, levels, s, t)
-    _HAM_CACHE[key] = tuple(result)
-    return result
+        return tuple(_ham_johnson_build(n, levels[0], s, t))
+    return tuple(_ham_qj_build(n, levels, s, t))
 
 
 def _ham_small(n: int, levels: tuple, s: int, t: int) -> list[int]:

@@ -16,6 +16,8 @@ finished paths once.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import islice, repeat
 from math import comb
 
 from .covers import EndpointQuad, P2CSolution
@@ -26,19 +28,26 @@ from .errors import (
     SelectionExhausted,
     TooFewVertices,
 )
-from .graphs import JohnsonGraph, QJGraph, mask_generic
+from .graphs import MEMO_SIZE, JohnsonGraph, QJGraph, mask_generic
 from .hamilton import (
-    _ORACLE_CACHE,
+    BRUTE_FORCE_LIMIT,
     Path,
     _across,
+    _ham_path,
     _sides,
     _sort_key,
     _swappable,
     mask_path,
 )
 from .subsets import ElementSet, full_mask, k_masks
+from .verify import check_p2c, p2c_bruteforce
 
-ORACLE_GUARD = 12
+
+def clear_caches() -> None:
+    """Empty every memo, so the next construction starts cold."""
+    _ham_path.cache_clear()
+    _oracle_cover.cache_clear()
+    mask_generic.cache_clear()
 
 
 def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
@@ -62,15 +71,21 @@ def p2c_johnson(g: JohnsonGraph, q: EndpointQuad, debug: bool = False) -> P2CSol
     if g.n < 4 or not 1 <= g.k <= g.n - 1:
         raise OutOfTheoremRange(f"{g} outside n >= 4, 1 <= k <= n-1")
     q.validate(g)
-    p1, p2 = _solve(g.n, g.k, *(w.bits for w in q.vertices()), debug)
-    return P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
+    u, v, x, y = q.vertices()
+    p1, p2 = _solve(g.n, g.k, u.bits, v.bits, x.bits, y.bits, debug)
+    return P2CSolution(_end_path(u, p1, v, g.n), _end_path(x, p2, y, g.n))
+
+
+def _end_path(first, masks, last, n) -> Path:
+    """``mask_path`` of an oriented path that reuses the vertex objects of
+    its ends: only the inner vertices are wrapped anew."""
+    inner = map(ElementSet, islice(masks, 1, len(masks) - 1), repeat(n))
+    return Path(tuple([first, *inner, last]))
 
 
 def _debug_check(n, levels, quad, p1, p2):
     """Certify an intermediate cover of J(n,k) (one level) or QJ(n,levels)
     given on masks; raises InvariantViolated naming the violations."""
-    from .verify import check_p2c
-
     g = JohnsonGraph(n, levels[0]) if len(levels) == 1 else QJGraph(n, levels)
     q = EndpointQuad(*(ElementSet(w, n) for w in quad))
     report = check_p2c(g, q, P2CSolution(mask_path(p1, n), mask_path(p2, n)))
@@ -94,21 +109,21 @@ def _orient(p1, p2, u, v, x, y):
 
 
 def _solve_small(n, k, u, v, x, y):
-    from .verify import p2c_bruteforce
+    """The oracle's cover of a small J(n,k); the caller owns the lists."""
+    p1, p2 = _oracle_cover(n, k, u, v, x, y)
+    return list(p1), list(p2)
 
-    key = (n, k, u, v, x, y)
-    hit = _ORACLE_CACHE.get(key)
-    if hit is None:
-        generic, verts = mask_generic(n, (k,))
-        sol = p2c_bruteforce(generic, EndpointQuad(*map(verts.index, (u, v, x, y))))
-        if sol is None:
-            raise SelectionExhausted(f"oracle found no cover of J({n},{k})")
-        hit = (
-            tuple(verts[i] for i in sol.path_uv),
-            tuple(verts[i] for i in sol.path_xy),
-        )
-        _ORACLE_CACHE[key] = hit
-    return list(hit[0]), list(hit[1])
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _oracle_cover(n, k, u, v, x, y):
+    generic, verts = mask_generic(n, (k,))
+    sol = p2c_bruteforce(generic, EndpointQuad(*map(verts.index, (u, v, x, y))))
+    if sol is None:
+        raise SelectionExhausted(f"oracle found no cover of J({n},{k})")
+    return (
+        tuple(verts[i] for i in sol.path_uv),
+        tuple(verts[i] for i in sol.path_xy),
+    )
 
 
 def _solve(n, k, u, v, x, y, debug=False):
@@ -124,7 +139,7 @@ def _dispatch(n, k, u, v, x, y, debug):
     if k == 1 or k == n - 1:
         sol = p2c_complete(k_masks(n, k), EndpointQuad(u, v, x, y))
         return list(sol.path_uv), list(sol.path_xy)
-    if comb(n, k) <= ORACLE_GUARD:
+    if comb(n, k) <= BRUTE_FORCE_LIMIT:
         return _solve_small(n, k, u, v, x, y)
     if 2 * k > n:
         full = full_mask(n)
@@ -175,12 +190,12 @@ def _pairing(u, v, x, y):
 
 
 def _case_one_apart(n, side, other, quad, lone, debug):
-    # Three endpoints on this side: cover it from a bridge vertex a in place
-    # of the lone endpoint, which reaches a through the other side.
+    # Three endpoints on this side: cover it from a bridge vertex a, its first
+    # vertex that is no endpoint, in place of the lone endpoint, which
+    # reaches a through the other side.
     partner = _pairing(*quad)[lone]
     q1, q2 = [z for z in quad if z not in (lone, partner)]
-    excluded = {partner, q1, q2}
-    a = next(z for z in side.vertices() if z not in excluded)
+    a = next(z for z in side.vertices() if z not in quad)
     s1, s2 = _solve_on(side, (a, partner, q1, q2), debug)
     b = next(z for z in _across(a, n) if z != lone)
     return other.path(lone, b) + s1, s2
@@ -195,11 +210,11 @@ def _case_two_in_y(n, k, quad, in_y, sides, debug):
         # no longer has exactly two endpoints containing n.
         swap = (1 << odd) | (1 << n)
 
-        def relabel(w):
-            return w ^ swap if (w >> odd ^ w >> n) & 1 else w
+        def relabel(ws):
+            return [w ^ swap if (w >> odd ^ w >> n) & 1 else w for w in ws]
 
-        p1, p2 = _solve(n, k, *map(relabel, quad), debug)
-        return [relabel(w) for w in p1], [relabel(w) for w in p2]
+        p1, p2 = _solve(n, k, *relabel(quad), debug)
+        return relabel(p1), relabel(p2)
 
     if n != 2 * k:
         raise InvariantViolated(f"balanced element counts in J({n},{k}) force n = 2k")

@@ -50,6 +50,9 @@ class ElementSet:
     def __setattr__(self, name, value):
         raise AttributeError("ElementSet is immutable")
 
+    def __reduce__(self):
+        return ElementSet, (self.bits, self.n)
+
     @classmethod
     def from_elements(cls, elements, n: int) -> "ElementSet":
         bits = 0

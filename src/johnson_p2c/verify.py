@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
@@ -43,19 +44,21 @@ class CheckReport:
 def _check_path_steps(g, path, report: CheckReport) -> set:
     """Report the path's first foreign, repeated or non-adjacent step, and
     return the set of its vertices (all of them if nothing was reported)."""
-    seen = set()
-    for v in path:
-        if not g.has_vertex(v):
-            report.add("ForeignVertex", f"{v} is not a vertex of the host graph")
-            return seen
-        if v in seen:
-            report.add("RepeatedVertex", f"{v} appears more than once")
-            return seen
-        seen.add(v)
-    for a, b in zip(path, path[1:]):
-        if not g.adjacent(a, b):
-            report.add("NotAdjacentStep", f"{a} -- {b} is not an edge")
-            return seen
+    seen = set(path)
+    if len(seen) < len(path) or not all(map(g.has_vertex, path)):
+        # Find the first offending vertex in path order.
+        seen = set()
+        for v in path:
+            if not g.has_vertex(v):
+                report.add("ForeignVertex", f"{v} is not a vertex of the host graph")
+                return seen
+            if v in seen:
+                report.add("RepeatedVertex", f"{v} appears more than once")
+                return seen
+            seen.add(v)
+    if not all(map(g.adjacent, path, path[1:])):
+        a, b = next((a, b) for a, b in zip(path, path[1:]) if not g.adjacent(a, b))
+        report.add("NotAdjacentStep", f"{a} -- {b} is not an edge")
     return seen
 
 
@@ -79,9 +82,9 @@ def check_p2c(g, q: EndpointQuad, sol: P2CSolution) -> CheckReport:
     report = CheckReport()
     p1 = list(sol.path_uv)
     p2 = list(sol.path_xy)
-    if not p1 or {p1[0], p1[-1]} != {q.u, q.v}:
+    if not p1 or (p1[0], p1[-1]) not in ((q.u, q.v), (q.v, q.u)):
         report.add("BadEndpoint", f"path_uv endpoints are not {{{q.u},{q.v}}}")
-    if not p2 or {p2[0], p2[-1]} != {q.x, q.y}:
+    if not p2 or (p2[0], p2[-1]) not in ((q.x, q.y), (q.y, q.x)):
         report.add("BadEndpoint", f"path_xy endpoints are not {{{q.x},{q.y}}}")
     s1 = _check_path_steps(g, p1, report)
     s2 = _check_path_steps(g, p2, report)
@@ -158,9 +161,9 @@ def _constructor_fn(name: str, oracle_cap: int):
     from .p2c_qj import p2c_qj
 
     if name == "johnson":
-        return lambda g, q: p2c_johnson(g, q)
+        return p2c_johnson
     if name == "qj":
-        return lambda g, q: p2c_qj(g, q)
+        return p2c_qj
     if name == "complete":
         return lambda g, q: p2c_complete(list(g.vertices()), q)
     if name == "oracle":
@@ -200,36 +203,6 @@ def _run_quads(g, quads, constructor: str, oracle_cap: int):
                 {"quad": _quad_json(q), "violations": report.to_json()["violations"]}
             )
     return total, valid, invalid, errors, failures
-
-
-def _sweep_worker(args):
-    descriptor, quads, constructor, oracle_cap = args
-    g = _graph_from_descriptor(descriptor)
-    raw = [
-        tuple(_vertex_from_json(w, descriptor) for w in quad) for quad in quads
-    ]
-    return _run_quads(g, raw, constructor, oracle_cap)
-
-
-def _graph_from_descriptor(descriptor: dict):
-    from .graphs import JohnsonGraph, QJGraph, fig1_counterexample
-
-    kind = descriptor["kind"]
-    if kind == "johnson":
-        return JohnsonGraph(descriptor["n"], descriptor["k"])
-    if kind == "qj":
-        return QJGraph(descriptor["n"], descriptor["levels"])
-    if kind == "fig1":
-        return fig1_counterexample()[0]
-    raise ValueError(f"cannot rebuild graph of kind {kind!r}")
-
-
-def _vertex_from_json(w, descriptor: dict):
-    from .subsets import ElementSet
-
-    if isinstance(w, list):
-        return ElementSet.from_elements(w, descriptor["n"])
-    return w
 
 
 def sweep(
@@ -307,16 +280,9 @@ def _ordered_quads(verts):
 def _sweep_parallel(g, quads, constructor, oracle_cap, jobs):
     from concurrent.futures import ProcessPoolExecutor
 
-    descriptor = g.descriptor()
     quads = list(quads)
-    quad_json = [
-        tuple(w.to_json() if hasattr(w, "to_json") else w for w in quad)
-        for quad in quads
-    ]
-    chunk = max(1, (len(quad_json) + jobs - 1) // jobs)
-    batches = [
-        (descriptor, quad_json[i : i + chunk], constructor, oracle_cap)
-        for i in range(0, len(quad_json), chunk)
-    ]
+    chunk = max(1, (len(quads) + jobs - 1) // jobs)
+    batches = [quads[i : i + chunk] for i in range(0, len(quads), chunk)]
+    run = partial(_run_quads, g, constructor=constructor, oracle_cap=oracle_cap)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_worker, batches))
+        return list(pool.map(run, batches))

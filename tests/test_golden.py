@@ -7,9 +7,13 @@ The oracle digests were recorded while the Hamilton and P2C searches were
 still two separate functions; they pin the exact search's scan order on
 graphs the constructors never hand to it.  The Hamilton path digests were
 recorded while J(n,k) and QJ(n,A) still had separate Hamilton memos.
+The ``gen`` digests were recorded while ``gen`` and ``to_dot`` still
+deduplicated edges through sets of visited endpoint pairs.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from itertools import permutations
@@ -31,6 +35,7 @@ from johnson_p2c import (
     p2c_johnson,
     p2c_qj,
 )
+from johnson_p2c.cli import run
 
 # (graph, (u, v, x, y) as element lists, sha256 of the cover's JSON)
 GOLDEN = [
@@ -184,3 +189,24 @@ def test_hamilton_johnson_paths_are_byte_identical(n, k, digest):
         assert check_hamilton(g, p, s, t).valid
         paths.append(p.to_json())
     assert _digest(paths) == digest
+
+
+# (gen arguments, sha256 of the stdout of ``johnson-p2c gen``).
+GEN_GOLDEN = [
+    (["--graph", "qj", "--n", "5", "--levels", "1,2,4"],
+     "44d7e6cd721a9fc69eeb5b6364bd139a89e3bd16243ee91d4019d126423cbedf"),
+    (["--graph", "qj", "--n", "5", "--levels", "1,2,4", "--format", "dot"],
+     "ee4e198b5799ba890e8b4dc58b85b813ad712ca70fc1f58ae291449998a71833"),
+    (["--fixture", "fig1"],
+     "82784fedeaba600e0eaad61a6c0d52c416ffe2ef5a82298060ee52915210e465"),
+    (["--fixture", "fig1", "--format", "dot"],
+     "5a15fee87fcac1543ddab21f7b130ee44242f91229c64619096ff189c1bbbb46"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GEN_GOLDEN)
+def test_gen_output_is_byte_identical(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["gen", *argv]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

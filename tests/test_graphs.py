@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import pytest
@@ -141,3 +142,19 @@ class TestExport:
             "n": 4,
             "levels": [1, 3],
         }
+
+
+def test_graphs_and_vertices_survive_pickling():
+    # Parallel sweeps hand graphs and ElementSet quads to worker processes.
+    fig1, _ = fig1_counterexample()
+    graphs = [JohnsonGraph(6, 3), QJGraph(5, [1, 2, 4]), fig1]
+    for g in graphs:
+        copy = pickle.loads(pickle.dumps(g))
+        assert type(copy) is type(g)
+        assert copy.key() == g.key()
+        assert copy.descriptor() == g.descriptor()
+        assert list(copy.vertices()) == list(g.vertices())
+    assert type(pickle.loads(pickle.dumps(graphs[1])).levels) is LevelSpec
+    v = ElementSet.from_elements([1, 4], 5)
+    copy = pickle.loads(pickle.dumps(v))
+    assert copy == v and copy.n == 5 and hash(copy) == hash(v)

@@ -1,3 +1,4 @@
+import importlib
 import math
 from itertools import combinations, permutations
 
@@ -24,7 +25,10 @@ from johnson_p2c import (
 )
 from johnson_p2c import hamilton
 from johnson_p2c.errors import EqualEndpoints, NotAVertex
-from johnson_p2c.graphs import mask_generic
+from johnson_p2c.graphs import MEMO_SIZE, mask_generic
+
+# The package attribute ``p2c_johnson`` is the function of that name.
+p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
 
 
 def es(elems, n):
@@ -167,9 +171,10 @@ def test_clear_caches_empties_every_memo():
         q = EndpointQuad(*list(g.vertices())[:4])
         sol = p2c_johnson(g, q) if isinstance(g, JohnsonGraph) else p2c_qj(g, q)
         assert check_p2c(g, q, sol).valid
-    caches = [hamilton._HAM_CACHE, hamilton._ORACLE_CACHE]
-    assert all(caches)
-    assert mask_generic.cache_info().currsize
+    memos = [hamilton._ham_path, p2c_johnson_module._oracle_cover, mask_generic]
+    assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()
-    assert not any(caches)
-    assert mask_generic.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+    # One bound for every memo, and a finite one.
+    sizes = {memo.cache_info().maxsize for memo in memos}
+    assert sizes == {MEMO_SIZE} and MEMO_SIZE > 0

@@ -1,4 +1,5 @@
 import gc
+import random
 from itertools import permutations
 
 import pytest
@@ -20,7 +21,8 @@ from johnson_p2c import (
     sweep,
 )
 from johnson_p2c.errors import SweepBudget, TooFewVertices, TooLargeForOracle
-from johnson_p2c.hamilton import Path
+from johnson_p2c.graphs import GenericGraph
+from johnson_p2c.hamilton import Path, _cover_search
 
 
 def es(elems, n):
@@ -189,6 +191,49 @@ def test_exact_searches_leave_no_reference_cycles():
     assert freed == 0
 
 
+def _unpruned_cover(adj, pairs):
+    """Reference for the exact search: the same depth-first order without
+    pruning.  Pruning only cuts branches that hold no cover, so both must
+    return the same first cover, or both None."""
+    used = {s for s, _ in pairs}
+    paths = [[s] for s, _ in pairs]
+
+    def grow(i):
+        cur, t = paths[i][-1], pairs[i][1]
+        last = i == len(pairs) - 1
+        if cur == t:
+            return len(used) == len(adj) if last else grow(i + 1)
+        later_terminals = {z for _, z in pairs[i + 1 :]}
+        for nxt in adj[cur]:
+            if nxt in used or nxt in later_terminals:
+                continue
+            if last and nxt == t and len(used) + 1 != len(adj):
+                continue
+            used.add(nxt)
+            paths[i].append(nxt)
+            if grow(i):
+                return True
+            paths[i].pop()
+            used.discard(nxt)
+        return False
+
+    return paths if grow(0) else None
+
+
+def test_exact_search_matches_unpruned_search():
+    rng = random.Random(11)
+    for _ in range(40):
+        nv = rng.randint(4, 8)
+        edges = [(a, b) for a in range(nv) for b in range(a + 1, nv) if rng.random() < 0.5]
+        adj = GenericGraph(nv, edges).adjacency
+        for s, t in permutations(range(nv), 2):
+            assert _cover_search(adj, ((s, t),)) == _unpruned_cover(adj, ((s, t),))
+        quads = list(permutations(range(nv), 4))
+        for u, v, x, y in rng.sample(quads, min(30, len(quads))):
+            pairs = ((u, v), (x, y))
+            assert _cover_search(adj, pairs) == _unpruned_cover(adj, pairs)
+
+
 class TestSweep:
     def test_j42_exhaustive(self):
         summary = sweep(JohnsonGraph(4, 2), mode="exhaustive", constructor="johnson")
@@ -221,6 +266,22 @@ class TestSweep:
         g = JohnsonGraph(4, 2)
         serial = sweep(g, mode="exhaustive", constructor="johnson", jobs=1)
         parallel = sweep(g, mode="exhaustive", constructor="johnson", jobs=2)
+        assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize(
+        "graph, constructor, mode",
+        [
+            (fig1_counterexample()[0], "oracle", "exhaustive"),
+            (QJGraph(5, [1, 2, 4]), "qj", "sampled"),
+        ],
+        ids=["fig1-oracle", "qj5-124"],
+    )
+    def test_parallel_matches_serial_beyond_johnson(self, graph, constructor, mode):
+        # Workers get the graph and the quads themselves, pickled, so every
+        # graph kind sweeps in parallel, the explicit fixture included.
+        kwargs = dict(mode=mode, constructor=constructor, seed=5, count=200)
+        serial = sweep(graph, jobs=1, **kwargs)
+        parallel = sweep(graph, jobs=2, **kwargs)
         assert serial.to_json() == parallel.to_json()
 
     def test_sampled_needs_positive_count(self):
