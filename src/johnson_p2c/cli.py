@@ -2,8 +2,9 @@
 
 Subcommands: gen, hamilton, p2c, verify, oracle, sweep, fixture.  All
 output is UTF-8 JSON (or DOT with --format dot) on stdout; diagnostics go
-to stderr.  Exit codes: 0 success, 1 validation failure or absent oracle
-solution, 2 usage error.
+to stderr.  Exit codes: 0 success, 1 validation failure, absent oracle
+solution or internal error, 2 usage error.  A ValueError is the user's
+mistake only while input is parsed; anywhere else it is an internal error.
 """
 
 from __future__ import annotations
@@ -12,11 +13,18 @@ import argparse
 import json
 import sys
 import time
+from functools import wraps
 
 from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError
 from .graphs import JohnsonGraph, QJGraph, fig1_counterexample, to_dot
-from .hamilton import Path, hamilton_bruteforce, hamilton_johnson, hamilton_qj
+from .hamilton import (
+    Path,
+    hamilton_bruteforce,
+    hamilton_johnson,
+    hamilton_qj,
+    path_json_text,
+)
 from .p2c_johnson import p2c_complete, p2c_johnson
 from .p2c_qj import p2c_qj
 from .subsets import ElementSet
@@ -33,6 +41,37 @@ class UsageError(Exception):
     pass
 
 
+def _parses(fn):
+    """Report a ValueError raised while ``fn`` parses input as a usage error."""
+
+    @wraps(fn)
+    def parse(*args):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+
+    return parse
+
+
+class _Phases:
+    """Wall time of a command and of its named phases, for --timing."""
+
+    def __init__(self):
+        self.start = self.mark = time.perf_counter()
+        self.laps = []
+
+    def lap(self, name: str) -> None:
+        """End the phase called ``name`` now; the next one starts."""
+        now = time.perf_counter()
+        self.laps.append(f"{name}: {now - self.mark:.3f}s")
+        self.mark = now
+
+    def report(self) -> str:
+        elapsed = f"elapsed: {time.perf_counter() - self.start:.3f}s"
+        return " ".join([elapsed, *self.laps])
+
+
 def _add_graph_flags(p):
     p.add_argument("--graph", choices=["johnson", "qj", "complete"])
     p.add_argument("--fixture", choices=["fig1"])
@@ -41,6 +80,7 @@ def _add_graph_flags(p):
     p.add_argument("--levels", help="comma-separated level cardinalities, e.g. 1,3")
 
 
+@_parses
 def _build_graph(args):
     if args.fixture:
         return fig1_counterexample()[0]
@@ -60,6 +100,7 @@ def _build_graph(args):
     return JohnsonGraph(args.n, 1)  # complete graph as J(n,1)
 
 
+@_parses
 def _parse_vertex(text, args):
     if args.fixture:
         return int(text, 2)
@@ -134,11 +175,16 @@ def _cmd_hamilton(args):
         path = hamilton_qj(g, s, t)
     else:
         path = hamilton_johnson(g, s, t)
+    args.phases.lap("build")
     report = check_hamilton(g, path, s, t)
+    args.phases.lap("check")
     if not report.valid:
         print(json.dumps(report.to_json()), file=sys.stderr)
         return 1
-    _emit({"path": path.to_json()})
+    # The text of _emit({"path": path.to_json()}), written in parts: joining
+    # them would copy the whole path's text once more.
+    sys.stdout.writelines(['{"path": ', path_json_text(path), "}\n"])
+    args.phases.lap("emit")
     return 0
 
 
@@ -151,14 +197,19 @@ def _cmd_p2c(args):
         sol = p2c_qj(g, q, debug=args.debug_check)
     else:
         sol = p2c_johnson(g, q, debug=args.debug_check)
+    args.phases.lap("build")
     report = check_p2c(g, q, sol)
+    args.phases.lap("check")
     if not report.valid:
         print(json.dumps(report.to_json()), file=sys.stderr)
         return 1
     if args.format == "dot":
         print(_solution_dot(g, sol))
     else:
-        _emit(sol.to_json())
+        # The text of _emit(sol.to_json()), written in parts as above.
+        uv, xy = path_json_text(sol.path_uv), path_json_text(sol.path_xy)
+        sys.stdout.writelines(['{"path_uv": ', uv, ', "path_xy": ', xy, "}\n"])
+    args.phases.lap("emit")
     return 0
 
 
@@ -186,6 +237,7 @@ def _cmd_verify(args):
     return 0 if report.valid else 1
 
 
+@_parses
 def _load_vertex(w, args):
     if args.fixture:
         if isinstance(w, int):
@@ -208,6 +260,10 @@ def _cmd_oracle(args):
 
 def _cmd_sweep(args):
     g = _build_graph(args)
+    # argparse has checked the mode; sweep's own ValueError would read as an
+    # internal error.
+    if args.mode == "sampled" and args.count <= 0:
+        raise UsageError(f"sampled sweep needs a positive count, got {args.count}")
     constructor = args.constructor
     if constructor is None:
         if args.fixture:
@@ -313,7 +369,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    start = time.perf_counter()
+    args.phases = _Phases()
     try:
         code = args.fn(args)
     except UsageError as exc:
@@ -323,10 +379,10 @@ def run(argv) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    if getattr(args, "timing", False):
-        print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
+        print(f"internal error: ValueError: {exc}", file=sys.stderr)
+        return 1
+    if args.timing:
+        print(args.phases.report(), file=sys.stderr)
     return code
 
 

@@ -17,6 +17,9 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+QUAD = ["1,2", "3,4", "1,3", "2,5"]
+
+
 class TestP2CCommand:
     def test_table_row_instance(self, capsys):
         code, out, _ = invoke(
@@ -98,6 +101,69 @@ class TestP2CCommand:
         assert "NotCovering" in err and "Traceback" not in err
 
 
+    def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
+        # A ValueError past input parsing is a fault of the program: exit 1,
+        # one line, no traceback.
+        p2c_johnson = importlib.import_module("johnson_p2c.p2c_johnson")
+
+        def broken(*args):
+            raise ValueError("tuple.index(x): x not in tuple")
+
+        monkeypatch.setattr(p2c_johnson, "_solve_small", broken)
+        code, out, err = invoke(
+            capsys,
+            "p2c", "--graph", "johnson", "--n", "5", "--k", "3",
+            "--u", "1,2,3", "--v", "3,4,5", "--x", "1,2,4", "--y", "2,4,5",
+        )
+        assert code == 1 and out == ""
+        assert err == "internal error: ValueError: tuple.index(x): x not in tuple\n"
+
+    @pytest.mark.parametrize(
+        "graph, quad",
+        [
+            (["--graph", "johnson", "--n", "5", "--k", "9"], QUAD),
+            (["--graph", "qj", "--n", "5", "--levels", "3,2"], QUAD),
+            (["--graph", "qj", "--n", "5", "--levels", "1,x"], QUAD),
+            (["--graph", "johnson", "--n", "5", "--k", "2"], ["1,6", *QUAD[1:]]),
+            (["--graph", "johnson", "--n", "5", "--k", "2"], ["1,a", *QUAD[1:]]),
+            (["--fixture", "fig1"], ["012", "001", "010", "011"]),
+        ],
+    )
+    def test_bad_input_is_usage_error(self, capsys, graph, quad):
+        flags = [w for flag, v in zip("uvxy", quad) for w in (f"--{flag}", v)]
+        code, out, err = invoke(capsys, "p2c", *graph, *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+class TestTiming:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["p2c", "--graph", "qj", "--n", "6", "--levels", "1,3,6",
+             "--u", "2,3,6", "--v", "1,3,5", "--x", "4,5,6", "--y", "4"],
+            ["hamilton", "--graph", "johnson", "--n", "7", "--k", "3",
+             "--s", "1,2,3", "--t", "5,6,7"],
+        ],
+    )
+    def test_phases_on_one_line(self, capsys, argv):
+        code, plain, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        code, timed, err = invoke(capsys, "--timing", *argv)
+        assert code == 0 and timed == plain
+        assert err.count("\n") == 1
+        names = [field.rstrip(":") for field in err.split()[::2]]
+        assert names == ["elapsed", "build", "check", "emit"]
+
+    def test_other_commands_report_elapsed_only(self, capsys):
+        code, _, err = invoke(
+            capsys, "--timing", "gen", "--graph", "johnson", "--n", "4", "--k", "2"
+        )
+        assert code == 0
+        assert err.startswith("elapsed: ") and err.count("\n") == 1
+        assert len(err.split()) == 2
+
+
 class TestHamiltonCommand:
     def test_johnson(self, capsys):
         code, out, _ = invoke(
@@ -176,6 +242,17 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_vertex_outside_ground_set_is_usage_error(self, capsys, monkeypatch):
+        stdin = json.dumps({"path_uv": [[1, 9]], "path_xy": [[1, 3]]})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = invoke(
+            capsys,
+            "verify", "--graph", "johnson", "--n", "5", "--k", "2",
+            "--u", "1,2", "--v", "3,4", "--x", "1,3", "--y", "2,5",
+        )
+        assert code == 2 and out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_rejects_broken_solution(self, capsys, monkeypatch):

@@ -1,0 +1,134 @@
+"""The CLI's JSON text, written straight from the vertex masks, equals
+``json.dumps(to_json())`` of the same path or cover, byte for byte."""
+
+import contextlib
+import io
+import json
+import random
+from itertools import combinations, permutations
+from math import comb
+
+import pytest
+
+from johnson_p2c import (
+    ElementSet,
+    EndpointQuad,
+    JohnsonGraph,
+    QJGraph,
+    fig1_counterexample,
+    hamilton_bruteforce,
+    hamilton_johnson,
+    p2c_complete,
+    p2c_johnson,
+    p2c_qj,
+)
+from johnson_p2c.cli import run
+from johnson_p2c.hamilton import Path, path_json_text
+
+
+def _cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    return out.getvalue()
+
+
+def _vertex_flag(w) -> str:
+    return ",".join(map(str, w.elements()))
+
+
+def _p2c_argv(graph_flags, q):
+    argv = ["p2c", *graph_flags]
+    for flag, w in zip("uvxy", q.vertices()):
+        argv += [f"--{flag}", _vertex_flag(w)]
+    return argv
+
+
+def _assert_cover_text(graph_flags, q, sol):
+    for path in (sol.path_uv, sol.path_xy):
+        assert path_json_text(path) == json.dumps(path.to_json())
+    assert _cli_stdout(_p2c_argv(graph_flags, q)) == json.dumps(sol.to_json()) + "\n"
+
+
+JOHNSON = [(n, k) for n in range(4, 12) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("n, k", JOHNSON)
+def test_sampled_johnson_covers(n, k):
+    g = JohnsonGraph(n, k)
+    rng = random.Random(n * 100 + k)
+    verts = list(g.vertices())
+    flags = ["--graph", "johnson", "--n", str(n), "--k", str(k)]
+    for _ in range(3):
+        q = EndpointQuad(*rng.sample(verts, 4))
+        _assert_cover_text(flags, q, p2c_johnson(g, q))
+
+
+QJ = [
+    (n, levels)
+    for n in range(4, 7)
+    for size in range(1, n + 1)
+    for levels in combinations(range(1, n + 1), size)
+    if sum(comb(n, a) for a in levels) >= 4
+]
+
+
+@pytest.mark.parametrize("n, levels", QJ)
+def test_sampled_qj_covers(n, levels):
+    g = QJGraph(n, levels)
+    rng = random.Random(n * 1000 + sum(1 << a for a in levels))
+    verts = list(g.vertices())
+    flags = ["--graph", "qj", "--n", str(n), "--levels", ",".join(map(str, levels))]
+    quads = [rng.sample(verts, 4) for _ in range(2)]
+    if levels[-1] == n:
+        # The apex [n] as an endpoint; the samples above may absorb it.
+        apex = verts[-1]
+        quads.append([apex, *rng.sample(verts[:-1], 3)])
+    for quad in quads:
+        q = EndpointQuad(*quad)
+        _assert_cover_text(flags, q, p2c_qj(g, q))
+
+
+@pytest.mark.parametrize("n", [4, 9, 17])
+def test_complete_covers(n):
+    verts = list(JohnsonGraph(n, 1).vertices())
+    q = EndpointQuad(verts[0], verts[-1], verts[1], verts[2])
+    _assert_cover_text(["--graph", "complete", "--n", str(n)], q, p2c_complete(verts, q))
+
+
+@pytest.mark.parametrize("k", [1, 69])
+def test_johnson_paths_beyond_64_elements(k):
+    # [70] has nine 8-element chunks, the last with six elements.
+    g = JohnsonGraph(70, k)
+    verts = list(g.vertices())
+    s, t = verts[0], verts[-1]
+    path = hamilton_johnson(g, s, t)
+    assert path_json_text(path) == json.dumps(path.to_json())
+    argv = ["hamilton", "--graph", "johnson", "--n", "70", "--k", str(k),
+            "--s", _vertex_flag(s), "--t", _vertex_flag(t)]
+    assert _cli_stdout(argv) == json.dumps({"path": path.to_json()}) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 13, 16, 23, 64, 65, 70])
+def test_arbitrary_subsets(n):
+    # Every chunk boundary, the empty set and [n] itself; the text does not
+    # depend on the vertices being adjacent.
+    rng = random.Random(n)
+    full = ((1 << n) - 1) << 1
+    masks = [0, full, *(rng.getrandbits(n) << 1 for _ in range(200))]
+    masks += [1 << e for e in range(1, n + 1)]
+    path = Path(tuple(ElementSet(m, n) for m in masks))
+    assert path_json_text(path) == json.dumps(path.to_json())
+
+
+def test_empty_path():
+    assert path_json_text(Path(())) == "[]"
+
+
+def test_fig1_int_paths():
+    g, _ = fig1_counterexample()
+    for s, t in permutations(range(8), 2):
+        path = hamilton_bruteforce(g, s, t)
+        assert path_json_text(path) == json.dumps(path.to_json())
+        argv = ["hamilton", "--fixture", "fig1", "--s", f"{s:03b}", "--t", f"{t:03b}"]
+        assert _cli_stdout(argv) == json.dumps({"path": path.to_json()}) + "\n"

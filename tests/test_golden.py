@@ -8,7 +8,9 @@ still two separate functions; they pin the exact search's scan order on
 graphs the constructors never hand to it.  The Hamilton path digests were
 recorded while J(n,k) and QJ(n,A) still had separate Hamilton memos.
 The ``gen`` digests were recorded while ``gen`` and ``to_dot`` still
-deduplicated edges through sets of visited endpoint pairs.
+deduplicated edges through sets of visited endpoint pairs.  The ``p2c`` and
+``hamilton`` digests were recorded while the CLI still printed
+``json.dumps(to_json())`` of the cover or path.
 """
 
 import contextlib
@@ -209,4 +211,66 @@ def test_gen_output_is_byte_identical(argv, digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(["gen", *argv]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def _quad_flags(*endpoints):
+    """``--u 1,2 --v ...`` for four element lists."""
+    flags = []
+    for flag, w in zip("uvxy", endpoints):
+        flags += [f"--{flag}", ",".join(map(str, w))]
+    return flags
+
+
+# (p2c or hamilton arguments, sha256 of the command's stdout).
+CLI_GOLDEN = [
+    (["p2c", "--graph", "johnson", "--n", "10", "--k", "5",
+      *_quad_flags([1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [1, 2, 3, 4, 6],
+                   [5, 7, 8, 9, 10])],
+     "6916676ae0af6b29a331c219592d07005d3838a3260742e02f470eb664a1b671"),
+    # k > n/2: the cover goes through complement reduction.
+    (["p2c", "--graph", "johnson", "--n", "11", "--k", "8",
+      *_quad_flags([1, 2, 3, 4, 5, 6, 7, 8], [4, 5, 6, 7, 8, 9, 10, 11],
+                   [1, 2, 3, 4, 5, 6, 7, 9], [3, 5, 6, 7, 8, 9, 10, 11])],
+     "6deef1a8fcf1e422ba8b65f57f14fd295854577e65058fc9a7d535ab6672c757"),
+    (["p2c", "--graph", "qj", "--n", "7", "--levels", "2,3,5",
+      *_quad_flags([1, 2], [3, 4, 5, 6, 7], [1, 3], [2, 4, 5, 6, 7])],
+     "a57da71cedf3961198bfa311ad09cff8ea2df338ef38460bd3d99f085c63b30c"),
+    # Apex level J(6,6): once as an endpoint, once absorbed into a path.
+    (["p2c", "--graph", "qj", "--n", "6", "--levels", "1,3,6",
+      *_quad_flags([1], [1, 2, 3, 4, 5, 6], [2], [4, 5, 6])],
+     "8e09c2fdbf2b3054b0cc6735e35bb4e40e87b5e306635aae4be7e9eca0c0acc5"),
+    (["p2c", "--graph", "qj", "--n", "6", "--levels", "1,3,6",
+      *_quad_flags([2, 3, 6], [1, 3, 5], [4, 5, 6], [4])],
+     "30418686c661a3530ff9391c410f5f45b3b29f8061a7eca066877bb86971ba7f"),
+    (["p2c", "--graph", "complete", "--n", "9",
+      *_quad_flags([1], [9], [2], [5])],
+     "00b33c2bc9302678ce965fb0a05bdaca25142935e8a8801bf746dc56796e99ec"),
+    (["hamilton", "--graph", "johnson", "--n", "10", "--k", "5",
+      "--s", "1,2,3,4,5", "--t", "6,7,8,9,10"],
+     "1b0f32899ea189cf3b9d22a27270e9436f2af7a5247661f9e8444673616c5db3"),
+    (["hamilton", "--graph", "johnson", "--n", "11", "--k", "8",
+      "--s", "1,2,3,4,5,6,7,8", "--t", "3,5,6,7,8,9,10,11"],
+     "b9688471ed688f7dcf46cb4fd72175714495c6c6bcac1115eabc9a6fd983fdee"),
+    (["hamilton", "--graph", "qj", "--n", "7", "--levels", "2,3,5",
+      "--s", "1,2", "--t", "3,4,5,6,7"],
+     "d16fd5f90b55360733cc82dfc404de1c6758c8cc6f211758c1a1e195b0dc5805"),
+    (["hamilton", "--graph", "qj", "--n", "6", "--levels", "1,3,6",
+      "--s", "1", "--t", "1,2,3,4,5,6"],
+     "55f5556a2927248ea00f5c0a61d4687e67bfed9b035c6627d399c36000894b12"),
+    (["hamilton", "--graph", "qj", "--n", "6", "--levels", "1,3,6",
+      "--s", "2,3,6", "--t", "4"],
+     "44921b638b200f8712fda93196ab2640587ae60d9859720ef3696bf060f595ae"),
+    (["hamilton", "--fixture", "fig1", "--s", "000", "--t", "011"],
+     "db424ba475ee3b96eaec54f7fabc5fc1814ccf04c3c28e1d87fe470f271ca297"),
+    (["hamilton", "--fixture", "fig1", "--s", "000", "--t", "111"],
+     "aab0264743ea59b180b4bf690df9e17b62d40b08bf4c3d117a53066394ab186f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CLI_GOLDEN)
+def test_cli_cover_output_is_byte_identical(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
