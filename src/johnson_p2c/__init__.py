@@ -8,7 +8,6 @@ from .graphs import (
     QJGraph,
     fig1_counterexample,
     to_dot,
-    to_generic,
 )
 from .hamilton import (
     Path,
@@ -24,12 +23,7 @@ from .subsets import (
     Relabeling,
     apply_relabeling,
     complement,
-    down_neighbors,
-    johnson_adjacent,
     k_subsets,
-    qj_cross_adjacent,
-    same_level_neighbors,
-    up_neighbors,
 )
 from .verify import (
     CheckReport,
@@ -59,22 +53,16 @@ __all__ = [
     "check_p2c",
     "clear_caches",
     "complement",
-    "down_neighbors",
     "fig1_counterexample",
     "hamilton_bruteforce",
     "hamilton_complete",
     "hamilton_johnson",
     "hamilton_qj",
-    "johnson_adjacent",
     "k_subsets",
     "p2c_bruteforce",
     "p2c_complete",
     "p2c_johnson",
     "p2c_qj",
-    "qj_cross_adjacent",
-    "same_level_neighbors",
     "sweep",
     "to_dot",
-    "to_generic",
-    "up_neighbors",
 ]

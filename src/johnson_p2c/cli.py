@@ -27,7 +27,7 @@ from .hamilton import (
 )
 from .p2c_johnson import p2c_complete, p2c_johnson
 from .p2c_qj import p2c_qj
-from .subsets import ElementSet
+from .subsets import ElementSet, vertex_json
 from .verify import (
     DEFAULT_ORACLE_CAP,
     check_hamilton,
@@ -144,9 +144,9 @@ def _cmd_gen(args):
     _emit(
         {
             "graph": g.descriptor(),
-            "vertices": [_vertex_json(v) for v in verts],
+            "vertices": [vertex_json(v) for v in verts],
             "edges": [
-                [_vertex_json(v), _vertex_json(w)]
+                [vertex_json(v), vertex_json(w)]
                 for v in verts
                 for w in g.neighbors(v)
                 if v < w
@@ -154,10 +154,6 @@ def _cmd_gen(args):
         }
     )
     return 0
-
-
-def _vertex_json(v):
-    return v.to_json() if isinstance(v, ElementSet) else v
 
 
 def _cmd_hamilton(args):
@@ -189,6 +185,11 @@ def _cmd_hamilton(args):
 
 
 def _cmd_p2c(args):
+    if args.fixture:
+        raise UsageError(
+            "p2c builds covers of --graph johnson, qj or complete; "
+            "use oracle for --fixture fig1"
+        )
     g = _build_graph(args)
     q = _parse_quad(args)
     if args.graph == "complete":

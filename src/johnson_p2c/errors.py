@@ -5,18 +5,6 @@ class CoverError(Exception):
     """Base class for all domain errors."""
 
 
-class CardinalityMismatch(CoverError):
-    pass
-
-
-class CardinalityOrder(CoverError):
-    pass
-
-
-class NoNeighbors(CoverError):
-    pass
-
-
 class NotAVertex(CoverError):
     pass
 

@@ -1,7 +1,8 @@
 """Implicit graph models for J(n,k) and QJ(n,A), plus explicit fixtures.
 
 Johnson and QJ graphs never store adjacency: the vertex currency is
-``ElementSet`` and every adjacency query is O(1) bit arithmetic.
+``ElementSet``, every adjacency query is O(1) bit arithmetic, and neighbor
+lists are the mask helpers of ``subsets`` wrapped once.
 ``GenericGraph`` is an explicit structure used only by the brute-force
 oracles and the built-in fixtures.
 """
@@ -15,11 +16,11 @@ from typing import Iterator
 from .errors import NotAVertex
 from .subsets import (
     ElementSet,
-    down_neighbors,
+    down_masks,
     k_masks,
     k_subsets,
-    same_level_neighbors,
-    up_neighbors,
+    same_level_masks,
+    up_masks,
 )
 
 # The bound of every memo in the package, each a functools LRU cache whose
@@ -64,7 +65,7 @@ class JohnsonGraph:
     def neighbors(self, s: ElementSet) -> list[ElementSet]:
         if not self.has_vertex(s):
             raise NotAVertex(f"{s} is not a vertex of {self}")
-        return same_level_neighbors(s)
+        return [ElementSet(b, self.n) for b in same_level_masks(s.bits, self.n)]
 
     def key(self):
         return ("johnson", self.n, self.k)
@@ -127,13 +128,6 @@ class QJGraph:
     def has_vertex(self, s: ElementSet) -> bool:
         return s.n == self.n and s.bits.bit_count() in self.levels
 
-    def level_index(self, s: ElementSet) -> int:
-        card = s.cardinality()
-        try:
-            return self.levels.index(card)
-        except ValueError:
-            raise NotAVertex(f"cardinality {card} not a level of {self}") from None
-
     def adjacent(self, a: ElementSet, b: ElementSet) -> bool:
         ca, cb = a.bits.bit_count(), b.bits.bit_count()
         if ca == cb:
@@ -147,20 +141,21 @@ class QJGraph:
         return a.bits & ~b.bits == 0
 
     def _index_of(self, card: int):
+        """The index of the level of cardinality card; None if there is none."""
         return self.levels.index(card) if card in self.levels else None
 
     def neighbors(self, s: ElementSet) -> list[ElementSet]:
-        i = self.level_index(s)
-        levels = self.levels
-        out = []
-        if 0 < levels[i] < self.n:
-            out.extend(same_level_neighbors(s))
+        i = self._index_of(s.bits.bit_count())
+        if i is None or s.n != self.n:
+            raise NotAVertex(f"{s} is not a vertex of {self}")
+        n, levels, bits = self.n, self.levels, s.bits
+        out = same_level_masks(bits, n)
         if i + 1 < len(levels):
-            out.extend(up_neighbors(s, levels[i + 1]))
+            out += up_masks(bits, n, levels[i + 1])
         if i > 0:
-            out.extend(down_neighbors(s, levels[i - 1]))
+            out += down_masks(bits, levels[i - 1])
         out.sort()
-        return out
+        return [ElementSet(b, n) for b in out]
 
     def key(self):
         return ("qj", self.n, self.levels)
@@ -231,14 +226,6 @@ def fig1_counterexample() -> tuple[GenericGraph, tuple[int, int, int, int]]:
     return GenericGraph(8, edges), (0b000, 0b101, 0b100, 0b001)
 
 
-def to_generic(g) -> tuple[GenericGraph, list]:
-    """Materialize a J(n,k) or QJ(n,A); returns (graph, index->vertex list)
-    with the vertices in ``g.vertices()`` order."""
-    levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels
-    generic, masks = mask_generic(g.n, levels)
-    return generic, [ElementSet(b, g.n) for b in masks]
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def mask_generic(n: int, levels: tuple) -> tuple[GenericGraph, tuple[int, ...]]:
     """Materialize J(n,k) (``levels == (k,)``) or QJ(n,levels) on int masks;
@@ -264,18 +251,12 @@ def mask_generic(n: int, levels: tuple) -> tuple[GenericGraph, tuple[int, ...]]:
     return GenericGraph(len(verts), edges), verts
 
 
-def _vertex_label(v) -> str:
-    if isinstance(v, ElementSet):
-        return "{%s}" % ",".join(str(e) for e in v.elements())
-    return str(v)
-
-
 def to_dot(g, highlight=None) -> str:
     """DOT export; `highlight` maps edge attribute strings to vertex paths."""
     lines = ["graph G {"]
     verts = list(g.vertices())
     for v in verts:
-        lines.append(f'  "{_vertex_label(v)}";')
+        lines.append(f'  "{v!r}";')
     highlighted = {}
     if highlight:
         for attr, path in highlight.items():
@@ -286,6 +267,6 @@ def to_dot(g, highlight=None) -> str:
             if v < w:
                 attr = highlighted.get(frozenset((v, w)))
                 suffix = f" [{attr}]" if attr else ""
-                lines.append(f'  "{_vertex_label(v)}" -- "{_vertex_label(w)}"{suffix};')
+                lines.append(f'  "{v!r}" -- "{w!r}"{suffix};')
     lines.append("}")
     return "\n".join(lines)

@@ -29,11 +29,12 @@ from .errors import CoverError, EqualEndpoints, NotAVertex, SpliceEdgeNotFound
 from .graphs import MEMO_SIZE, GenericGraph, JohnsonGraph, QJGraph, mask_generic
 from .subsets import (
     ElementSet,
-    down_masks,
+    cross_masks,
     full_mask,
     k_masks,
     mask_elements,
     up_masks,
+    vertex_json,
 )
 
 # Graphs with at most this many vertices are small enough for the exact
@@ -56,13 +57,8 @@ class Path:
     def __getitem__(self, i):
         return self.vertices[i]
 
-    def reversed(self) -> "Path":
-        return Path(tuple(reversed(self.vertices)))
-
     def to_json(self):
-        return [
-            v.to_json() if isinstance(v, ElementSet) else v for v in self.vertices
-        ]
+        return [vertex_json(v) for v in self.vertices]
 
 
 def mask_path(masks, n: int) -> Path:
@@ -101,10 +97,6 @@ def _chunk_table(lo: int, n: int) -> list[str]:
         # The entries with bit e - lo set are those without it, plus e.
         table += [text + f"{e}, " for text in table]
     return table
-
-
-def _sort_key(v):
-    return v.bits if isinstance(v, ElementSet) else v
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +206,7 @@ def hamilton_complete(vertices, s, t) -> Path:
     vertices = list(vertices)
     if s not in vertices or t not in vertices:
         raise NotAVertex("an endpoint is not among the given vertices")
-    middle = sorted((v for v in vertices if v != s and v != t), key=_sort_key)
+    middle = sorted(v for v in vertices if v != s and v != t)
     return Path(tuple([s, *middle, t]))
 
 
@@ -352,8 +344,8 @@ def _ham_qj_build(n, levels, s, t):
         if top == n:
             detour = [full_mask(n)]
         else:
-            ap = _cross_neighbors(h[i], n, other[-1])[0]
-            bp = next(w for w in _cross_neighbors(h[i + 1], n, other[-1]) if w != ap)
+            ap = cross_masks(h[i], n, other[-1])[0]
+            bp = next(w for w in cross_masks(h[i + 1], n, other[-1]) if w != ap)
             detour = _ham(n, other, ap, bp)
         return [*h[: i + 1], *detour, *h[i + 1 :]]
 
@@ -366,14 +358,6 @@ def _ham_qj_build(n, levels, s, t):
         return _ham(n, lower, s, a) + [t]
     ap = next(w for w in up_masks(a, n, top) if w != t)
     return _ham(n, lower, s, a) + _ham(n, (top,), ap, t)
-
-
-def _cross_neighbors(s: int, n: int, card_to: int) -> list[int]:
-    """Neighbors of the mask s at the level of cardinality card_to, in
-    bit-vector order."""
-    if card_to > s.bit_count():
-        return up_masks(s, n, card_to)
-    return down_masks(s, card_to)
 
 
 def _find_level_edge(path, card: int, forbidden=()) -> int:

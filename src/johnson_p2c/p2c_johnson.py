@@ -35,7 +35,6 @@ from .hamilton import (
     _across,
     _ham_path,
     _sides,
-    _sort_key,
     _swappable,
     mask_path,
 )
@@ -60,7 +59,7 @@ def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
     for w in q.vertices():
         if w not in vertices:
             raise BadQuad(f"{w} is not among the given vertices")
-    rest = sorted((w for w in vertices if w not in q.vertices()), key=_sort_key)
+    rest = sorted(w for w in vertices if w not in q.vertices())
     return P2CSolution(
         Path((q.u, q.v)), Path(tuple([q.x, *rest, q.y]))
     )

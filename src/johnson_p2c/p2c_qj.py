@@ -24,9 +24,9 @@ from .errors import (
     SpliceEdgeNotFound,
 )
 from .graphs import QJGraph
-from .hamilton import _cross_neighbors, _find_level_edge, _ham, mask_path
+from .hamilton import _find_level_edge, _ham, mask_path
 from .p2c_johnson import _debug_check, _orient, _pairing, _solve as _solve_johnson
-from .subsets import full_mask, k_masks
+from .subsets import cross_masks, full_mask, k_masks
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def _check_cards(n, card_from, card_to, *vertices):
 def pick_one_avoiding(n, card_from, card_to, a, avoid) -> int:
     """Smallest neighbor of the mask a at the target level outside `avoid`."""
     _check_cards(n, card_from, card_to, a)
-    for w in _cross_neighbors(a, n, card_to):
+    for w in cross_masks(a, n, card_to):
         if w not in avoid:
             return w
     raise SelectionExhausted(
@@ -60,8 +60,8 @@ def pick_two_avoiding(n, card_from, card_to, a, b, avoid) -> tuple[int, int]:
     _check_cards(n, card_from, card_to, a, b)
     if a == b:
         raise LemmaPreconditionViolated("a and b must be distinct")
-    cand_b = [w for w in _cross_neighbors(b, n, card_to) if w not in avoid]
-    for ap in _cross_neighbors(a, n, card_to):
+    cand_b = [w for w in cross_masks(b, n, card_to) if w not in avoid]
+    for ap in cross_masks(a, n, card_to):
         if ap in avoid:
             continue
         for bp in cand_b:

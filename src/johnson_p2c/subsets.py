@@ -5,18 +5,17 @@ into an int: bit ``e`` stores element ``e`` (bit 0 is never used), so the
 natural unsigned ordering of the bit vectors is the canonical "bit-vector
 order" used whenever a deterministic choice of vertex is needed.
 
-The constructors work on these bare int bitmasks (``full_mask``,
-``k_masks``, ``up_masks``, ``down_masks``).  ``ElementSet`` wraps a mask
-together with its ground-set size and is the vertex type of the public
-API: entry points unwrap their endpoints once and wrap finished paths once.
+The constructors, and the graphs' neighbor lists, work on these bare int
+bitmasks (``full_mask``, ``k_masks``, ``same_level_masks``, ``up_masks``,
+``down_masks``, ``cross_masks``).  ``ElementSet`` wraps a mask together
+with its ground-set size and is the vertex type of the public API: entry
+points unwrap their endpoints once and wrap finished paths once.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterator
-
-from .errors import CardinalityMismatch, CardinalityOrder, NoNeighbors
 
 
 def full_mask(n: int) -> int:
@@ -74,9 +73,6 @@ class ElementSet:
     def add(self, e: int) -> "ElementSet":
         return ElementSet(self.bits | (1 << e), self.n)
 
-    def remove(self, e: int) -> "ElementSet":
-        return ElementSet(self.bits & ~(1 << e), self.n)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ElementSet)
@@ -103,6 +99,12 @@ class ElementSet:
 # The slots' own setters, which skip the immutability guard above.
 _set_bits = ElementSet.bits.__set__
 _set_n = ElementSet.n.__set__
+
+
+def vertex_json(v):
+    """The JSON form of a vertex: an ElementSet's elements; an int vertex of
+    an explicit graph is its own."""
+    return v.to_json() if isinstance(v, ElementSet) else v
 
 
 class Relabeling:
@@ -160,20 +162,6 @@ def complement(s: ElementSet) -> ElementSet:
     return ElementSet(full_mask(s.n) ^ s.bits, s.n)
 
 
-def johnson_adjacent(a: ElementSet, b: ElementSet) -> bool:
-    """Johnson adjacency: the two equal-size subsets differ in one element."""
-    if a.bits.bit_count() != b.bits.bit_count():
-        raise CardinalityMismatch(f"{a} and {b} have different cardinalities")
-    return (a.bits ^ b.bits).bit_count() == 2
-
-
-def qj_cross_adjacent(lower: ElementSet, upper: ElementSet) -> bool:
-    """Containment adjacency between consecutive QJ levels."""
-    if lower.bits.bit_count() >= upper.bits.bit_count():
-        raise CardinalityOrder(f"{lower} is not smaller than {upper}")
-    return lower.bits & ~upper.bits == 0
-
-
 def up_masks(s: int, n: int, target_card: int) -> list[int]:
     """All supersets of the mask s in [n] with the given cardinality,
     bit-vector order."""
@@ -192,35 +180,20 @@ def down_masks(s: int, target_card: int) -> list[int]:
     return out
 
 
-def up_neighbors(s: ElementSet, target_card: int) -> list[ElementSet]:
-    """All supersets of s with the given cardinality, bit-vector order."""
-    p = s.cardinality()
-    if not p < target_card <= s.n:
-        raise CardinalityOrder(
-            f"target cardinality {target_card} not in ({p}, {s.n}]"
-        )
-    return [ElementSet(b, s.n) for b in up_masks(s.bits, s.n, target_card)]
+def cross_masks(s: int, n: int, card_to: int) -> list[int]:
+    """Neighbors of the mask s at the level of cardinality card_to, in
+    bit-vector order."""
+    if card_to > s.bit_count():
+        return up_masks(s, n, card_to)
+    return down_masks(s, card_to)
 
 
-def down_neighbors(s: ElementSet, target_card: int) -> list[ElementSet]:
-    """All subsets of s with the given cardinality, bit-vector order."""
-    p = s.cardinality()
-    if not 0 <= target_card < p:
-        raise CardinalityOrder(f"target cardinality {target_card} not in [0, {p})")
-    return [ElementSet(b, s.n) for b in down_masks(s.bits, target_card)]
-
-
-def same_level_neighbors(s: ElementSet) -> list[ElementSet]:
-    """All Johnson neighbors of s, bit-vector order; there are k(n-k)."""
-    k = s.cardinality()
-    if k == 0 or k == s.n:
-        raise NoNeighbors(f"{s} has no same-level neighbors in J({s.n},{k})")
-    out = []
-    inside = s.elements()
-    outside = [e for e in range(1, s.n + 1) if not s.bits >> e & 1]
-    for e in inside:
-        for f in outside:
-            out.append(ElementSet(s.bits ^ (1 << e) | (1 << f), s.n))
+def same_level_masks(s: int, n: int) -> list[int]:
+    """All Johnson neighbors of the mask s in [n], bit-vector order; there
+    are k(n-k) for a k-subset, none when k is 0 or n."""
+    inside = [1 << e for e in mask_elements(s)]
+    outside = [1 << e for e in range(1, n + 1) if not s >> e & 1]
+    out = [s ^ a | b for a in inside for b in outside]
     out.sort()
     return out
 

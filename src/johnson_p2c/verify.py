@@ -16,8 +16,9 @@ from functools import partial
 
 from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
-from .graphs import GenericGraph, to_generic
-from .hamilton import Path, _cover_search
+from .graphs import GenericGraph, JohnsonGraph, mask_generic
+from .hamilton import Path, _cover_search, mask_path
+from .subsets import vertex_json
 
 DEFAULT_ORACLE_CAP = 20
 DEFAULT_SWEEP_BUDGET = 2_000_000
@@ -114,19 +115,19 @@ def p2c_bruteforce(g, q: EndpointQuad, cap: int = DEFAULT_ORACLE_CAP):
             f"{g.vertex_count} vertices exceeds oracle cap {cap}"
         )
     if isinstance(g, GenericGraph):
-        generic, verts = g, list(range(g.vertex_count))
-    else:
-        generic, verts = to_generic(g)
-    index = {v: i for i, v in enumerate(verts)}
-    found = _cover_search(
-        generic.adjacency, ((index[q.u], index[q.v]), (index[q.x], index[q.y]))
-    )
+        found = _cover_search(g.adjacency, ((q.u, q.v), (q.x, q.y)))
+        if found is None:
+            return None
+        return P2CSolution(Path(tuple(found[0])), Path(tuple(found[1])))
+    # A J(n,k) or QJ(n,A): search its memoized explicit copy on masks.
+    levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels
+    generic, masks = mask_generic(g.n, levels)
+    u, v, x, y = (masks.index(w.bits) for w in q.vertices())
+    found = _cover_search(generic.adjacency, ((u, v), (x, y)))
     if found is None:
         return None
-    p1, p2 = found
-    return P2CSolution(
-        Path(tuple(verts[i] for i in p1)), Path(tuple(verts[i] for i in p2))
-    )
+    p1, p2 = ([masks[i] for i in p] for p in found)
+    return P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def _constructor_fn(name: str, oracle_cap: int):
 
 
 def _quad_json(q: EndpointQuad) -> list:
-    return [w.to_json() if hasattr(w, "to_json") else w for w in q.vertices()]
+    return [vertex_json(w) for w in q.vertices()]
 
 
 def _run_quads(g, quads, constructor: str, oracle_cap: int):
@@ -248,12 +249,8 @@ def sweep(
     errors = sum(r[3] for r in results)
     failures = [f for r in results for f in r[4]]
     failures.sort(key=lambda f: str(f["quad"]))
-    try:
-        descriptor = g.descriptor()
-    except AttributeError:
-        descriptor = {"kind": "generic", "vertex_count": g.vertex_count}
     return SweepSummary(
-        graph=descriptor,
+        graph=g.descriptor(),
         mode=mode_json,
         total=total,
         valid=valid,

@@ -67,6 +67,17 @@ class TestP2CCommand:
         assert code == 2
         assert "usage error" in err
 
+    def test_fixture_is_usage_error_pointing_to_oracle(self, capsys):
+        # No constructor covers the fixture; the exact search does.
+        code, out, err = invoke(
+            capsys,
+            "p2c", "--fixture", "fig1",
+            "--u", "000", "--v", "010", "--x", "001", "--y", "011",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "oracle" in err and "Traceback" not in err
+
     def test_out_of_range_is_failure(self, capsys):
         code, _, err = invoke(
             capsys,
@@ -334,6 +345,20 @@ class TestGenAndFixture:
         data = json.loads(out)
         assert len(data["vertices"]) == 6
         assert len(data["edges"]) == 12  # 6 vertices of degree 4
+
+    @pytest.mark.parametrize(
+        "graph, descriptor, vertex",
+        [
+            (["johnson", "--k", "0"], {"kind": "johnson", "n": 4, "k": 0}, []),
+            (["johnson", "--k", "4"], {"kind": "johnson", "n": 4, "k": 4}, [1, 2, 3, 4]),
+            (["qj", "--levels", "4"], {"kind": "qj", "n": 4, "levels": [4]}, [1, 2, 3, 4]),
+        ],
+    )
+    def test_gen_single_vertex_graph(self, capsys, graph, descriptor, vertex):
+        # J(n,0), J(n,n) and QJ(n,{n}) are one vertex with no edges.
+        code, out, err = invoke(capsys, "gen", "--n", "4", "--graph", *graph)
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"graph": descriptor, "vertices": [vertex], "edges": []}
 
     def test_fixture_json(self, capsys):
         code, out, _ = invoke(capsys, "fixture")

@@ -11,9 +11,9 @@ from johnson_p2c import (
     QJGraph,
     fig1_counterexample,
     to_dot,
-    to_generic,
 )
 from johnson_p2c.errors import NotAVertex
+from johnson_p2c.graphs import mask_generic
 
 
 def es(elems, n):
@@ -85,7 +85,9 @@ class TestQJGraph:
     def test_not_a_vertex(self):
         g = QJGraph(4, [1, 3])
         with pytest.raises(NotAVertex):
-            g.level_index(es([1, 2], 4))
+            g.neighbors(es([1, 2], 4))
+        with pytest.raises(NotAVertex):
+            g.neighbors(es([1], 5))
         assert not g.has_vertex(es([1, 2], 4))
 
     def test_neighbor_symmetry(self):
@@ -96,6 +98,22 @@ class TestQJGraph:
                     for v in g.vertices():
                         for w in g.neighbors(v):
                             assert v in g.neighbors(w)
+
+    def test_neighbors_match_adjacent(self):
+        # The mask-built neighbor lists hold exactly the adjacent vertices,
+        # in bit-vector order; the one vertex of J(n,0) or J(n,n) has none.
+        graphs = [JohnsonGraph(n, k) for n in range(1, 7) for k in range(n + 1)]
+        graphs += [
+            QJGraph(n, A)
+            for n in range(1, 6)
+            for m in range(1, n + 1)
+            for A in combinations(range(1, n + 1), m)
+        ]
+        for g in graphs:
+            verts = list(g.vertices())
+            for v in verts:
+                want = sorted(w for w in verts if w != v and g.adjacent(v, w))
+                assert g.neighbors(v) == want
 
     def test_nonconsecutive_levels_not_adjacent(self):
         g = QJGraph(4, [1, 2, 3])
@@ -120,13 +138,18 @@ class TestGenericGraph:
 
 
 class TestExport:
-    def test_to_generic_preserves_adjacency(self):
-        g = JohnsonGraph(4, 2)
-        gen, verts = to_generic(g)
-        for i, a in enumerate(verts):
-            for j, b in enumerate(verts):
-                if i != j:
-                    assert gen.adjacent(i, j) == g.adjacent(a, b)
+    def test_mask_generic_preserves_adjacency(self):
+        graphs = [JohnsonGraph(4, 2), JohnsonGraph(5, 2), QJGraph(4, [1, 3])]
+        graphs += [QJGraph(4, [1, 2, 4]), QJGraph(5, [1, 2])]
+        for g in graphs:
+            levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels
+            gen, masks = mask_generic(g.n, levels)
+            verts = list(g.vertices())
+            assert masks == tuple(v.bits for v in verts)
+            for i, a in enumerate(verts):
+                for j, b in enumerate(verts):
+                    if i != j:
+                        assert gen.adjacent(i, j) == g.adjacent(a, b)
 
     def test_to_dot_mentions_all_vertices(self):
         g = JohnsonGraph(4, 2)

@@ -21,7 +21,6 @@ from johnson_p2c import (
     k_subsets,
     p2c_johnson,
     p2c_qj,
-    to_generic,
 )
 from johnson_p2c import hamilton
 from johnson_p2c.errors import EqualEndpoints, NotAVertex
@@ -109,10 +108,11 @@ class TestHamiltonJohnson:
                 if math.comb(n, k) > 12:
                     continue
                 g = JohnsonGraph(n, k)
-                generic, verts = to_generic(g)
-                index = {v: i for i, v in enumerate(verts)}
-                for s, t in permutations(verts, 2):
-                    exact = hamilton_bruteforce(generic, index[s], index[t])
+                generic, masks = mask_generic(n, (k,))
+                verts = list(g.vertices())
+                assert masks == tuple(v.bits for v in verts)
+                for (i, s), (j, t) in permutations(enumerate(verts), 2):
+                    exact = hamilton_bruteforce(generic, i, j)
                     built = hamilton_johnson(g, s, t)
                     assert exact is not None
                     assert check_hamilton(g, built, s, t).valid

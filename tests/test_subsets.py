@@ -6,21 +6,29 @@ from hypothesis import given, strategies as st
 
 from johnson_p2c import (
     ElementSet,
+    JohnsonGraph,
+    QJGraph,
     Relabeling,
     apply_relabeling,
     complement,
-    down_neighbors,
-    johnson_adjacent,
     k_subsets,
-    qj_cross_adjacent,
-    same_level_neighbors,
-    up_neighbors,
 )
-from johnson_p2c.errors import CardinalityMismatch, CardinalityOrder, NoNeighbors
+from johnson_p2c.subsets import (
+    cross_masks,
+    down_masks,
+    full_mask,
+    k_masks,
+    same_level_masks,
+    up_masks,
+)
 
 
 def es(elems, n):
     return ElementSet.from_elements(elems, n)
+
+
+def mask(elems):
+    return sum(1 << e for e in elems)
 
 
 class TestElementSet:
@@ -62,75 +70,79 @@ class TestComplement:
 
 class TestJohnsonAdjacent:
     def test_examples(self):
-        assert johnson_adjacent(es([1, 2], 4), es([1, 3], 4))
-        assert not johnson_adjacent(es([1, 2], 4), es([1, 2], 4))
-        assert not johnson_adjacent(es([1, 2], 4), es([3, 4], 4))
-
-    def test_cardinality_mismatch(self):
-        with pytest.raises(CardinalityMismatch):
-            johnson_adjacent(es([1], 4), es([1, 2], 4))
+        g = JohnsonGraph(4, 2)
+        assert g.adjacent(es([1, 2], 4), es([1, 3], 4))
+        assert not g.adjacent(es([1, 2], 4), es([1, 2], 4))
+        assert not g.adjacent(es([1, 2], 4), es([3, 4], 4))
 
     def test_complement_isomorphism(self):
         # J(n,k) and J(n,n-k) are isomorphic via complementation
         for n in range(2, 8):
             for k in range(1, n):
+                g, h = JohnsonGraph(n, k), JohnsonGraph(n, n - k)
                 for a, b in combinations(list(k_subsets(n, k)), 2):
-                    assert johnson_adjacent(a, b) == johnson_adjacent(
-                        complement(a), complement(b)
-                    )
+                    assert g.adjacent(a, b) == h.adjacent(complement(a), complement(b))
 
 
 class TestCrossAdjacent:
     def test_examples(self):
-        assert qj_cross_adjacent(es([1], 4), es([1, 2], 4))
-        assert not qj_cross_adjacent(es([1], 4), es([2, 3], 4))
-        assert qj_cross_adjacent(es([1, 2], 4), es([1, 2, 3, 4], 4))
-
-    def test_order_violation(self):
-        with pytest.raises(CardinalityOrder):
-            qj_cross_adjacent(es([1, 2], 4), es([3], 4))
+        g = QJGraph(4, [1, 2, 4])
+        assert g.adjacent(es([1], 4), es([1, 2], 4))
+        assert g.adjacent(es([1, 2], 4), es([1], 4))
+        assert not g.adjacent(es([1], 4), es([2, 3], 4))
+        assert g.adjacent(es([1, 2], 4), es([1, 2, 3, 4], 4))
 
 
 class TestNeighborEnumeration:
     def test_up_neighbors_example(self):
-        got = up_neighbors(es([1], 4), 2)
-        assert got == [es([1, 2], 4), es([1, 3], 4), es([1, 4], 4)]
+        got = up_masks(mask([1]), 4, 2)
+        assert got == [mask([1, 2]), mask([1, 3]), mask([1, 4])]
 
     def test_up_neighbors_unique_superset(self):
-        assert up_neighbors(es([1, 2, 3], 4), 4) == [es([1, 2, 3, 4], 4)]
+        assert up_masks(mask([1, 2, 3]), 4, 4) == [mask([1, 2, 3, 4])]
 
     def test_up_neighbors_counts(self):
         for n in range(1, 11):
-            for s in k_subsets(n, min(2, n)):
-                p = s.cardinality()
+            for s in k_masks(n, min(2, n)):
+                p = s.bit_count()
                 for q in range(p + 1, n + 1):
-                    assert len(up_neighbors(s, q)) == math.comb(n - p, q - p)
-
-    def test_up_neighbors_range_error(self):
-        with pytest.raises(CardinalityOrder):
-            up_neighbors(es([1, 2], 4), 2)
+                    got = up_masks(s, n, q)
+                    assert len(got) == math.comb(n - p, q - p)
+                    assert got == sorted(got)
+                    assert all(s & ~w == 0 and w.bit_count() == q for w in got)
 
     def test_down_neighbors(self):
-        got = down_neighbors(es([2, 4], 5), 1)
-        assert got == [es([2], 5), es([4], 5)]
-        with pytest.raises(CardinalityOrder):
-            down_neighbors(es([2, 4], 5), 2)
+        assert down_masks(mask([2, 4]), 1) == [mask([2]), mask([4])]
+        for n in range(1, 9):
+            s = full_mask(n)
+            for q in range(n):
+                got = down_masks(s, q)
+                assert got == list(k_masks(n, q))
+
+    def test_cross_neighbors_by_direction(self):
+        s = mask([2, 4])
+        assert cross_masks(s, 5, 3) == up_masks(s, 5, 3)
+        assert cross_masks(s, 5, 1) == down_masks(s, 1)
 
     def test_same_level_examples(self):
-        want = [es(p, 4) for p in ([1, 3], [2, 3], [1, 4], [2, 4])]
-        assert sorted(same_level_neighbors(es([1, 2], 4))) == sorted(want)
-        assert sorted(same_level_neighbors(es([3, 4], 4))) == sorted(want)
-        assert len(same_level_neighbors(es([1, 2, 3], 6))) == 9
+        want = [mask(p) for p in ([1, 3], [2, 3], [1, 4], [2, 4])]
+        assert same_level_masks(mask([1, 2]), 4) == want
+        assert same_level_masks(mask([3, 4]), 4) == want
+        assert len(same_level_masks(mask([1, 2, 3]), 6)) == 9
 
     def test_same_level_counts(self):
         for n in range(2, 11):
             for k in (1, n // 2, n - 1):
-                for s in k_subsets(n, k):
-                    assert len(same_level_neighbors(s)) == k * (n - k)
+                for s in k_masks(n, k):
+                    got = same_level_masks(s, n)
+                    assert len(got) == k * (n - k)
+                    assert got == sorted(got)
+                    assert all((s ^ w).bit_count() == 2 for w in got)
 
     def test_same_level_degenerate(self):
-        with pytest.raises(NoNeighbors):
-            same_level_neighbors(es([1, 2, 3, 4], 4))
+        # J(n,0) and J(n,n) have one vertex and no edges.
+        assert same_level_masks(full_mask(4), 4) == []
+        assert same_level_masks(0, 4) == []
 
 
 class TestKSubsets:
@@ -173,7 +185,8 @@ class TestRelabeling:
         b = data.draw(st.sampled_from(verts))
         perm = data.draw(st.permutations(range(1, n + 1)))
         r = Relabeling(perm)
+        g = JohnsonGraph(n, k)
         if a != b:
-            assert johnson_adjacent(a, b) == johnson_adjacent(
+            assert g.adjacent(a, b) == g.adjacent(
                 apply_relabeling(r, a), apply_relabeling(r, b)
             )
