@@ -60,7 +60,11 @@ class JohnsonGraph:
         return s.n == self.n and s.bits.bit_count() == self.k
 
     def adjacent(self, a: ElementSet, b: ElementSet) -> bool:
-        return (a.bits ^ b.bits).bit_count() == 2
+        k = self.k
+        return (
+            a.bits.bit_count() == k == b.bits.bit_count()
+            and (a.bits ^ b.bits).bit_count() == 2
+        )
 
     def neighbors(self, s: ElementSet) -> list[ElementSet]:
         if not self.has_vertex(s):
@@ -131,7 +135,7 @@ class QJGraph:
     def adjacent(self, a: ElementSet, b: ElementSet) -> bool:
         ca, cb = a.bits.bit_count(), b.bits.bit_count()
         if ca == cb:
-            return (a.bits ^ b.bits).bit_count() == 2
+            return ca in self.levels and (a.bits ^ b.bits).bit_count() == 2
         if ca > cb:
             a, b, ca, cb = b, a, cb, ca
         ia = self._index_of(ca)

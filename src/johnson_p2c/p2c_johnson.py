@@ -10,8 +10,9 @@ the J(4,2) base case.
 The induction runs on int bitmasks: each mirrored X/Y case is written once
 on a ``_Side`` (``hamilton``), whose embedding is the identity on X and
 sets bit n on Y; complementation is an XOR with the full mask.
-``p2c_johnson`` unwraps the ``ElementSet`` endpoints once and wraps the
-finished paths once.
+``p2c_johnson_masks`` takes the quad as masks, validates it and returns
+the two paths as mask lists; ``p2c_johnson`` unwraps the ``ElementSet``
+endpoints once and wraps the finished paths once.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from .hamilton import (
     _ham_path,
     _sides,
     _swappable,
-    mask_path,
 )
-from .subsets import ElementSet, full_mask, k_masks
-from .verify import check_p2c, p2c_bruteforce
+from .subsets import ElementSet, full_mask, k_masks, mask_text
+from .verify import certify, host_of, p2c_bruteforce
 
 
 def clear_caches() -> None:
@@ -67,12 +67,43 @@ def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
 
 def p2c_johnson(g: JohnsonGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     """Paired 2-disjoint path cover of J(n,k), n >= 4, 1 <= k <= n-1."""
+    p1, p2 = p2c_johnson_masks(g, _quad_masks(q, g.n), debug)
+    u, v, x, y = q.vertices()
+    return P2CSolution(_end_path(u, p1, v, g.n), _end_path(x, p2, y, g.n))
+
+
+def p2c_johnson_masks(g: JohnsonGraph, quad, debug: bool = False):
+    """``p2c_johnson`` on masks: the quad (u, v, x, y) as four masks in, the
+    masks of the u-to-v and x-to-y paths out, as two lists."""
     if g.n < 4 or not 1 <= g.k <= g.n - 1:
         raise OutOfTheoremRange(f"{g} outside n >= 4, 1 <= k <= n-1")
-    q.validate(g)
-    u, v, x, y = q.vertices()
-    p1, p2 = _solve(g.n, g.k, u.bits, v.bits, x.bits, y.bits, debug)
-    return P2CSolution(_end_path(u, p1, v, g.n), _end_path(x, p2, y, g.n))
+    _check_quad(quad, g.n, (g.k,))
+    return _solve(g.n, g.k, *quad, debug)
+
+
+def _quad_masks(q: EndpointQuad, n: int) -> list:
+    """The masks of the quad's vertices.  A vertex that is no ElementSet over
+    [n] becomes a 1-tuple around itself, which ``_check_quad`` rejects."""
+    return [
+        w.bits if isinstance(w, ElementSet) and w.n == n else (w,)
+        for w in q.vertices()
+    ]
+
+
+def _check_quad(quad, n: int, cards) -> None:
+    """Raise BadQuad unless the quad's masks are four distinct subsets of [n]
+    with cardinalities in ``cards``; the text shows them as ElementSets."""
+    if len(set(quad)) != 4:
+        shown = ", ".join(map(_show, quad))
+        raise BadQuad(f"endpoints not pairwise distinct: ({shown})")
+    outside = ~full_mask(n)
+    for w in quad:
+        if type(w) is tuple or w & outside or w.bit_count() not in cards:
+            raise BadQuad(f"{_show(w)} is not a vertex of the host graph")
+
+
+def _show(w) -> str:
+    return repr(w[0]) if type(w) is tuple else mask_text(w)
 
 
 def _end_path(first, masks, last, n) -> Path:
@@ -86,8 +117,8 @@ def _debug_check(n, levels, quad, p1, p2):
     """Certify an intermediate cover of J(n,k) (one level) or QJ(n,levels)
     given on masks; raises InvariantViolated naming the violations."""
     g = JohnsonGraph(n, levels[0]) if len(levels) == 1 else QJGraph(n, levels)
-    q = EndpointQuad(*(ElementSet(w, n) for w in quad))
-    report = check_p2c(g, q, P2CSolution(mask_path(p1, n), mask_path(p2, n)))
+    u, v, x, y = quad
+    report = certify(host_of(g), (p1, p2), ((u, v), (x, y)))
     if not report.valid:
         raise InvariantViolated(f"invalid cover of {g}: {report.violations}")
 

@@ -10,8 +10,11 @@ top-level edge or attached by a pendant cross edge.
 
 Vertices are int bitmasks throughout, as in the Johnson constructor; the
 lemma functions ``pick_one_avoiding``, ``pick_two_avoiding`` and
-``ep2c_expand`` take and return masks.  ``p2c_qj`` and ``absorb_apex``
-take an ``EndpointQuad`` of ``ElementSet``s and return wrapped paths.
+``ep2c_expand`` take and return masks.  ``p2c_qj_masks`` and
+``absorb_apex_masks`` take the quad as four masks and return the two paths
+as mask lists; ``p2c_qj`` and ``absorb_apex`` are their wrappers, which
+take an ``EndpointQuad`` of ``ElementSet``s and return wrapped paths that
+end at the quad's own objects.
 """
 
 from __future__ import annotations
@@ -24,8 +27,16 @@ from .errors import (
     SpliceEdgeNotFound,
 )
 from .graphs import QJGraph
-from .hamilton import _find_level_edge, _ham, mask_path
-from .p2c_johnson import _debug_check, _orient, _pairing, _solve as _solve_johnson
+from .hamilton import _find_level_edge, _ham
+from .p2c_johnson import (
+    _check_quad,
+    _debug_check,
+    _end_path,
+    _orient,
+    _pairing,
+    _quad_masks,
+    _solve as _solve_johnson,
+)
 from .subsets import cross_masks, full_mask, k_masks
 
 
@@ -130,6 +141,16 @@ def ep2c_expand(paths, n, A, lo, hi):
 
 def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     """Cover of QJ(n,A) with n in A, via the cover of QJ(n, A-{n})."""
+    quad = _quad_masks(q, g.n)
+    _check_quad(quad, g.n, g.levels)
+    p1, p2 = absorb_apex_masks(g, quad, debug)
+    u, v, x, y = q.vertices()
+    return P2CSolution(_end_path(u, p1, v, g.n), _end_path(x, p2, y, g.n))
+
+
+def absorb_apex_masks(g: QJGraph, quad, debug: bool = False):
+    """``absorb_apex`` on masks, for a quad already known to be valid: the
+    masks of the oriented (u-to-v, x-to-y) paths, as two lists."""
     n = g.n
     A = g.levels
     if n not in A:
@@ -139,7 +160,7 @@ def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution
         raise OutOfTheoremRange("QJ(n,{n}) is a single vertex")
     apex = full_mask(n)
     top = sub_levels[-1]
-    u, v, x, y = quad = tuple(w.bits for w in q.vertices())
+    u, v, x, y = quad
 
     if apex not in quad:
         p1, p2 = _solve_qj(n, sub_levels, u, v, x, y, debug)
@@ -155,7 +176,7 @@ def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution
         p1, p2 = _orient([apex] + p1, p2, u, v, x, y)
     if debug:
         _debug_check(n, A, quad, p1, p2)
-    return P2CSolution(mask_path(p1, n), mask_path(p2, n))
+    return p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +185,29 @@ def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution
 
 def p2c_qj(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     """Paired 2-disjoint path cover of QJ(n,A), n >= 4, at least 4 vertices."""
+    p1, p2 = p2c_qj_masks(g, _quad_masks(q, g.n), debug)
+    u, v, x, y = q.vertices()
+    return P2CSolution(_end_path(u, p1, v, g.n), _end_path(x, p2, y, g.n))
+
+
+def p2c_qj_masks(g: QJGraph, quad, debug: bool = False):
+    """``p2c_qj`` on masks: the quad (u, v, x, y) as four masks in, the masks
+    of the u-to-v and x-to-y paths out, as two lists."""
     if g.n < 4:
         raise OutOfTheoremRange(f"{g} has n < 4")
     if g.vertex_count < 4:
         raise OutOfTheoremRange(f"{g} has fewer than 4 vertices")
-    q.validate(g)
+    _check_quad(quad, g.n, g.levels)
     if g.n in g.levels:
-        return absorb_apex(g, q, debug)
-    p1, p2 = _solve_qj(g.n, g.levels, *(w.bits for w in q.vertices()), debug)
-    return P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
+        return absorb_apex_masks(g, quad, debug)
+    return _solve_qj(g.n, g.levels, *quad, debug)
 
 
 def _solve_qj(n, A, u, v, x, y, debug=False):
     """Oriented (u-to-v, x-to-y) cover of QJ(n,A) on masks; A excludes n."""
     if len(A) == 1:
         return _solve_johnson(n, A[0], u, v, x, y, debug)
-    card_index = {a: i for i, a in enumerate(A)}
-    levels = [card_index[w.bit_count()] for w in (u, v, x, y)]
+    levels = [A.index(w.bit_count()) for w in (u, v, x, y)]
     lo, hi = min(levels), max(levels)
     local = _local_p2c(n, A, levels, u, v, x, y, debug)
     p1, p2 = ep2c_expand(local, n, A, lo, hi)

@@ -33,6 +33,14 @@ def mask_elements(bits: int) -> list[int]:
     return out
 
 
+def mask_text(bits: int) -> str:
+    """A mask as set text, ``{1,3,4}``: the repr of its ``ElementSet``.  A
+    negative int, which is no mask, is shown as itself."""
+    if bits < 0:
+        return str(bits)
+    return "{%s}" % ",".join(map(str, mask_elements(bits)))
+
+
 class ElementSet:
     """An immutable subset of [n], n >= 1, packed into an int."""
 
@@ -70,9 +78,6 @@ class ElementSet:
     def __contains__(self, e: int) -> bool:
         return 1 <= e <= self.n and bool(self.bits >> e & 1)
 
-    def add(self, e: int) -> "ElementSet":
-        return ElementSet(self.bits | (1 << e), self.n)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ElementSet)
@@ -90,7 +95,7 @@ class ElementSet:
         return self.bits <= other.bits
 
     def __repr__(self) -> str:
-        return "{%s}" % ",".join(str(e) for e in self.elements())
+        return mask_text(self.bits)
 
     def to_json(self) -> list[int]:
         return mask_elements(self.bits)

@@ -1,11 +1,25 @@
 """Certificates and ground truth.
 
-``check_hamilton`` and ``check_p2c`` validate paths and covers against any
-graph view exposing ``vertices()``, ``has_vertex`` and ``adjacent``.
+``check_hamilton`` and ``check_p2c`` certify a path or a two-path cover of
+a ``JohnsonGraph``, a ``QJGraph`` or a ``GenericGraph``.  Each unwraps its
+paths once into int vertex keys, the masks of J(n,k) and QJ(n,A) or the
+indices of an explicit graph, and hands them to one certification core,
+``certify``.  The core walks each path once, checking membership and steps
+with bit arithmetic (``holds``), and checks repeats, endpoints,
+disjointness and coverage with sets.  Only a path that fails is walked
+again, in order, to find the vertex or step to name; a violation's text
+is formatted only then.  A vertex that is not one of the graph's kind (an
+``ElementSet`` over another ground set, an object of another type)
+becomes a 1-tuple around itself: it fails membership and compares equal
+to what it equalled before.  The constructors' debug check and ``sweep``
+hand their mask lists to the core directly.  The core shares no code with
+the constructors.
+
 ``p2c_bruteforce`` is the exact oracle: a backtracking search that either
-produces a checkable cover or proves none exists.  ``sweep`` drives a
-constructor over every (or a sampled set of) endpoint quadruples and
-certifies each result.
+produces a checkable cover or proves none exists.  ``sweep`` runs a
+constructor's mask-level entry over every (or a sampled set of) endpoint
+quadruples of vertex keys and certifies each result on the core, so no
+``ElementSet`` is built per cover vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
 from .graphs import GenericGraph, JohnsonGraph, mask_generic
 from .hamilton import Path, _cover_search, mask_path
-from .subsets import vertex_json
+from .subsets import ElementSet, k_masks, mask_elements, mask_text
 
 DEFAULT_ORACLE_CAP = 20
 DEFAULT_SWEEP_BUDGET = 2_000_000
@@ -42,65 +56,193 @@ class CheckReport:
         }
 
 
-def _check_path_steps(g, path, report: CheckReport) -> set:
-    """Report the path's first foreign, repeated or non-adjacent step, and
-    return the set of its vertices (all of them if nothing was reported)."""
-    seen = set(path)
-    if len(seen) < len(path) or not all(map(g.has_vertex, path)):
-        # Find the first offending vertex in path order.
-        seen = set()
-        for v in path:
-            if not g.has_vertex(v):
-                report.add("ForeignVertex", f"{v} is not a vertex of the host graph")
-                return seen
-            if v in seen:
-                report.add("RepeatedVertex", f"{v} appears more than once")
-                return seen
-            seen.add(v)
-    if not all(map(g.adjacent, path, path[1:])):
-        a, b = next((a, b) for a, b in zip(path, path[1:]) if not g.adjacent(a, b))
-        report.add("NotAdjacentStep", f"{a} -- {b} is not an edge")
+# ---------------------------------------------------------------------------
+# The certification core, on int vertex keys.
+
+
+def _levels(g) -> tuple:
+    """The level cardinalities of J(n,k), ``(k,)``, or of QJ(n,A), ``A``."""
+    return (g.k,) if isinstance(g, JohnsonGraph) else tuple(g.levels)
+
+
+class _Masks:
+    """J(n,k) or QJ(n,A) as the core sees it: a vertex key is a mask."""
+
+    __slots__ = ("n", "count", "levels", "outside", "gaps")
+
+    def __init__(self, g):
+        levels = _levels(g)
+        self.n = g.n
+        self.count = g.vertex_count
+        self.levels = levels
+        self.outside = ~(((1 << g.n) - 1) << 1)
+        # |a ^ b| along an edge between two consecutive levels, a in b.
+        self.gaps = {}
+        for a, b in zip(levels, levels[1:]):
+            self.gaps[a, b] = self.gaps[b, a] = b - a
+
+    def key(self, v):
+        return v.bits if isinstance(v, ElementSet) and v.n == self.n else (v,)
+
+    def unwrap(self, paths) -> list[list]:
+        n = self.n
+        out = []
+        for p in paths:
+            p = p.vertices if type(p) is Path else tuple(p)
+            keys = [v.bits for v in p if type(v) is ElementSet and v.n == n]
+            out.append(keys if len(keys) == len(p) else list(map(self.key, p)))
+        return out
+
+    def vertices(self) -> list[int]:
+        """Every vertex mask, in the order of the graph's ``vertices()``."""
+        return [b for a in self.levels for b in k_masks(self.n, a)]
+
+    def holds(self, p) -> bool:
+        """Whether every vertex of p is a member and every step an edge:
+        |a ^ b| is 2 inside a level and the gap between consecutive levels."""
+        levels, outside, gaps = self.levels, self.outside, self.gaps
+        if not p:
+            return True
+        try:
+            a = p[0]
+            ca = a.bit_count()
+            if ca not in levels or a & outside:
+                return False
+            for b in p[1:]:
+                cb = b.bit_count()
+                if cb not in levels or b & outside:
+                    return False
+                if (a ^ b).bit_count() != (2 if ca == cb else gaps.get((ca, cb))):
+                    return False
+                a, ca = b, cb
+        except AttributeError:
+            # A key that is no int.
+            return False
+        return True
+
+    def show(self, v) -> str:
+        return str(v[0]) if type(v) is tuple else mask_text(v)
+
+    def json(self, v):
+        return mask_elements(v)
+
+
+class _Indices:
+    """An explicit graph as the core sees it: a vertex key is an index."""
+
+    __slots__ = ("count", "adjacency")
+
+    def __init__(self, g: GenericGraph):
+        self.count = g.vertex_count
+        self.adjacency = g.adjacency
+
+    def key(self, v):
+        return v if isinstance(v, int) and 0 <= v < self.count else (v,)
+
+    def unwrap(self, paths) -> list[list]:
+        return [list(map(self.key, p)) for p in paths]
+
+    def vertices(self) -> list[int]:
+        return list(range(self.count))
+
+    def holds(self, p) -> bool:
+        """Whether every vertex of p is an index and every step an edge."""
+        count, adjacency = self.count, self.adjacency
+        a = None
+        for b in p:
+            if not (isinstance(b, int) and 0 <= b < count):
+                return False
+            if a is not None and b not in adjacency[a]:
+                return False
+            a = b
+        return True
+
+    def show(self, v) -> str:
+        return str(v[0]) if type(v) is tuple else str(v)
+
+    def json(self, v):
+        return v
+
+
+def host_of(g):
+    """The core's view of a J(n,k), QJ(n,A) or explicit graph."""
+    return _Indices(g) if isinstance(g, GenericGraph) else _Masks(g)
+
+
+def certify(host, paths, ends) -> CheckReport:
+    """Certify paths of vertex keys on the graph ``host`` sees.
+
+    One path is a Hamilton path and must run from ``ends[0][0]`` to
+    ``ends[0][1]``; two paths are a paired cover, each joining its pair of
+    ``ends`` either way.  The paths must be vertex-disjoint, step along
+    edges and together cover the graph exactly once.  A path with no
+    repeated vertex that passes ``host.holds`` is not walked again.
+    """
+    report = CheckReport()
+    show = host.show
+    if len(paths) == 1:
+        (p,), ((s, t),) = paths, ends
+        if not p or p[0] != s or p[-1] != t:
+            report.add("BadEndpoint", f"expected endpoints {show(s)} and {show(t)}")
+    else:
+        for name, p, (a, b) in zip(("path_uv", "path_xy"), paths, ends):
+            if not p or (p[0], p[-1]) not in ((a, b), (b, a)):
+                report.add(
+                    "BadEndpoint", f"{name} endpoints are not {{{show(a)},{show(b)}}}"
+                )
+    seen = []
+    for p in paths:
+        vs = set(p)
+        if len(vs) != len(p) or not host.holds(p):
+            vs = _check_steps(host, p, report)
+        seen.append(vs)
+    if not report.valid:
+        return report
+    if len(seen) == 2:
+        shared = seen[0] & seen[1]
+        if shared:
+            shown = sorted(map(show, shared))
+            report.add("PathsIntersect", f"shared vertices: {shown}")
+            return report
+    covered = sum(map(len, seen))
+    if covered != host.count:
+        report.add("NotCovering", f"{covered} of {host.count} vertices covered")
+    return report
+
+
+def _check_steps(host, p, report: CheckReport) -> set:
+    """Walk a path that failed ``host.holds`` or repeats a vertex: report its
+    first foreign or repeated vertex, or else its first step that is no
+    edge, and return the set of its vertices up to the first foreign or
+    repeated one."""
+    show = host.show
+    seen = set()
+    for v in p:
+        if not host.holds((v,)):
+            report.add("ForeignVertex", f"{show(v)} is not a vertex of the host graph")
+            return seen
+        if v in seen:
+            report.add("RepeatedVertex", f"{show(v)} appears more than once")
+            return seen
+        seen.add(v)
+    i = next(i for i in range(len(p) - 1) if not host.holds(p[i : i + 2]))
+    report.add("NotAdjacentStep", f"{show(p[i])} -- {show(p[i + 1])} is not an edge")
     return seen
 
 
 def check_hamilton(g, p, s, t) -> CheckReport:
     """Valid iff p runs from s to t, steps along edges, and covers V(g)."""
-    report = CheckReport()
-    path = list(p)
-    if not path or path[0] != s or path[-1] != t:
-        report.add("BadEndpoint", f"expected endpoints {s} and {t}")
-    _check_path_steps(g, path, report)
-    if report.valid and len(path) != g.vertex_count:
-        report.add(
-            "NotCovering", f"{len(path)} of {g.vertex_count} vertices covered"
-        )
-    return report
+    host = host_of(g)
+    (s, t), p = host.unwrap(((s, t), p))
+    return certify(host, [p], ((s, t),))
 
 
 def check_p2c(g, q: EndpointQuad, sol: P2CSolution) -> CheckReport:
     """Valid iff the two paths are disjoint, edge-respecting, endpoint-correct
     (either orientation per path) and together cover V(g) exactly."""
-    report = CheckReport()
-    p1 = list(sol.path_uv)
-    p2 = list(sol.path_xy)
-    if not p1 or (p1[0], p1[-1]) not in ((q.u, q.v), (q.v, q.u)):
-        report.add("BadEndpoint", f"path_uv endpoints are not {{{q.u},{q.v}}}")
-    if not p2 or (p2[0], p2[-1]) not in ((q.x, q.y), (q.y, q.x)):
-        report.add("BadEndpoint", f"path_xy endpoints are not {{{q.x},{q.y}}}")
-    s1 = _check_path_steps(g, p1, report)
-    s2 = _check_path_steps(g, p2, report)
-    if not report.valid:
-        return report
-    shared = s1 & s2
-    if shared:
-        report.add("PathsIntersect", f"shared vertices: {sorted(map(repr, shared))}")
-        return report
-    if len(s1) + len(s2) != g.vertex_count:
-        report.add(
-            "NotCovering",
-            f"{len(s1) + len(s2)} of {g.vertex_count} vertices covered",
-        )
-    return report
+    host = host_of(g)
+    (u, v, x, y), *paths = host.unwrap((q.vertices(), sol.path_uv, sol.path_xy))
+    return certify(host, paths, ((u, v), (x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +252,33 @@ def check_p2c(g, q: EndpointQuad, sol: P2CSolution) -> CheckReport:
 def p2c_bruteforce(g, q: EndpointQuad, cap: int = DEFAULT_ORACLE_CAP):
     """Exact search for a paired 2-disjoint path cover; None if impossible."""
     q.validate(g)
+    if isinstance(g, GenericGraph):
+        found = _oracle_paths(g, q.vertices(), cap)
+        if found is None:
+            return None
+        return P2CSolution(Path(tuple(found[0])), Path(tuple(found[1])))
+    found = _oracle_paths(g, tuple(w.bits for w in q.vertices()), cap)
+    if found is None:
+        return None
+    return P2CSolution(mask_path(found[0], g.n), mask_path(found[1], g.n))
+
+
+def _oracle_paths(g, quad, cap: int):
+    """``p2c_bruteforce`` on vertex keys, for a quad known to be valid."""
     if g.vertex_count > cap:
         raise TooLargeForOracle(
             f"{g.vertex_count} vertices exceeds oracle cap {cap}"
         )
+    u, v, x, y = quad
     if isinstance(g, GenericGraph):
-        found = _cover_search(g.adjacency, ((q.u, q.v), (q.x, q.y)))
-        if found is None:
-            return None
-        return P2CSolution(Path(tuple(found[0])), Path(tuple(found[1])))
+        return _cover_search(g.adjacency, ((u, v), (x, y)))
     # A J(n,k) or QJ(n,A): search its memoized explicit copy on masks.
-    levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels
-    generic, masks = mask_generic(g.n, levels)
-    u, v, x, y = (masks.index(w.bits) for w in q.vertices())
+    generic, masks = mask_generic(g.n, _levels(g))
+    u, v, x, y = map(masks.index, quad)
     found = _cover_search(generic.adjacency, ((u, v), (x, y)))
     if found is None:
         return None
-    p1, p2 = ([masks[i] for i in p] for p in found)
-    return P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
+    return [masks[i] for i in found[0]], [masks[i] for i in found[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -156,53 +307,55 @@ class SweepSummary:
         }
 
 
-def _constructor_fn(name: str, oracle_cap: int):
+def _constructor_fn(name: str, oracle_cap: int, host):
+    """The constructor ``name`` on vertex keys: (g, quad) to the two paths'
+    keys, or None where the oracle proves there is no cover."""
     # Local imports keep verify free of a static dependency on the builders.
-    from .p2c_johnson import p2c_complete, p2c_johnson
-    from .p2c_qj import p2c_qj
+    from .p2c_johnson import p2c_complete, p2c_johnson_masks
+    from .p2c_qj import p2c_qj_masks
 
     if name == "johnson":
-        return p2c_johnson
+        return p2c_johnson_masks
     if name == "qj":
-        return p2c_qj
+        return p2c_qj_masks
     if name == "complete":
-        return lambda g, q: p2c_complete(list(g.vertices()), q)
+        verts = host.vertices()
+
+        def complete(g, quad):
+            sol = p2c_complete(verts, EndpointQuad(*quad))
+            return list(sol.path_uv), list(sol.path_xy)
+
+        return complete
     if name == "oracle":
-        return lambda g, q: p2c_bruteforce(g, q, cap=oracle_cap)
+        return partial(_oracle_paths, cap=oracle_cap)
     raise ValueError(f"unknown constructor {name!r}")
 
 
-def _quad_json(q: EndpointQuad) -> list:
-    return [vertex_json(w) for w in q.vertices()]
-
-
 def _run_quads(g, quads, constructor: str, oracle_cap: int):
-    fn = _constructor_fn(constructor, oracle_cap)
+    host = host_of(g)
+    build = _constructor_fn(constructor, oracle_cap, host)
     total = valid = invalid = errors = 0
     failures = []
     for quad in quads:
         total += 1
-        q = EndpointQuad(*quad)
         try:
-            sol = fn(g, q)
+            paths = build(g, quad)
         except CoverError as exc:
             errors += 1
-            failures.append(
-                {"quad": _quad_json(q), "error": f"{type(exc).__name__}: {exc}"}
-            )
-            continue
-        if sol is None:
-            invalid += 1
-            failures.append({"quad": _quad_json(q), "error": "NoSolution"})
-            continue
-        report = check_p2c(g, q, sol)
-        if report.valid:
-            valid += 1
+            failure = {"error": f"{type(exc).__name__}: {exc}"}
         else:
-            invalid += 1
-            failures.append(
-                {"quad": _quad_json(q), "violations": report.to_json()["violations"]}
-            )
+            if paths is None:
+                invalid += 1
+                failure = {"error": "NoSolution"}
+            else:
+                u, v, x, y = quad
+                report = certify(host, paths, ((u, v), (x, y)))
+                if report.valid:
+                    valid += 1
+                    continue
+                invalid += 1
+                failure = {"violations": report.to_json()["violations"]}
+        failures.append({"quad": list(map(host.json, quad)), **failure})
     return total, valid, invalid, errors, failures
 
 
@@ -218,8 +371,12 @@ def sweep(
 ) -> SweepSummary:
     """Run a constructor over endpoint quadruples and certify every result.
     A graph with fewer than 4 vertices has no quadruple and raises
-    ``TooFewVertices`` rather than report an empty success."""
-    verts = list(g.vertices())
+    ``TooFewVertices`` rather than report an empty success.
+
+    The quads are drawn from the graph's vertex keys (masks, or indices of
+    an explicit graph) listed in ``vertices()`` order, and the constructor
+    and the checker run on those keys."""
+    verts = host_of(g).vertices()
     nv = len(verts)
     if nv < 4:
         raise TooFewVertices(f"need at least 4 vertices to sweep, got {nv}")

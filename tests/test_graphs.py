@@ -44,6 +44,15 @@ class TestJohnsonGraph:
         assert not g.has_vertex(es([1], 4))
 
 
+    def test_adjacent_needs_both_at_level_k(self):
+        # Two non-vertices of different sizes that differ in two elements.
+        g = JohnsonGraph(4, 2)
+        assert not g.adjacent(es([1], 4), es([1, 2, 3], 4))
+        assert not g.adjacent(es([1, 2], 4), es([1, 2, 3, 4], 4))
+        assert not g.adjacent(es([1, 2, 3], 4), es([1, 2, 4], 4))
+        assert g.adjacent(es([1, 2], 4), es([1, 3], 4))
+
+
 class TestLevelSpec:
     def test_must_increase(self):
         with pytest.raises(ValueError):
@@ -114,6 +123,11 @@ class TestQJGraph:
             for v in verts:
                 want = sorted(w for w in verts if w != v and g.adjacent(v, w))
                 assert g.neighbors(v) == want
+
+    def test_same_size_non_vertices_not_adjacent(self):
+        g = QJGraph(4, [1, 2])
+        assert not g.adjacent(es([1, 2, 3], 4), es([1, 2, 4], 4))
+        assert g.adjacent(es([1, 2], 4), es([1, 3], 4))
 
     def test_nonconsecutive_levels_not_adjacent(self):
         g = QJGraph(4, [1, 2, 3])
