@@ -1,11 +1,46 @@
-"""Endpoint quadruples and two-path cover solutions."""
+"""Endpoint quadruples, two-path cover solutions, and the one quad check:
+``check_quad`` on masks, which ``EndpointQuad.validate`` calls for a
+Johnson or QJ graph."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import BadQuad
+from .graphs import GenericGraph
 from .hamilton import Path
+from .subsets import ElementSet, full_mask, mask_text
+
+
+def mask_keys(vertices, n: int) -> list:
+    """The masks of vertices that are ``ElementSet``s over [n].  Anything
+    else becomes a 1-tuple around itself: it is no mask, so no vertex
+    check accepts it, and it equals only the 1-tuple of an equal object."""
+    return [
+        v.bits if isinstance(v, ElementSet) and v.n == n else (v,) for v in vertices
+    ]
+
+
+def not_distinct(texts) -> BadQuad:
+    """The error for a quad that repeats a vertex, given the four texts."""
+    return BadQuad(f"endpoints not pairwise distinct: ({', '.join(texts)})")
+
+
+def check_quad(quad, n: int, levels):
+    """Return the masks ``quad`` if they are four distinct vertices of the
+    graph on the subsets of [n] with cardinalities ``levels`` (J(n,k) has
+    the one level k); else raise BadQuad, showing masks as ElementSets."""
+    if len(set(quad)) != 4:
+        raise not_distinct(map(_text, quad))
+    outside = ~full_mask(n)
+    for w in quad:
+        if type(w) is tuple or w & outside or w.bit_count() not in levels:
+            raise BadQuad(f"{_text(w, str)} is not a vertex of the host graph")
+    return quad
+
+
+def _text(w, show=repr) -> str:
+    return show(w[0]) if type(w) is tuple else mask_text(w)
 
 
 @dataclass(frozen=True)
@@ -20,13 +55,19 @@ class EndpointQuad:
     def vertices(self) -> tuple:
         return (self.u, self.v, self.x, self.y)
 
-    def validate(self, g) -> None:
+    def validate(self, g):
+        """Raise BadQuad unless the quad is four distinct vertices of g; return
+        their keys: masks on J(n,k) and QJ(n,A), the vertices themselves on
+        an explicit graph."""
         vs = self.vertices()
+        if not isinstance(g, GenericGraph):
+            return check_quad(mask_keys(vs, g.n), g.n, g.levels)
         if len(set(vs)) != 4:
-            raise BadQuad(f"endpoints not pairwise distinct: {vs}")
+            raise not_distinct(map(repr, vs))
         for w in vs:
             if not g.has_vertex(w):
                 raise BadQuad(f"{w} is not a vertex of the host graph")
+        return vs
 
 
 @dataclass(frozen=True)

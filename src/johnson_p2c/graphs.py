@@ -50,6 +50,11 @@ class JohnsonGraph:
         return JohnsonGraph, (self.n, self.k)
 
     @property
+    def levels(self) -> tuple:
+        """The one vertex cardinality, ``(k,)``, as ``QJGraph.levels``."""
+        return (self.k,)
+
+    @property
     def vertex_count(self) -> int:
         return comb(self.n, self.k)
 

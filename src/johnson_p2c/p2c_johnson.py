@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from math import comb
 
-from .covers import EndpointQuad, P2CSolution
+from .covers import EndpointQuad, P2CSolution, check_quad, mask_keys, not_distinct
 from .errors import (
     BadQuad,
     InvariantViolated,
@@ -38,7 +38,7 @@ from .hamilton import (
     _sides,
     _swappable,
 )
-from .subsets import ElementSet, full_mask, k_masks, mask_text
+from .subsets import ElementSet, full_mask, k_masks
 from .verify import certify, host_of, p2c_bruteforce
 
 
@@ -55,7 +55,7 @@ def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
     if len(vertices) < 4:
         raise TooFewVertices(f"need at least 4 vertices, got {len(vertices)}")
     if len(set(q.vertices())) != 4:
-        raise BadQuad(f"endpoints not pairwise distinct: {q.vertices()}")
+        raise not_distinct(map(repr, q.vertices()))
     for w in q.vertices():
         if w not in vertices:
             raise BadQuad(f"{w} is not among the given vertices")
@@ -67,9 +67,8 @@ def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
 
 def p2c_johnson(g: JohnsonGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     """Paired 2-disjoint path cover of J(n,k), n >= 4, 1 <= k <= n-1."""
-    p1, p2 = p2c_johnson_masks(g, _quad_masks(q, g.n), debug)
-    u, v, x, y = q.vertices()
-    return P2CSolution(_end_path(u, p1, v, g.n), _end_path(x, p2, y, g.n))
+    paths = p2c_johnson_masks(g, mask_keys(q.vertices(), g.n), debug)
+    return _wrap_cover(q, paths, g.n)
 
 
 def p2c_johnson_masks(g: JohnsonGraph, quad, debug: bool = False):
@@ -77,33 +76,15 @@ def p2c_johnson_masks(g: JohnsonGraph, quad, debug: bool = False):
     masks of the u-to-v and x-to-y paths out, as two lists."""
     if g.n < 4 or not 1 <= g.k <= g.n - 1:
         raise OutOfTheoremRange(f"{g} outside n >= 4, 1 <= k <= n-1")
-    _check_quad(quad, g.n, (g.k,))
-    return _solve(g.n, g.k, *quad, debug)
+    return _solve(g.n, g.k, *check_quad(quad, g.n, g.levels), debug)
 
 
-def _quad_masks(q: EndpointQuad, n: int) -> list:
-    """The masks of the quad's vertices.  A vertex that is no ElementSet over
-    [n] becomes a 1-tuple around itself, which ``_check_quad`` rejects."""
-    return [
-        w.bits if isinstance(w, ElementSet) and w.n == n else (w,)
-        for w in q.vertices()
-    ]
-
-
-def _check_quad(quad, n: int, cards) -> None:
-    """Raise BadQuad unless the quad's masks are four distinct subsets of [n]
-    with cardinalities in ``cards``; the text shows them as ElementSets."""
-    if len(set(quad)) != 4:
-        shown = ", ".join(map(_show, quad))
-        raise BadQuad(f"endpoints not pairwise distinct: ({shown})")
-    outside = ~full_mask(n)
-    for w in quad:
-        if type(w) is tuple or w & outside or w.bit_count() not in cards:
-            raise BadQuad(f"{_show(w)} is not a vertex of the host graph")
-
-
-def _show(w) -> str:
-    return repr(w[0]) if type(w) is tuple else mask_text(w)
+def _wrap_cover(q: EndpointQuad, paths, n: int) -> P2CSolution:
+    """The oriented mask paths as ``ElementSet`` paths that end at the quad's
+    own vertex objects."""
+    u, v, x, y = q.vertices()
+    p1, p2 = paths
+    return P2CSolution(_end_path(u, p1, v, n), _end_path(x, p2, y, n))
 
 
 def _end_path(first, masks, last, n) -> Path:

@@ -19,7 +19,7 @@ end at the quad's own objects.
 
 from __future__ import annotations
 
-from .covers import EndpointQuad, P2CSolution
+from .covers import EndpointQuad, P2CSolution, check_quad, mask_keys
 from .errors import (
     LemmaPreconditionViolated,
     OutOfTheoremRange,
@@ -29,13 +29,11 @@ from .errors import (
 from .graphs import QJGraph
 from .hamilton import _find_level_edge, _ham
 from .p2c_johnson import (
-    _check_quad,
     _debug_check,
-    _end_path,
     _orient,
     _pairing,
-    _quad_masks,
     _solve as _solve_johnson,
+    _wrap_cover,
 )
 from .subsets import cross_masks, full_mask, k_masks
 
@@ -141,11 +139,7 @@ def ep2c_expand(paths, n, A, lo, hi):
 
 def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     """Cover of QJ(n,A) with n in A, via the cover of QJ(n, A-{n})."""
-    quad = _quad_masks(q, g.n)
-    _check_quad(quad, g.n, g.levels)
-    p1, p2 = absorb_apex_masks(g, quad, debug)
-    u, v, x, y = q.vertices()
-    return P2CSolution(_end_path(u, p1, v, g.n), _end_path(x, p2, y, g.n))
+    return _wrap_cover(q, absorb_apex_masks(g, q.validate(g), debug), g.n)
 
 
 def absorb_apex_masks(g: QJGraph, quad, debug: bool = False):
@@ -185,9 +179,8 @@ def absorb_apex_masks(g: QJGraph, quad, debug: bool = False):
 
 def p2c_qj(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     """Paired 2-disjoint path cover of QJ(n,A), n >= 4, at least 4 vertices."""
-    p1, p2 = p2c_qj_masks(g, _quad_masks(q, g.n), debug)
-    u, v, x, y = q.vertices()
-    return P2CSolution(_end_path(u, p1, v, g.n), _end_path(x, p2, y, g.n))
+    paths = p2c_qj_masks(g, mask_keys(q.vertices(), g.n), debug)
+    return _wrap_cover(q, paths, g.n)
 
 
 def p2c_qj_masks(g: QJGraph, quad, debug: bool = False):
@@ -197,7 +190,7 @@ def p2c_qj_masks(g: QJGraph, quad, debug: bool = False):
         raise OutOfTheoremRange(f"{g} has n < 4")
     if g.vertex_count < 4:
         raise OutOfTheoremRange(f"{g} has fewer than 4 vertices")
-    _check_quad(quad, g.n, g.levels)
+    check_quad(quad, g.n, g.levels)
     if g.n in g.levels:
         return absorb_apex_masks(g, quad, debug)
     return _solve_qj(g.n, g.levels, *quad, debug)

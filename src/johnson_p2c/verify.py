@@ -28,11 +28,11 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 
-from .covers import EndpointQuad, P2CSolution
+from .covers import EndpointQuad, P2CSolution, mask_keys
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
-from .graphs import GenericGraph, JohnsonGraph, mask_generic
+from .graphs import GenericGraph, mask_generic
 from .hamilton import Path, _cover_search, mask_path
-from .subsets import ElementSet, k_masks, mask_elements, mask_text
+from .subsets import k_masks, mask_elements, mask_text
 
 DEFAULT_ORACLE_CAP = 20
 DEFAULT_SWEEP_BUDGET = 2_000_000
@@ -60,18 +60,13 @@ class CheckReport:
 # The certification core, on int vertex keys.
 
 
-def _levels(g) -> tuple:
-    """The level cardinalities of J(n,k), ``(k,)``, or of QJ(n,A), ``A``."""
-    return (g.k,) if isinstance(g, JohnsonGraph) else tuple(g.levels)
-
-
 class _Masks:
     """J(n,k) or QJ(n,A) as the core sees it: a vertex key is a mask."""
 
     __slots__ = ("n", "count", "levels", "outside", "gaps")
 
     def __init__(self, g):
-        levels = _levels(g)
+        levels = tuple(g.levels)
         self.n = g.n
         self.count = g.vertex_count
         self.levels = levels
@@ -81,17 +76,8 @@ class _Masks:
         for a, b in zip(levels, levels[1:]):
             self.gaps[a, b] = self.gaps[b, a] = b - a
 
-    def key(self, v):
-        return v.bits if isinstance(v, ElementSet) and v.n == self.n else (v,)
-
     def unwrap(self, paths) -> list[list]:
-        n = self.n
-        out = []
-        for p in paths:
-            p = p.vertices if type(p) is Path else tuple(p)
-            keys = [v.bits for v in p if type(v) is ElementSet and v.n == n]
-            out.append(keys if len(keys) == len(p) else list(map(self.key, p)))
-        return out
+        return [mask_keys(p, self.n) for p in paths]
 
     def vertices(self) -> list[int]:
         """Every vertex mask, in the order of the graph's ``vertices()``."""
@@ -136,11 +122,12 @@ class _Indices:
         self.count = g.vertex_count
         self.adjacency = g.adjacency
 
-    def key(self, v):
-        return v if isinstance(v, int) and 0 <= v < self.count else (v,)
-
     def unwrap(self, paths) -> list[list]:
-        return [list(map(self.key, p)) for p in paths]
+        count = self.count
+        return [
+            [v if isinstance(v, int) and 0 <= v < count else (v,) for v in p]
+            for p in paths
+        ]
 
     def vertices(self) -> list[int]:
         return list(range(self.count))
@@ -251,15 +238,11 @@ def check_p2c(g, q: EndpointQuad, sol: P2CSolution) -> CheckReport:
 
 def p2c_bruteforce(g, q: EndpointQuad, cap: int = DEFAULT_ORACLE_CAP):
     """Exact search for a paired 2-disjoint path cover; None if impossible."""
-    q.validate(g)
-    if isinstance(g, GenericGraph):
-        found = _oracle_paths(g, q.vertices(), cap)
-        if found is None:
-            return None
-        return P2CSolution(Path(tuple(found[0])), Path(tuple(found[1])))
-    found = _oracle_paths(g, tuple(w.bits for w in q.vertices()), cap)
+    found = _oracle_paths(g, q.validate(g), cap)
     if found is None:
         return None
+    if isinstance(g, GenericGraph):
+        return P2CSolution(Path(tuple(found[0])), Path(tuple(found[1])))
     return P2CSolution(mask_path(found[0], g.n), mask_path(found[1], g.n))
 
 
@@ -273,7 +256,7 @@ def _oracle_paths(g, quad, cap: int):
     if isinstance(g, GenericGraph):
         return _cover_search(g.adjacency, ((u, v), (x, y)))
     # A J(n,k) or QJ(n,A): search its memoized explicit copy on masks.
-    generic, masks = mask_generic(g.n, _levels(g))
+    generic, masks = mask_generic(g.n, tuple(g.levels))
     u, v, x, y = map(masks.index, quad)
     found = _cover_search(generic.adjacency, ((u, v), (x, y)))
     if found is None:

@@ -37,6 +37,7 @@ from johnson_p2c import (
     sweep,
 )
 from johnson_p2c.cli import run
+from johnson_p2c.covers import mask_keys
 from johnson_p2c.errors import (
     BadQuad,
     CoverError,
@@ -411,11 +412,37 @@ BAD_QUADS = [
 
 @pytest.mark.parametrize("g, quad, error", BAD_QUADS)
 def test_mask_entry_refuses_bad_quads_as_before(g, quad, error):
-    build = p2c_johnson if isinstance(g, JohnsonGraph) else p2c_qj
+    # The constructor and its mask entry refuse the quad with the same text,
+    # and so do EndpointQuad.validate and the oracle, as all share one
+    # validator.
+    if isinstance(g, JohnsonGraph):
+        build, entry = p2c_johnson, p2c_johnson_module.p2c_johnson_masks
+    else:
+        build, entry = p2c_qj, p2c_qj_module.p2c_qj_masks
     q = EndpointQuad(*(ElementSet.from_elements(e, n) for e, n in quad))
-    with pytest.raises(CoverError) as info:
-        build(g, q)
-    assert f"{type(info.value).__name__}: {info.value}" == error
+    refusers = [lambda: build(g, q), lambda: entry(g, mask_keys(q.vertices(), g.n))]
+    if error.startswith("BadQuad"):
+        refusers += [lambda: q.validate(g), lambda: p2c_bruteforce(g, q)]
+    for refuse in refusers:
+        with pytest.raises(CoverError) as info:
+            refuse()
+        assert f"{type(info.value).__name__}: {info.value}" == error
+
+
+def test_validate_returns_vertex_keys():
+    g = QJGraph(5, (2, 3))
+    q = EndpointQuad(*list(g.vertices())[3:7])
+    assert q.validate(g) == [w.bits for w in q.vertices()]
+    fig, _ = fig1_counterexample()
+    assert EndpointQuad(0, 1, 2, 3).validate(fig) == (0, 1, 2, 3)
+    # A vertex of another type is named as the object, on either kind of graph.
+    for host, first in ((g, 0), (fig, "a")):
+        with pytest.raises(BadQuad) as info:
+            EndpointQuad(0, 1, "a", 3).validate(host)
+        assert str(info.value) == f"{first} is not a vertex of the host graph"
+        with pytest.raises(BadQuad) as info:
+            EndpointQuad("a", 1, "a", 3).validate(host)
+        assert str(info.value) == "endpoints not pairwise distinct: ('a', 1, 'a', 3)"
 
 
 def test_absorb_apex_refuses_bad_quads():
