@@ -265,6 +265,21 @@ CLI_GOLDEN = [
      "db424ba475ee3b96eaec54f7fabc5fc1814ccf04c3c28e1d87fe470f271ca297"),
     (["hamilton", "--fixture", "fig1", "--s", "000", "--t", "111"],
      "aab0264743ea59b180b4bf690df9e17b62d40b08bf4c3d117a53066394ab186f"),
+    # The DOT form of a cover, and covers certified step by step with
+    # --debug-check; recorded while p2c still built and checked ElementSets.
+    (["p2c", "--graph", "johnson", "--n", "7", "--k", "3", "--format", "dot",
+      *_quad_flags([1, 2, 3], [5, 6, 7], [1, 2, 4], [3, 6, 7])],
+     "c344e2e27d1756891b6cb1380f2d5efa85dd856c582d3effb1c1479af110de31"),
+    (["p2c", "--graph", "qj", "--n", "5", "--levels", "1,2,5", "--format", "dot",
+      *_quad_flags([1], [1, 2], [2], [3, 4])],
+     "e47d3f06941cc8bf1e8a348e37f4801846a9bb3972e7149190562e728a39eb24"),
+    (["p2c", "--graph", "johnson", "--n", "10", "--k", "5", "--debug-check",
+      *_quad_flags([1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [1, 2, 3, 4, 6],
+                   [5, 7, 8, 9, 10])],
+     "6916676ae0af6b29a331c219592d07005d3838a3260742e02f470eb664a1b671"),
+    (["p2c", "--graph", "qj", "--n", "6", "--levels", "1,3,6", "--debug-check",
+      *_quad_flags([1], [1, 2, 3, 4, 5, 6], [2], [4, 5, 6])],
+     "8e09c2fdbf2b3054b0cc6735e35bb4e40e87b5e306635aae4be7e9eca0c0acc5"),
 ]
 
 
@@ -274,3 +289,42 @@ def test_cli_cover_output_is_byte_identical(argv, digest):
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+_J52 = ["--graph", "johnson", "--n", "5", "--k", "2"]
+_QJ6 = ["--graph", "qj", "--n", "6", "--levels", "1,3,6"]
+
+# (arguments, exit code, stderr) of endpoints the CLI refuses: a repeated
+# vertex and a vertex of a cardinality the graph lacks.  Recorded while p2c
+# and hamilton still validated ElementSets.
+CLI_REFUSALS = [
+    (["p2c", *_J52, *_quad_flags([1, 2], [1, 2], [1, 3], [2, 5])], 1,
+     "BadQuad: endpoints not pairwise distinct: ({1,2}, {1,2}, {1,3}, {2,5})\n"),
+    (["p2c", *_J52, *_quad_flags([1, 2], [1, 2, 3], [1, 3], [2, 5])], 1,
+     "BadQuad: {1,2,3} is not a vertex of the host graph\n"),
+    (["p2c", *_QJ6, *_quad_flags([1], [1], [2], [4, 5, 6])], 1,
+     "BadQuad: endpoints not pairwise distinct: ({1}, {1}, {2}, {4,5,6})\n"),
+    (["p2c", *_QJ6, *_quad_flags([1], [1, 2], [2], [4, 5, 6])], 1,
+     "BadQuad: {1,2} is not a vertex of the host graph\n"),
+    (["p2c", "--graph", "complete", "--n", "5", *_quad_flags([1], [1], [2], [3])], 1,
+     "BadQuad: endpoints not pairwise distinct: ({1}, {1}, {2}, {3})\n"),
+    (["p2c", "--graph", "complete", "--n", "5", *_quad_flags([1, 2], [1], [2], [3])], 1,
+     "BadQuad: {1,2} is not among the given vertices\n"),
+    (["hamilton", *_J52, "--s", "1,2", "--t", "1,2"], 1,
+     "EqualEndpoints: endpoints coincide: {1,2}\n"),
+    (["hamilton", *_J52, "--s", "1,2", "--t", "1,2,3"], 1,
+     "NotAVertex: {1,2} or {1,2,3} not a vertex of J(5,2)\n"),
+    (["hamilton", *_QJ6, "--s", "1", "--t", "1"], 1,
+     "EqualEndpoints: endpoints coincide: {1}\n"),
+    (["hamilton", *_QJ6, "--s", "1,2", "--t", "1"], 1,
+     "NotAVertex: {1,2} or {1} not a vertex of QJ(6,{1,3,6})\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", CLI_REFUSALS)
+def test_cli_refusal_is_byte_identical(argv, code, err):
+    out, errs = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+        assert run(argv) == code
+    assert out.getvalue() == ""
+    assert errs.getvalue() == err
