@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from functools import wraps
+from itertools import chain
 
 from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError
@@ -21,17 +22,18 @@ from .graphs import JohnsonGraph, QJGraph, fig1_counterexample, to_dot
 from .hamilton import (
     Path,
     hamilton_bruteforce,
-    hamilton_johnson,
-    hamilton_qj,
-    path_json_text,
+    hamilton_masks,
+    mask_path,
+    path_json_parts,
 )
-from .p2c_johnson import p2c_complete, p2c_johnson
-from .p2c_qj import p2c_qj
-from .subsets import ElementSet, vertex_json
+from .p2c_johnson import p2c_complete, p2c_johnson_masks
+from .p2c_qj import p2c_qj_masks
+from .subsets import ElementSet, mask_keys, vertex_json
 from .verify import (
     DEFAULT_ORACLE_CAP,
-    check_hamilton,
+    certify,
     check_p2c,
+    host_of,
     p2c_bruteforce,
     sweep,
 )
@@ -125,13 +127,11 @@ def _emit(obj):
     print(json.dumps(obj))
 
 
-def _solution_dot(g, sol):
+def _solution_dot(g, paths):
+    """DOT of g with the two paths of masks highlighted."""
+    uv, xy = (list(mask_path(p, g.n)) for p in paths)
     return to_dot(
-        g,
-        highlight={
-            "color=red, penwidth=2": list(sol.path_uv),
-            "color=blue, penwidth=2": list(sol.path_xy),
-        },
+        g, highlight={"color=red, penwidth=2": uv, "color=blue, penwidth=2": xy}
     )
 
 
@@ -163,23 +163,24 @@ def _cmd_hamilton(args):
     s = _parse_vertex(args.s, args)
     t = _parse_vertex(args.t, args)
     if args.fixture:
-        path = hamilton_bruteforce(g, s, t)
-        if path is None:
+        found = hamilton_bruteforce(g, s, t)
+        if found is None:
             _emit({"exists": False})
             return 1
-    elif isinstance(g, QJGraph):
-        path = hamilton_qj(g, s, t)
+        path = list(found)
+        parts = [json.dumps(path)]
     else:
-        path = hamilton_johnson(g, s, t)
+        s, t = mask_keys((s, t), g.n)
+        path = hamilton_masks(g, s, t)
+        parts = path_json_parts(path, g.n)
     args.phases.lap("build")
-    report = check_hamilton(g, path, s, t)
+    report = certify(host_of(g), [path], ((s, t),))
     args.phases.lap("check")
     if not report.valid:
         print(json.dumps(report.to_json()), file=sys.stderr)
         return 1
-    # The text of _emit({"path": path.to_json()}), written in parts: joining
-    # them would copy the whole path's text once more.
-    sys.stdout.writelines(['{"path": ', path_json_text(path), "}\n"])
+    # The text of _emit({"path": ...}), written part by part.
+    sys.stdout.writelines(chain(['{"path": '], parts, ["}\n"]))
     args.phases.lap("emit")
     return 0
 
@@ -192,24 +193,30 @@ def _cmd_p2c(args):
         )
     g = _build_graph(args)
     q = _parse_quad(args)
+    n = g.n
+    quad = mask_keys(q.vertices(), n)
     if args.graph == "complete":
-        sol = p2c_complete(list(g.vertices()), q)
+        paths = [mask_keys(p, n) for p in p2c_complete(list(g.vertices()), q)]
     elif isinstance(g, QJGraph):
-        sol = p2c_qj(g, q, debug=args.debug_check)
+        paths = p2c_qj_masks(g, quad, debug=args.debug_check)
     else:
-        sol = p2c_johnson(g, q, debug=args.debug_check)
+        paths = p2c_johnson_masks(g, quad, debug=args.debug_check)
     args.phases.lap("build")
-    report = check_p2c(g, q, sol)
+    u, v, x, y = quad
+    report = certify(host_of(g), paths, ((u, v), (x, y)))
     args.phases.lap("check")
     if not report.valid:
         print(json.dumps(report.to_json()), file=sys.stderr)
         return 1
     if args.format == "dot":
-        print(_solution_dot(g, sol))
+        print(_solution_dot(g, paths))
     else:
-        # The text of _emit(sol.to_json()), written in parts as above.
-        uv, xy = path_json_text(sol.path_uv), path_json_text(sol.path_xy)
-        sys.stdout.writelines(['{"path_uv": ', uv, ', "path_xy": ', xy, "}\n"])
+        # The text of _emit(sol.to_json()), written part by part so that the
+        # text of a whole path is never held at once.
+        uv, xy = (path_json_parts(p, n) for p in paths)
+        sys.stdout.writelines(
+            chain(['{"path_uv": '], uv, [', "path_xy": '], xy, ["}\n"])
+        )
     args.phases.lap("emit")
     return 0
 

@@ -4,21 +4,12 @@ Johnson or QJ graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadQuad
 from .graphs import GenericGraph
 from .hamilton import Path
-from .subsets import ElementSet, full_mask, mask_text
-
-
-def mask_keys(vertices, n: int) -> list:
-    """The masks of vertices that are ``ElementSet``s over [n].  Anything
-    else becomes a 1-tuple around itself: it is no mask, so no vertex
-    check accepts it, and it equals only the 1-tuple of an equal object."""
-    return [
-        v.bits if isinstance(v, ElementSet) and v.n == n else (v,) for v in vertices
-    ]
+from .subsets import foreign_key, key_text, mask_keys
 
 
 def not_distinct(texts) -> BadQuad:
@@ -31,20 +22,14 @@ def check_quad(quad, n: int, levels):
     graph on the subsets of [n] with cardinalities ``levels`` (J(n,k) has
     the one level k); else raise BadQuad, showing masks as ElementSets."""
     if len(set(quad)) != 4:
-        raise not_distinct(map(_text, quad))
-    outside = ~full_mask(n)
-    for w in quad:
-        if type(w) is tuple or w & outside or w.bit_count() not in levels:
-            raise BadQuad(f"{_text(w, str)} is not a vertex of the host graph")
+        raise not_distinct([key_text(w, repr) for w in quad])
+    w = foreign_key(quad, n, levels)
+    if w is not None:
+        raise BadQuad(f"{key_text(w)} is not a vertex of the host graph")
     return quad
 
 
-def _text(w, show=repr) -> str:
-    return show(w[0]) if type(w) is tuple else mask_text(w)
-
-
-@dataclass(frozen=True)
-class EndpointQuad:
+class EndpointQuad(NamedTuple):
     """Four pairwise-distinct vertices paired as (u,v) and (x,y)."""
 
     u: object
@@ -53,7 +38,7 @@ class EndpointQuad:
     y: object
 
     def vertices(self) -> tuple:
-        return (self.u, self.v, self.x, self.y)
+        return tuple(self)
 
     def validate(self, g):
         """Raise BadQuad unless the quad is four distinct vertices of g; return
@@ -70,8 +55,7 @@ class EndpointQuad:
         return vs
 
 
-@dataclass(frozen=True)
-class P2CSolution:
+class P2CSolution(NamedTuple):
     """Two vertex-disjoint paths covering the host graph, one per endpoint pair."""
 
     path_uv: Path

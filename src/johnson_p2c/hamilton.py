@@ -12,18 +12,19 @@ pairs, is the P2C oracle.
 
 The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
 half of the split with its embedding into J(n,k), the identity on X and
-setting bit n on Y, so each mirrored X/Y case is written once.  The public
-``hamilton_johnson`` and ``hamilton_qj`` unwrap their ``ElementSet``
-endpoints and wrap the finished path.
+setting bit n on Y, so each mirrored X/Y case is written once.
+``hamilton_masks`` takes and returns masks; the public ``hamilton_johnson``
+and ``hamilton_qj`` unwrap their ``ElementSet`` endpoints for it and wrap
+the finished path.  ``path_json_parts`` writes a path of masks as JSON
+text without wrapping it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CoverError, EqualEndpoints, NotAVertex, SpliceEdgeNotFound
 from .graphs import MEMO_SIZE, GenericGraph, JohnsonGraph, QJGraph, mask_generic
@@ -31,8 +32,11 @@ from .subsets import (
     ElementSet,
     cross_masks,
     full_mask,
+    foreign_key,
     k_masks,
+    key_text,
     mask_elements,
+    mask_keys,
     up_masks,
     vertex_json,
 )
@@ -42,11 +46,30 @@ from .subsets import (
 BRUTE_FORCE_LIMIT = 12
 
 
-@dataclass(frozen=True)
 class Path:
     """An ordered sequence of pairwise-distinct, consecutively adjacent vertices."""
 
-    vertices: tuple
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple):
+        _set_vertices(self, vertices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Path is immutable")
+
+    def __reduce__(self):
+        return Path, (self.vertices,)
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash((self.vertices,))
+
+    def __repr__(self) -> str:
+        return f"Path(vertices={self.vertices!r})"
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -61,6 +84,10 @@ class Path:
         return [vertex_json(v) for v in self.vertices]
 
 
+# The slot's own setter, which skips the immutability guard above.
+_set_vertices = Path.vertices.__set__
+
+
 def mask_path(masks, n: int) -> Path:
     """Wrap a path of masks over [n] as a Path of ElementSets."""
     # tuple() of a list allocates the tuple at its final size, reusing freed
@@ -69,31 +96,43 @@ def mask_path(masks, n: int) -> Path:
     return Path(tuple([*map(ElementSet, masks, repeat(n))]))
 
 
-def path_json_text(path: Path) -> str:
-    """``json.dumps(path.to_json())``, written straight from the vertex masks.
+# Vertices per part of ``path_json_parts``: the text of a whole path is never
+# held at once.
+EMIT_SLICE = 4096
 
-    Each 8-element chunk of [n] has a table from byte values to the chunk's
-    elements as JSON text, each followed by ", "; a vertex's text joins its
-    chunks' entries and drops the last separator.  An int vertex is its
-    own text.
+
+def path_json_parts(masks: list[int], n: int) -> Iterator[str]:
+    """``json.dumps([mask_elements(m) for m in masks])`` for masks over [n],
+    in parts of at most ``EMIT_SLICE`` vertices each.
+
+    [n] is cut into chunks of consecutive elements: two halves for n <= 20,
+    8 elements each beyond.  Each chunk has a table from its bit patterns to
+    its elements as JSON text, each followed by ", "; a vertex's text joins
+    its chunks' entries and drops the last separator.
     """
-    vs = path.vertices
-    if not vs or not isinstance(vs[0], ElementSet):
-        return "[" + ", ".join(map(str, vs)) + "]"
-    n = vs[0].n
-    bits = [v.bits for v in vs]
-    columns = []
-    for lo in range(1, n + 1, 8):
-        table = _chunk_table(lo, n)
-        columns.append([table[b >> lo & 255] for b in bits])
-    return "[[" + "], [".join([t[:-2] for t in map("".join, zip(*columns))]) + "]]"
+    if not masks:
+        yield "[]"
+        return
+    width = (n + 1) // 2 if n <= 20 else 8
+    chunks = [
+        (lo, (1 << width) - 1, _chunk_table(lo, min(lo + width, n + 1)))
+        for lo in range(1, n + 1, width)
+    ]
+    opening = "[["
+    for i in range(0, len(masks), EMIT_SLICE):
+        part = masks[i : i + EMIT_SLICE]
+        columns = [[table[b >> lo & m] for b in part] for lo, m, table in chunks]
+        texts = [t[:-2] for t in map("".join, zip(*columns))]
+        yield opening + "], [".join(texts)
+        opening = "], ["
+    yield "]]"
 
 
-def _chunk_table(lo: int, n: int) -> list[str]:
-    """Entry b: the elements lo + i of [n] with bit i set in b, each as
-    "e, ", in ascending order."""
+def _chunk_table(lo: int, hi: int) -> list[str]:
+    """Entry b: the elements lo + i < hi with bit i set in b, each as "e, ",
+    in ascending order."""
     table = [""]
-    for e in range(lo, min(lo + 8, n + 1)):
+    for e in range(lo, hi):
         # The entries with bit e - lo set are those without it, plus e.
         table += [text + f"{e}, " for text in table]
     return table
@@ -215,19 +254,25 @@ def hamilton_complete(vertices, s, t) -> Path:
 
 
 def hamilton_johnson(g: JohnsonGraph, s: ElementSet, t: ElementSet) -> Path:
-    return _hamilton(g, (g.k,), s, t)
+    return _hamilton(g, s, t)
 
 
 def hamilton_qj(g: QJGraph, s: ElementSet, t: ElementSet) -> Path:
-    return _hamilton(g, g.levels, s, t)
+    return _hamilton(g, s, t)
 
 
-def _hamilton(g, levels: tuple, s: ElementSet, t: ElementSet) -> Path:
+def _hamilton(g, s: ElementSet, t: ElementSet) -> Path:
+    return mask_path(hamilton_masks(g, *mask_keys((s, t), g.n)), g.n)
+
+
+def hamilton_masks(g, s, t) -> list[int]:
+    """Hamilton path of J(n,k) or QJ(n,A) between two vertex keys of
+    ``mask_keys``, as a new list of masks."""
     if s == t:
-        raise EqualEndpoints(f"endpoints coincide: {s}")
-    if not (g.has_vertex(s) and g.has_vertex(t)):
-        raise NotAVertex(f"{s} or {t} not a vertex of {g}")
-    return mask_path(_ham(g.n, levels, s.bits, t.bits), g.n)
+        raise EqualEndpoints(f"endpoints coincide: {key_text(s)}")
+    if foreign_key((s, t), g.n, g.levels) is not None:
+        raise NotAVertex(f"{key_text(s)} or {key_text(t)} not a vertex of {g}")
+    return _ham(g.n, g.levels, s, t)
 
 
 def _ham(n: int, levels: tuple, s: int, t: int) -> list[int]:
@@ -274,9 +319,11 @@ class _Side(NamedTuple):
         return (v | bit for v in k_masks(self.n - 1, self.k))
 
     def path(self, s: int, t: int) -> list[int]:
-        """Hamilton path of the side between two of its vertices."""
-        keep = ~self.bit
-        return self.embed(_ham(self.n - 1, (self.k,), s & keep, t & keep))
+        """Hamilton path of the side between two of its vertices, as a new
+        list embedded straight from the memo's tuple."""
+        bit = self.bit
+        h = _ham_path(self.n - 1, (self.k,), s & ~bit, t & ~bit)
+        return [v | bit for v in h] if bit else list(h)
 
 
 def _sides(n: int, k: int) -> tuple[_Side, _Side]:

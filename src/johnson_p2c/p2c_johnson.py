@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from math import comb
 
-from .covers import EndpointQuad, P2CSolution, check_quad, mask_keys, not_distinct
+from .covers import EndpointQuad, P2CSolution, check_quad, not_distinct
 from .errors import (
     BadQuad,
     InvariantViolated,
@@ -38,7 +38,7 @@ from .hamilton import (
     _sides,
     _swappable,
 )
-from .subsets import ElementSet, full_mask, k_masks
+from .subsets import ElementSet, full_mask, k_masks, mask_keys
 from .verify import certify, host_of, p2c_bruteforce
 
 

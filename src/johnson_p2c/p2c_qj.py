@@ -19,7 +19,7 @@ end at the quad's own objects.
 
 from __future__ import annotations
 
-from .covers import EndpointQuad, P2CSolution, check_quad, mask_keys
+from .covers import EndpointQuad, P2CSolution, check_quad
 from .errors import (
     LemmaPreconditionViolated,
     OutOfTheoremRange,
@@ -35,7 +35,7 @@ from .p2c_johnson import (
     _solve as _solve_johnson,
     _wrap_cover,
 )
-from .subsets import cross_masks, full_mask, k_masks
+from .subsets import cross_masks, full_mask, k_masks, mask_keys
 
 
 # ---------------------------------------------------------------------------

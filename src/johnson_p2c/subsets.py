@@ -9,7 +9,8 @@ The constructors, and the graphs' neighbor lists, work on these bare int
 bitmasks (``full_mask``, ``k_masks``, ``same_level_masks``, ``up_masks``,
 ``down_masks``, ``cross_masks``).  ``ElementSet`` wraps a mask together
 with its ground-set size and is the vertex type of the public API: entry
-points unwrap their endpoints once and wrap finished paths once.
+points unwrap their endpoints once (``mask_keys``) and wrap finished paths
+once.
 """
 
 from __future__ import annotations
@@ -104,6 +105,31 @@ class ElementSet:
 # The slots' own setters, which skip the immutability guard above.
 _set_bits = ElementSet.bits.__set__
 _set_n = ElementSet.n.__set__
+
+
+def mask_keys(vertices, n: int) -> list:
+    """The masks of vertices that are ``ElementSet``s over [n].  Anything
+    else becomes a 1-tuple around itself: it is no mask, so no vertex
+    check accepts it, and it equals only the 1-tuple of an equal object."""
+    return [
+        v.bits if isinstance(v, ElementSet) and v.n == n else (v,) for v in vertices
+    ]
+
+
+def foreign_key(keys, n: int, levels):
+    """The first of the vertex keys of ``mask_keys`` that is no mask of a
+    subset of [n] with a cardinality in ``levels``; None if all are."""
+    outside = ~full_mask(n)
+    for w in keys:
+        if type(w) is tuple or w & outside or w.bit_count() not in levels:
+            return w
+    return None
+
+
+def key_text(w, show=str) -> str:
+    """A vertex key of ``mask_keys`` as text: a mask as its set text, a
+    1-tuple as ``show`` of the object it holds."""
+    return show(w[0]) if type(w) is tuple else mask_text(w)
 
 
 def vertex_json(v):

@@ -25,22 +25,36 @@ quadruples of vertex keys and certifies each result on the core, so no
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
-from .covers import EndpointQuad, P2CSolution, mask_keys
+from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
 from .graphs import GenericGraph, mask_generic
 from .hamilton import Path, _cover_search, mask_path
-from .subsets import k_masks, mask_elements, mask_text
+from .subsets import k_masks, key_text, mask_elements, mask_keys
 
 DEFAULT_ORACLE_CAP = 20
 DEFAULT_SWEEP_BUDGET = 2_000_000
 
 
-@dataclass
 class CheckReport:
-    violations: list = field(default_factory=list)
+    """The violations found by a check, as (code, detail) pairs."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self, violations=None):
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if other.__class__ is not CheckReport:
+            return NotImplemented
+        return self.violations == other.violations
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CheckReport(violations={self.violations!r})"
 
     @property
     def valid(self) -> bool:
@@ -106,8 +120,7 @@ class _Masks:
             return False
         return True
 
-    def show(self, v) -> str:
-        return str(v[0]) if type(v) is tuple else mask_text(v)
+    show = staticmethod(key_text)
 
     def json(self, v):
         return mask_elements(v)
@@ -268,8 +281,7 @@ def _oracle_paths(g, quad, cap: int):
 # Sweeps.
 
 
-@dataclass
-class SweepSummary:
+class SweepSummary(NamedTuple):
     graph: dict
     mode: dict
     total: int
@@ -279,15 +291,7 @@ class SweepSummary:
     failures: list
 
     def to_json(self) -> dict:
-        return {
-            "graph": self.graph,
-            "mode": self.mode,
-            "total": self.total,
-            "valid": self.valid,
-            "invalid": self.invalid,
-            "errors": self.errors,
-            "failures": self.failures,
-        }
+        return self._asdict()
 
 
 def _constructor_fn(name: str, oracle_cap: int, host):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import johnson_p2c
+from johnson_p2c import ElementSet
 from johnson_p2c.cli import run
 
 
@@ -336,6 +337,39 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         sol = json.loads(proc.stdout)
         assert sol["path_uv"][0] == [1, 2] and sol["path_xy"][-1] == [2, 4]
+
+
+class TestColdPath:
+    def test_p2c_wraps_only_the_quad(self, capsys, monkeypatch):
+        # The cover is built, certified and written on masks: the only
+        # ElementSets are the four parsed endpoints.
+        init = ElementSet.__init__
+        made = []
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ElementSet, "__init__", counted)
+        code, out, _ = invoke(
+            capsys,
+            "p2c", "--graph", "johnson", "--n", "10", "--k", "5",
+            "--u", "1,2,3,4,5", "--v", "6,7,8,9,10",
+            "--x", "1,2,3,4,6", "--y", "5,7,8,9,10",
+        )
+        assert code == 0
+        assert sum(map(len, json.loads(out).values())) == 252
+        assert len(made) <= 4
+
+    def test_import_leaves_out_dataclasses(self):
+        src = os.path.dirname(os.path.dirname(johnson_p2c.__file__))
+        code = "import sys, johnson_p2c.cli; print('dataclasses' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, cwd=src, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestGenAndFixture:

@@ -23,7 +23,7 @@ from johnson_p2c import (
     p2c_qj,
 )
 from johnson_p2c.cli import run
-from johnson_p2c.hamilton import Path, path_json_text
+from johnson_p2c.hamilton import EMIT_SLICE, Path, path_json_parts
 
 
 def _cli_stdout(argv) -> str:
@@ -31,6 +31,11 @@ def _cli_stdout(argv) -> str:
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
     return out.getvalue()
+
+
+def _text(path, n) -> str:
+    """The emitter's text of a path of ElementSets over [n]."""
+    return "".join(path_json_parts([v.bits for v in path], n))
 
 
 def _vertex_flag(w) -> str:
@@ -44,9 +49,9 @@ def _p2c_argv(graph_flags, q):
     return argv
 
 
-def _assert_cover_text(graph_flags, q, sol):
+def _assert_cover_text(graph_flags, q, sol, n):
     for path in (sol.path_uv, sol.path_xy):
-        assert path_json_text(path) == json.dumps(path.to_json())
+        assert _text(path, n) == json.dumps(path.to_json())
     assert _cli_stdout(_p2c_argv(graph_flags, q)) == json.dumps(sol.to_json()) + "\n"
 
 
@@ -61,7 +66,7 @@ def test_sampled_johnson_covers(n, k):
     flags = ["--graph", "johnson", "--n", str(n), "--k", str(k)]
     for _ in range(3):
         q = EndpointQuad(*rng.sample(verts, 4))
-        _assert_cover_text(flags, q, p2c_johnson(g, q))
+        _assert_cover_text(flags, q, p2c_johnson(g, q), n)
 
 
 QJ = [
@@ -86,14 +91,15 @@ def test_sampled_qj_covers(n, levels):
         quads.append([apex, *rng.sample(verts[:-1], 3)])
     for quad in quads:
         q = EndpointQuad(*quad)
-        _assert_cover_text(flags, q, p2c_qj(g, q))
+        _assert_cover_text(flags, q, p2c_qj(g, q), n)
 
 
 @pytest.mark.parametrize("n", [4, 9, 17])
 def test_complete_covers(n):
     verts = list(JohnsonGraph(n, 1).vertices())
     q = EndpointQuad(verts[0], verts[-1], verts[1], verts[2])
-    _assert_cover_text(["--graph", "complete", "--n", str(n)], q, p2c_complete(verts, q))
+    flags = ["--graph", "complete", "--n", str(n)]
+    _assert_cover_text(flags, q, p2c_complete(verts, q), n)
 
 
 @pytest.mark.parametrize("k", [1, 69])
@@ -103,32 +109,44 @@ def test_johnson_paths_beyond_64_elements(k):
     verts = list(g.vertices())
     s, t = verts[0], verts[-1]
     path = hamilton_johnson(g, s, t)
-    assert path_json_text(path) == json.dumps(path.to_json())
+    assert _text(path, 70) == json.dumps(path.to_json())
     argv = ["hamilton", "--graph", "johnson", "--n", "70", "--k", str(k),
             "--s", _vertex_flag(s), "--t", _vertex_flag(t)]
     assert _cli_stdout(argv) == json.dumps({"path": path.to_json()}) + "\n"
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 13, 16, 23, 64, 65, 70])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 13, 16, 20, 21, 23, 64, 65, 70])
 def test_arbitrary_subsets(n):
-    # Every chunk boundary, the empty set and [n] itself; the text does not
-    # depend on the vertices being adjacent.
+    # Every chunk boundary of both table layouts (two halves up to n = 20,
+    # 8-element chunks beyond), the empty set and [n] itself; the text does
+    # not depend on the vertices being adjacent.
     rng = random.Random(n)
     full = ((1 << n) - 1) << 1
     masks = [0, full, *(rng.getrandbits(n) << 1 for _ in range(200))]
     masks += [1 << e for e in range(1, n + 1)]
     path = Path(tuple(ElementSet(m, n) for m in masks))
-    assert path_json_text(path) == json.dumps(path.to_json())
+    assert _text(path, n) == json.dumps(path.to_json())
+    empty_set = Path((ElementSet(0, n),))
+    assert _text(empty_set, n) == json.dumps(empty_set.to_json()) == "[[]]"
 
 
 def test_empty_path():
-    assert path_json_text(Path(())) == "[]"
+    assert _text(Path(()), 5) == "[]"
+
+
+@pytest.mark.parametrize("length", [EMIT_SLICE - 1, EMIT_SLICE, 2 * EMIT_SLICE + 1])
+def test_parts_across_slices(length):
+    rng = random.Random(length)
+    masks = [rng.getrandbits(18) << 1 for _ in range(length)]
+    parts = list(path_json_parts(masks, 18))
+    assert len(parts) == -(-length // EMIT_SLICE) + 1
+    path = Path(tuple(ElementSet(m, 18) for m in masks))
+    assert "".join(parts) == json.dumps(path.to_json())
 
 
 def test_fig1_int_paths():
     g, _ = fig1_counterexample()
     for s, t in permutations(range(8), 2):
         path = hamilton_bruteforce(g, s, t)
-        assert path_json_text(path) == json.dumps(path.to_json())
         argv = ["hamilton", "--fixture", "fig1", "--s", f"{s:03b}", "--t", f"{t:03b}"]
         assert _cli_stdout(argv) == json.dumps({"path": path.to_json()}) + "\n"
