@@ -211,8 +211,8 @@ def _cmd_p2c(args):
     if args.format == "dot":
         print(_solution_dot(g, paths))
     else:
-        # The text of _emit(sol.to_json()), written part by part so that the
-        # text of a whole path is never held at once.
+        # The text of _emit() of the cover's to_json(), written part by part
+        # so that the text of a whole path is never held at once.
         uv, xy = (path_json_parts(p, n) for p in paths)
         sys.stdout.writelines(
             chain(['{"path_uv": '], uv, [', "path_xy": '], xy, ["}\n"])

@@ -11,9 +11,9 @@ again, in order, to find the vertex or step to name; a violation's text
 is formatted only then.  A vertex that is not one of the graph's kind (an
 ``ElementSet`` over another ground set, an object of another type)
 becomes a 1-tuple around itself: it fails membership and compares equal
-to what it equalled before.  The constructors' debug check and ``sweep``
-hand their mask lists to the core directly.  The core shares no code with
-the constructors.
+to what it equalled before.  The constructors' debug check, ``sweep`` and
+the CLI's ``p2c`` and ``hamilton`` hand their mask lists to the core
+directly.  The core shares no code with the constructors.
 
 ``p2c_bruteforce`` is the exact oracle: a backtracking search that either
 produces a checkable cover or proves none exists.  ``sweep`` runs a

@@ -123,3 +123,17 @@ def test_sweep_summary():
     with pytest.raises(TypeError):
         hash(summary)
     _roundtrip(summary)
+
+
+def test_named_tuples_are_tuples():
+    # EndpointQuad, P2CSolution and SweepSummary are NamedTuples: they equal
+    # the plain tuples of their fields and unpack like them.
+    q = _quad()
+    u, v, x, y = q
+    assert q == (u, v, x, y) and hash(q) == hash((u, v, x, y))
+    sol = _solution()
+    assert sol == tuple(sol) and list(sol) == [sol.path_uv, sol.path_xy]
+    summary = _summary()
+    assert summary == tuple(summary.to_json().values())
+    with pytest.raises(AttributeError):
+        summary.total = 0
