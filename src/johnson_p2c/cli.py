@@ -26,11 +26,11 @@ from .hamilton import (
     mask_path,
     path_json_parts,
 )
-from .p2c_johnson import p2c_complete, p2c_johnson_masks
-from .p2c_qj import p2c_qj_masks
+from .p2c_johnson import p2c_complete
 from .subsets import ElementSet, mask_keys, vertex_json
 from .verify import (
     DEFAULT_ORACLE_CAP,
+    builder_of,
     certify,
     check_p2c,
     host_of,
@@ -197,10 +197,8 @@ def _cmd_p2c(args):
     quad = mask_keys(q.vertices(), n)
     if args.graph == "complete":
         paths = [mask_keys(p, n) for p in p2c_complete(list(g.vertices()), q)]
-    elif isinstance(g, QJGraph):
-        paths = p2c_qj_masks(g, quad, debug=args.debug_check)
     else:
-        paths = p2c_johnson_masks(g, quad, debug=args.debug_check)
+        paths = builder_of(g)(g, quad, debug=args.debug_check)
     args.phases.lap("build")
     u, v, x, y = quad
     report = certify(host_of(g), paths, ((u, v), (x, y)))
@@ -268,24 +266,16 @@ def _cmd_oracle(args):
 
 def _cmd_sweep(args):
     g = _build_graph(args)
-    # argparse has checked the mode; sweep's own ValueError would read as an
-    # internal error.
+    # argparse has checked the mode; sweep's own ValueError, for the count or
+    # a constructor that cannot run on the graph, would read as an internal
+    # error.
     if args.mode == "sampled" and args.count <= 0:
         raise UsageError(f"sampled sweep needs a positive count, got {args.count}")
-    constructor = args.constructor
-    if constructor is None:
-        if args.fixture:
-            constructor = "oracle"
-        elif isinstance(g, QJGraph):
-            constructor = "qj"
-        elif args.graph == "complete":
-            constructor = "complete"
-        else:
-            constructor = "johnson"
+    _parses(builder_of)(g, args.constructor)
     summary = sweep(
         g,
         mode=args.mode,
-        constructor=constructor,
+        constructor=args.constructor,
         seed=args.seed,
         count=args.count,
         oracle_cap=args.oracle_cap,

@@ -32,99 +32,16 @@ from .subsets import (
 MEMO_SIZE = 1 << 14
 
 
-class JohnsonGraph:
-    """The Johnson graph J(n,k) on all k-subsets of [n]."""
-
-    __slots__ = ("n", "k")
-
-    def __init__(self, n: int, k: int):
-        if not 0 <= k <= n:
-            raise ValueError(f"k={k} outside [0, {n}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JohnsonGraph is immutable")
-
-    def __reduce__(self):
-        return JohnsonGraph, (self.n, self.k)
-
-    @property
-    def levels(self) -> tuple:
-        """The one vertex cardinality, ``(k,)``, as ``QJGraph.levels``."""
-        return (self.k,)
-
-    @property
-    def vertex_count(self) -> int:
-        return comb(self.n, self.k)
-
-    def vertices(self) -> Iterator[ElementSet]:
-        return k_subsets(self.n, self.k)
-
-    def has_vertex(self, s: ElementSet) -> bool:
-        return s.n == self.n and s.bits.bit_count() == self.k
-
-    def adjacent(self, a: ElementSet, b: ElementSet) -> bool:
-        k = self.k
-        return (
-            a.bits.bit_count() == k == b.bits.bit_count()
-            and (a.bits ^ b.bits).bit_count() == 2
-        )
-
-    def neighbors(self, s: ElementSet) -> list[ElementSet]:
-        if not self.has_vertex(s):
-            raise NotAVertex(f"{s} is not a vertex of {self}")
-        return [ElementSet(b, self.n) for b in same_level_masks(s.bits, self.n)]
-
-    def key(self):
-        return ("johnson", self.n, self.k)
-
-    def descriptor(self) -> dict:
-        return {"kind": "johnson", "n": self.n, "k": self.k}
-
-    def __repr__(self) -> str:
-        return f"J({self.n},{self.k})"
-
-
-class LevelSpec(tuple):
-    """A strictly increasing tuple of level cardinalities a_1 < ... < a_m."""
-
-    __slots__ = ()
-
-    def __new__(cls, levels):
-        levels = tuple(levels)
-        if not levels:
-            raise ValueError("level set must be non-empty")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError(f"levels {levels} not strictly increasing")
-        if levels[0] < 1:
-            raise ValueError(f"level {levels[0]} below 1")
-        return super().__new__(cls, levels)
-
-
-class QJGraph:
-    """The stacked Johnson graph QJ(n,A).
-
-    A vertex's level is determined by its cardinality, which must be a
-    member of A.  Edges are Johnson edges inside a level plus containment
-    edges between consecutive levels.
-    """
+class _LevelGraph:
+    """The subsets of [n] whose cardinalities are the ``levels``, with
+    Johnson edges inside a level and containment edges between consecutive
+    levels.  J(n,k) is the one-level graph QJ(n,{k}), so both kinds share
+    this one body and differ only in how they are built and named."""
 
     __slots__ = ("n", "levels")
 
-    def __init__(self, n: int, levels):
-        if not isinstance(levels, LevelSpec):
-            levels = LevelSpec(levels)
-        if levels[-1] > n:
-            raise ValueError(f"level {levels[-1]} exceeds ground set size {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", levels)
-
     def __setattr__(self, name, value):
-        raise AttributeError("QJGraph is immutable")
-
-    def __reduce__(self):
-        return QJGraph, (self.n, self.levels)
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def vertex_count(self) -> int:
@@ -165,6 +82,71 @@ class QJGraph:
             out += down_masks(bits, levels[i - 1])
         out.sort()
         return [ElementSet(b, n) for b in out]
+
+
+class JohnsonGraph(_LevelGraph):
+    """The Johnson graph J(n,k) on all k-subsets of [n], the one level
+    ``levels == (k,)``.  It admits k = 0, which no ``LevelSpec`` does, so it
+    is no ``QJGraph``."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, n: int, k: int):
+        if not 0 <= k <= n:
+            raise ValueError(f"k={k} outside [0, {n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "levels", (k,))
+
+    def __reduce__(self):
+        return JohnsonGraph, (self.n, self.k)
+
+    def key(self):
+        return ("johnson", self.n, self.k)
+
+    def descriptor(self) -> dict:
+        return {"kind": "johnson", "n": self.n, "k": self.k}
+
+    def __repr__(self) -> str:
+        return f"J({self.n},{self.k})"
+
+
+class LevelSpec(tuple):
+    """A strictly increasing tuple of level cardinalities a_1 < ... < a_m."""
+
+    __slots__ = ()
+
+    def __new__(cls, levels):
+        levels = tuple(levels)
+        if not levels:
+            raise ValueError("level set must be non-empty")
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"levels {levels} not strictly increasing")
+        if levels[0] < 1:
+            raise ValueError(f"level {levels[0]} below 1")
+        return super().__new__(cls, levels)
+
+
+class QJGraph(_LevelGraph):
+    """The stacked Johnson graph QJ(n,A).
+
+    A vertex's level is determined by its cardinality, which must be a
+    member of A.  Edges are Johnson edges inside a level plus containment
+    edges between consecutive levels.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, levels):
+        if not isinstance(levels, LevelSpec):
+            levels = LevelSpec(levels)
+        if levels[-1] > n:
+            raise ValueError(f"level {levels[-1]} exceeds ground set size {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "levels", levels)
+
+    def __reduce__(self):
+        return QJGraph, (self.n, self.levels)
 
     def key(self):
         return ("qj", self.n, self.levels)

@@ -96,40 +96,27 @@ def _locate_level_edge(paths, card, forbidden=()):
     )
 
 
-def _splice_between(paths, c, d, detour):
-    """Insert `detour` (running from a neighbor of c to a neighbor of d)
-    between c and the vertex d after it, wherever that edge now sits."""
-    for p in paths:
-        for i in range(len(p) - 1):
-            if p[i] == c and p[i + 1] == d:
-                p[i + 1 : i + 1] = detour
-                return
-    raise SpliceEdgeNotFound(f"edge {c:#x} -- {d:#x} vanished during expansion")
-
-
 def ep2c_expand(paths, n, A, lo, hi):
-    """Expand a local cover of levels A[lo..hi] to all of QJ(n,A), on masks."""
-    m = len(A)
-    if lo == 0 and hi == m - 1:
-        return [list(paths[0]), list(paths[1])]
+    """Expand a local cover of levels A[lo..hi] to all of QJ(n,A), on masks:
+    a Hamilton path of the levels below detours through the first edge on
+    level A[lo], one of the levels above through the first edge on level
+    A[hi] apart from that one."""
     paths = [list(paths[0]), list(paths[1])]
-
-    down_edge = up_edge = None
+    splices = []
+    down_edge = ()
     if lo > 0:
         pi, t = _locate_level_edge(paths, A[lo])
-        down_edge = (paths[pi][t], paths[pi][t + 1])
-    if hi < m - 1:
-        pi, t = _locate_level_edge(paths, A[hi], down_edge or ())
-        up_edge = (paths[pi][t], paths[pi][t + 1])
-
-    if down_edge is not None:
-        a, b = down_edge
-        ap, bp = pick_two_avoiding(n, A[lo], A[lo - 1], a, b, frozenset())
-        _splice_between(paths, a, b, _ham(n, A[:lo], ap, bp))
-    if up_edge is not None:
-        c, d = up_edge
-        cp, dp = pick_two_avoiding(n, A[hi], A[hi + 1], c, d, frozenset())
-        _splice_between(paths, c, d, _ham(n, A[hi + 1 :], cp, dp))
+        down_edge = paths[pi][t : t + 2]
+        splices.append((t, pi, A[lo], A[lo - 1], A[:lo]))
+    if hi < len(A) - 1:
+        pi, t = _locate_level_edge(paths, A[hi], down_edge)
+        splices.append((t, pi, A[hi], A[hi + 1], A[hi + 1 :]))
+    # The later index first: the two edges are disjoint, so the earlier one
+    # keeps its index.
+    for t, pi, card, card_to, others in sorted(splices, reverse=True):
+        p = paths[pi]
+        ap, bp = pick_two_avoiding(n, card, card_to, p[t], p[t + 1], frozenset())
+        p[t + 1 : t + 1] = _ham(n, others, ap, bp)
     return paths
 
 

@@ -153,6 +153,9 @@ class Relabeling:
     def __setattr__(self, name, value):
         raise AttributeError("Relabeling is immutable")
 
+    def __reduce__(self):
+        return Relabeling, (self.perm,)
+
     @property
     def n(self) -> int:
         return len(self.perm)
@@ -178,7 +181,9 @@ class Relabeling:
 
 
 def apply_relabeling(r: Relabeling, s: ElementSet) -> ElementSet:
-    """Pointwise image of s under the permutation r."""
+    """Pointwise image of s under the permutation r, both over [n]."""
+    if r.n != s.n:
+        raise ValueError(f"a relabeling of [{r.n}] applied to a subset of [{s.n}]")
     bits = 0
     b = s.bits
     e = 1

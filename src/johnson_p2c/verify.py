@@ -17,20 +17,23 @@ directly.  The core shares no code with the constructors.
 
 ``p2c_bruteforce`` is the exact oracle: a backtracking search that either
 produces a checkable cover or proves none exists.  ``sweep`` runs a
-constructor's mask-level entry over every (or a sampled set of) endpoint
-quadruples of vertex keys and certifies each result on the core, so no
-``ElementSet`` is built per cover vertex.
+constructor's mask-level entry, which ``builder_of`` picks for the graph,
+over every (or a sampled set of) endpoint quadruples of vertex keys and
+certifies each result on the core, so no ``ElementSet`` is built per cover
+vertex.
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import permutations
+from math import perm
 from typing import NamedTuple
 
 from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
-from .graphs import GenericGraph, mask_generic
+from .graphs import GenericGraph, JohnsonGraph, mask_generic
 from .hamilton import Path, _cover_search, mask_path
 from .subsets import k_masks, key_text, mask_elements, mask_keys
 
@@ -294,33 +297,43 @@ class SweepSummary(NamedTuple):
         return self._asdict()
 
 
-def _constructor_fn(name: str, oracle_cap: int, host):
-    """The constructor ``name`` on vertex keys: (g, quad) to the two paths'
-    keys, or None where the oracle proves there is no cover."""
+def builder_of(g, name: str | None = None, oracle_cap: int = DEFAULT_ORACLE_CAP):
+    """The constructor ``name`` of g on vertex keys: (g, quad) to the two
+    paths' keys, or None where the oracle proves there is no cover.
+
+    ``None`` names the graph's own: johnson for J(n,k), qj for QJ(n,A),
+    oracle for an explicit graph.  A name that cannot run on g (johnson on
+    any other graph, qj on an explicit one) raises ValueError.  This is the
+    one place that tells the graph kinds apart to pick a builder."""
     # Local imports keep verify free of a static dependency on the builders.
     from .p2c_johnson import p2c_complete, p2c_johnson_masks
     from .p2c_qj import p2c_qj_masks
 
+    explicit = isinstance(g, GenericGraph)
+    if name is None:
+        name = "oracle" if explicit else "johnson" if isinstance(g, JohnsonGraph) else "qj"
+    if name == "johnson" and not isinstance(g, JohnsonGraph) or name == "qj" and explicit:
+        kind = g.descriptor()["kind"]
+        raise ValueError(f"constructor {name!r} cannot run on a {kind} graph")
     if name == "johnson":
         return p2c_johnson_masks
     if name == "qj":
         return p2c_qj_masks
     if name == "complete":
-        verts = host.vertices()
-
-        def complete(g, quad):
-            sol = p2c_complete(verts, EndpointQuad(*quad))
-            return list(sol.path_uv), list(sol.path_xy)
-
-        return complete
+        return partial(_complete_paths, p2c_complete, host_of(g).vertices())
     if name == "oracle":
         return partial(_oracle_paths, cap=oracle_cap)
     raise ValueError(f"unknown constructor {name!r}")
 
 
-def _run_quads(g, quads, constructor: str, oracle_cap: int):
+def _complete_paths(p2c_complete, verts, g, quad):
+    """The complete-graph cover of the vertex keys ``verts``, as two lists."""
+    sol = p2c_complete(verts, EndpointQuad(*quad))
+    return list(sol.path_uv), list(sol.path_xy)
+
+
+def _run_quads(g, quads, build):
     host = host_of(g)
-    build = _constructor_fn(constructor, oracle_cap, host)
     total = valid = invalid = errors = 0
     failures = []
     for quad in quads:
@@ -349,7 +362,7 @@ def _run_quads(g, quads, constructor: str, oracle_cap: int):
 def sweep(
     g,
     mode: str = "exhaustive",
-    constructor: str = "johnson",
+    constructor: str | None = None,
     seed: int = 0,
     count: int = 1000,
     budget: int = DEFAULT_SWEEP_BUDGET,
@@ -357,21 +370,24 @@ def sweep(
     jobs: int = 1,
 ) -> SweepSummary:
     """Run a constructor over endpoint quadruples and certify every result.
-    A graph with fewer than 4 vertices has no quadruple and raises
+    The constructor defaults to the graph's own (``builder_of``); one that
+    cannot run on the graph raises ValueError before any quad runs.  A graph
+    with fewer than 4 vertices has no quadruple and raises
     ``TooFewVertices`` rather than report an empty success.
 
     The quads are drawn from the graph's vertex keys (masks, or indices of
     an explicit graph) listed in ``vertices()`` order, and the constructor
     and the checker run on those keys."""
+    build = builder_of(g, constructor, oracle_cap)
     verts = host_of(g).vertices()
     nv = len(verts)
     if nv < 4:
         raise TooFewVertices(f"need at least 4 vertices to sweep, got {nv}")
     if mode == "exhaustive":
-        n_quads = nv * (nv - 1) * (nv - 2) * (nv - 3)
+        n_quads = perm(nv, 4)
         if n_quads > budget:
             raise SweepBudget(f"{n_quads} quads exceeds budget {budget}")
-        quads = _ordered_quads(verts)
+        quads = permutations(verts, 4)
         mode_json = {"kind": "exhaustive"}
     elif mode == "sampled":
         if count <= 0:
@@ -383,9 +399,9 @@ def sweep(
         raise ValueError(f"unknown sweep mode {mode!r}")
 
     if jobs > 1:
-        results = _sweep_parallel(g, quads, constructor, oracle_cap, jobs)
+        results = _sweep_parallel(g, quads, build, jobs)
     else:
-        results = [_run_quads(g, quads, constructor, oracle_cap)]
+        results = [_run_quads(g, quads, build)]
 
     total = sum(r[0] for r in results)
     valid = sum(r[1] for r in results)
@@ -404,26 +420,12 @@ def sweep(
     )
 
 
-def _ordered_quads(verts):
-    for u in verts:
-        for v in verts:
-            if v == u:
-                continue
-            for x in verts:
-                if x == u or x == v:
-                    continue
-                for y in verts:
-                    if y == u or y == v or y == x:
-                        continue
-                    yield (u, v, x, y)
-
-
-def _sweep_parallel(g, quads, constructor, oracle_cap, jobs):
+def _sweep_parallel(g, quads, build, jobs):
     from concurrent.futures import ProcessPoolExecutor
 
     quads = list(quads)
     chunk = max(1, (len(quads) + jobs - 1) // jobs)
     batches = [quads[i : i + chunk] for i in range(0, len(quads), chunk)]
-    run = partial(_run_quads, g, constructor=constructor, oracle_cap=oracle_cap)
+    run = partial(_run_quads, g, build=build)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run, batches))

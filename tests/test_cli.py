@@ -308,6 +308,34 @@ class TestSweepCommand:
         assert out == "" and "usage error" in err
 
 
+    # Exit code of each pairing of a graph with --constructor (none given
+    # first): 1 where the covers fail the checker (complete on a graph that
+    # is not complete) or the oracle proves some quad uncoverable (fig1),
+    # 2 where the constructor cannot run on the graph.
+    @pytest.mark.parametrize(
+        "graph, codes",
+        [
+            (["--graph", "johnson", "--n", "4", "--k", "2"], [0, 0, 0, 1, 0]),
+            (["--graph", "qj", "--n", "5", "--levels", "1,2"], [0, 2, 0, 1, 0]),
+            (["--graph", "complete", "--n", "5"], [0, 0, 0, 0, 0]),
+            (["--fixture", "fig1"], [1, 2, 2, 1, 1]),
+        ],
+        ids=["johnson", "qj", "complete", "fig1"],
+    )
+    def test_every_constructor_pairing_exits_cleanly(self, capsys, graph, codes):
+        names = [None, "johnson", "qj", "complete", "oracle"]
+        for name, want in zip(names, codes):
+            flags = [] if name is None else ["--constructor", name]
+            code, out, err = invoke(
+                capsys, "sweep", *graph, *flags, "--mode", "sampled", "--count", "40"
+            )
+            assert code == want, (name, err)
+            if want == 2:
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith(f"usage error: constructor '{name}' cannot run")
+            else:
+                assert err == "" and json.loads(out)["total"] == 40
+
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_too_few_vertices_fails(self, capsys, mode):
         code, out, err = invoke(

@@ -222,7 +222,7 @@ def _quad_flags(*endpoints):
     return flags
 
 
-# (p2c or hamilton arguments, sha256 of the command's stdout).
+# (p2c, hamilton or sweep arguments, sha256 of the command's stdout).
 CLI_GOLDEN = [
     (["p2c", "--graph", "johnson", "--n", "10", "--k", "5",
       *_quad_flags([1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [1, 2, 3, 4, 6],
@@ -280,6 +280,33 @@ CLI_GOLDEN = [
     (["p2c", "--graph", "qj", "--n", "6", "--levels", "1,3,6", "--debug-check",
       *_quad_flags([1], [1, 2, 3, 4, 5, 6], [2], [4, 5, 6])],
      "8e09c2fdbf2b3054b0cc6735e35bb4e40e87b5e306635aae4be7e9eca0c0acc5"),
+    # Sweeps of complete graphs, recorded while they ran the complete-graph
+    # constructor rather than the Johnson one, whose k = 1 case it is.
+    (["sweep", "--graph", "complete", "--n", "4"],
+     "32ca6629760e72878a041d35a728f5416219ea0f9de65fcbe6fc12b86899e031"),
+    (["sweep", "--graph", "complete", "--n", "4", "--mode", "sampled",
+      "--count", "200", "--seed", "5"],
+     "25f85b420dec563dcd68a2b31e6a249650ef9965220f160ccf8210f1121fca5b"),
+    (["sweep", "--graph", "complete", "--n", "5"],
+     "0ec29e11e09b7cc0c5e7e457f560ed6a51bcc4495887638cb8ef81deaa4accb3"),
+    (["sweep", "--graph", "complete", "--n", "5", "--mode", "sampled",
+      "--count", "200", "--seed", "5"],
+     "a5a10448591589d069f66986274c473f59925253534b299cfc8e543f37c448eb"),
+    (["sweep", "--graph", "complete", "--n", "6"],
+     "4e1f220bdadfc5847e1b7fb1c5bd46540e987df1271ada4496311af54387283b"),
+    (["sweep", "--graph", "complete", "--n", "6", "--mode", "sampled",
+      "--count", "200", "--seed", "5"],
+     "cf934c4b0394c60cd2646427c0779ca06f76d5c5bb5c6ec3db025d9fcadc3503"),
+    (["sweep", "--graph", "complete", "--n", "7"],
+     "fe089133f6e98f8bdceb710615ec1b34e0de00a92f88558d986e4179e5498300"),
+    (["sweep", "--graph", "complete", "--n", "7", "--mode", "sampled",
+      "--count", "200", "--seed", "5"],
+     "1a0f5f0ce05a98409112cb4d3e08f9bc79bbeb0040c9e0e3623f4fdcb5f20e5e"),
+    (["sweep", "--graph", "complete", "--n", "8"],
+     "946acc2035a04f913953d45d15e3cb34cae3f6ea48e10573265a0a38531c020f"),
+    (["sweep", "--graph", "complete", "--n", "8", "--mode", "sampled",
+      "--count", "200", "--seed", "5"],
+     "d1a0a26a4e7b52976a0b801ffbf365f240404eb2e31b8915641665744dc39855"),
 ]
 
 

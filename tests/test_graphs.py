@@ -53,6 +53,39 @@ class TestJohnsonGraph:
         assert g.adjacent(es([1, 2], 4), es([1, 3], 4))
 
 
+class TestOneLevel:
+    """J(n,k) is the one-level graph QJ(n,{k})."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_johnson_agrees_with_one_level_qj(self, n):
+        subsets = [ElementSet(b << 1, n) for b in range(1 << n)]
+        for k in range(1, n):
+            j, q = JohnsonGraph(n, k), QJGraph(n, (k,))
+            assert j.vertex_count == q.vertex_count
+            assert list(j.vertices()) == list(q.vertices())
+            for a in subsets:
+                assert j.has_vertex(a) == q.has_vertex(a)
+                assert [j.adjacent(a, b) for b in subsets] == [
+                    q.adjacent(a, b) for b in subsets
+                ]
+            for v in j.vertices():
+                assert j.neighbors(v) == q.neighbors(v)
+
+    def test_levels_is_stored_once(self):
+        g = JohnsonGraph(6, 3)
+        assert g.levels == (3,) and g.levels is g.levels
+        with pytest.raises(AttributeError):
+            g.levels = (2,)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_empty_and_full_levels_still_build(self, k):
+        g = JohnsonGraph(4, k)
+        (v,) = g.vertices()
+        assert g.vertex_count == 1 and v.cardinality() == k
+        assert g.has_vertex(v) and g.neighbors(v) == []
+        assert not isinstance(g, QJGraph)
+
+
 class TestLevelSpec:
     def test_must_increase(self):
         with pytest.raises(ValueError):

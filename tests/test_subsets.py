@@ -166,6 +166,15 @@ class TestRelabeling:
         with pytest.raises(ValueError):
             Relabeling([1, 1, 3])
 
+    @pytest.mark.parametrize("r, s", [
+        (Relabeling.identity(3), es([4, 5], 5)),
+        (Relabeling.identity(5), es([1, 2], 3)),
+    ])
+    def test_ground_sets_must_match(self, r, s):
+        # Once an IndexError, once a silent success.
+        with pytest.raises(ValueError, match="relabeling of"):
+            apply_relabeling(r, s)
+
     @given(st.data())
     def test_inverse_roundtrip(self, data):
         n = data.draw(st.integers(2, 10))

@@ -12,6 +12,7 @@ from johnson_p2c import (
     JohnsonGraph,
     P2CSolution,
     Path,
+    Relabeling,
     SweepSummary,
     sweep,
 )
@@ -137,3 +138,12 @@ def test_named_tuples_are_tuples():
     assert summary == tuple(summary.to_json().values())
     with pytest.raises(AttributeError):
         summary.total = 0
+
+
+def test_relabeling():
+    r = Relabeling.swap(1, 3, 4)
+    copy = pickle.loads(pickle.dumps(r))
+    assert type(copy) is Relabeling and copy.perm == r.perm == (3, 2, 1, 4)
+    assert copy(1) == 3 and copy.inverse().perm == r.perm
+    with pytest.raises(AttributeError):
+        copy.perm = ()

@@ -284,6 +284,45 @@ class TestSweep:
         parallel = sweep(graph, jobs=2, **kwargs)
         assert serial.to_json() == parallel.to_json()
 
+    @pytest.mark.parametrize(
+        "graph, own",
+        [
+            (JohnsonGraph(5, 2), "johnson"),
+            (QJGraph(5, (1, 2)), "qj"),
+            (fig1_counterexample()[0], "oracle"),
+        ],
+        ids=["johnson", "qj", "fig1"],
+    )
+    def test_default_constructor_is_the_graphs_own(self, graph, own):
+        summary = sweep(graph, mode="sampled", count=300, seed=2)
+        assert summary == sweep(graph, mode="sampled", count=300, seed=2, constructor=own)
+        assert summary.total == 300 and summary.errors == 0
+        if own == "oracle":
+            # fig1 is the graph with quads no cover joins.
+            assert summary.invalid > 0
+            assert {f["error"] for f in summary.failures} == {"NoSolution"}
+        else:
+            assert summary.valid == 300
+
+    @pytest.mark.parametrize(
+        "graph, name, kind",
+        [
+            (QJGraph(5, (1, 2)), "johnson", "qj"),
+            (QJGraph(5, (2,)), "johnson", "qj"),
+            (fig1_counterexample()[0], "johnson", "generic"),
+            (fig1_counterexample()[0], "qj", "generic"),
+        ],
+    )
+    def test_constructor_that_cannot_run_is_refused(self, graph, name, kind):
+        # Refused before any quad runs: ahead even of the budget check.
+        message = f"constructor '{name}' cannot run on a {kind} graph"
+        with pytest.raises(ValueError, match=message):
+            sweep(graph, constructor=name, budget=0)
+
+    def test_qj_constructor_runs_on_johnson(self):
+        summary = sweep(JohnsonGraph(5, 2), constructor="qj")
+        assert summary.total == summary.valid == 5040
+
     def test_sampled_needs_positive_count(self):
         g = JohnsonGraph(5, 2)
         for count in (0, -3):
