@@ -3,14 +3,16 @@
 Subcommands: gen, hamilton, p2c, verify, oracle, sweep, fixture.  All
 output is UTF-8 JSON (or DOT with --format dot) on stdout; diagnostics go
 to stderr.  Exit codes: 0 success, 1 validation failure, absent oracle
-solution or internal error, 2 usage error.  A ValueError is the user's
-mistake only while input is parsed; anywhere else it is an internal error.
+solution, internal error or a stdout closed by its reader, 2 usage error.
+A ValueError is the user's mistake only while input is parsed; anywhere
+else it is an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import wraps
@@ -271,7 +273,7 @@ def _cmd_sweep(args):
     # error.
     if args.mode == "sampled" and args.count <= 0:
         raise UsageError(f"sampled sweep needs a positive count, got {args.count}")
-    _parses(builder_of)(g, args.constructor)
+    _parses(builder_of)(g, args.constructor, args.oracle_cap)
     summary = sweep(
         g,
         mode=args.mode,
@@ -385,7 +387,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): end quietly, with
+        # stdout on devnull so that the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -361,6 +361,7 @@ def _ham_johnson_build(n, k, s, t):
         h = sides[i].path(s, t)
         a, b = h[0], h[1]
         ap = _across(a, n)[0]
+        # b has k >= 2 (X) or n-k >= 2 (Y) neighbors across, so one is not ap.
         bp = next(w for w in _across(b, n) if w != ap)
         return [h[0], *sides[1 - i].path(ap, bp), *h[1:]]
 
@@ -369,6 +370,8 @@ def _ham_johnson_build(n, k, s, t):
 
     # s in X, t in Y: end the X-path at an auxiliary vertex bridging into Y.
     x_side, y_side = sides
+    # X is J(n-1,k) with n >= 6 and k >= 2 (10+ vertices), and a has k >= 2
+    # neighbors in Y: neither scan runs dry.
     a = next(v for v in x_side.vertices() if v != s)
     ap = next(w for w in _across(a, n) if w != t)
     return x_side.path(s, a) + y_side.path(ap, t)
@@ -391,6 +394,8 @@ def _ham_qj_build(n, levels, s, t):
         if top == n:
             detour = [full_mask(n)]
         else:
+            # Levels are >= 1 and the top is below n here, so a vertex has
+            # at least 2 neighbors on the adjacent level: one is not ap.
             ap = cross_masks(h[i], n, other[-1])[0]
             bp = next(w for w in cross_masks(h[i + 1], n, other[-1]) if w != ap)
             detour = _ham(n, other, ap, bp)
@@ -400,6 +405,8 @@ def _ham_qj_build(n, levels, s, t):
         return list(reversed(_ham_qj_build(n, levels, t, s)))
 
     # s below, t in the top level: bridge through a cross edge.
+    # A level 1 <= l < n holds n >= 2 vertices, and below a top level under
+    # n a vertex has at least 2 up-neighbors: neither scan runs dry.
     a = next(v for v in k_masks(n, levels[-2]) if v != s)
     if top == n:
         return _ham(n, lower, s, a) + [t]

@@ -13,10 +13,16 @@ sets bit n on Y; complementation is an XOR with the full mask.
 ``p2c_johnson_masks`` takes the quad as masks, validates it and returns
 the two paths as mask lists; ``p2c_johnson`` unwraps the ``ElementSet``
 endpoints once and wraps the finished paths once.
+
+Every subproblem, here and in ``p2c_qj``, ends in ``_finish``, which
+orients its two paths and, while an entry point called with ``debug=True``
+runs, certifies them: the mask entries set one context variable for the
+length of the call, so no solver function passes a flag on.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from functools import lru_cache
 from itertools import islice, repeat
 from math import comb
@@ -73,10 +79,25 @@ def p2c_johnson(g: JohnsonGraph, q: EndpointQuad, debug: bool = False) -> P2CSol
 
 def p2c_johnson_masks(g: JohnsonGraph, quad, debug: bool = False):
     """``p2c_johnson`` on masks: the quad (u, v, x, y) as four masks in, the
-    masks of the u-to-v and x-to-y paths out, as two lists."""
+    masks of the u-to-v and x-to-y paths out, as two lists.  With ``debug``,
+    every intermediate cover is certified too."""
     if g.n < 4 or not 1 <= g.k <= g.n - 1:
         raise OutOfTheoremRange(f"{g} outside n >= 4, 1 <= k <= n-1")
-    return _solve(g.n, g.k, *check_quad(quad, g.n, g.levels), debug)
+    return _with_debug(debug, _solve, g.n, g.k, *check_quad(quad, g.n, g.levels))
+
+
+# Whether the construction under way certifies every intermediate cover.  The
+# mask entries set it for the length of one call; only ``_finish`` reads it.
+_certifying = ContextVar("certifying", default=False)
+
+
+def _with_debug(on, solve, *args):
+    """``solve(*args)`` with intermediate covers certified iff ``on``."""
+    token = _certifying.set(on)
+    try:
+        return solve(*args)
+    finally:
+        _certifying.reset(token)
 
 
 def _wrap_cover(q: EndpointQuad, paths, n: int) -> P2CSolution:
@@ -94,14 +115,18 @@ def _end_path(first, masks, last, n) -> Path:
     return Path(tuple([first, *inner, last]))
 
 
-def _debug_check(n, levels, quad, p1, p2):
-    """Certify an intermediate cover of J(n,k) (one level) or QJ(n,levels)
-    given on masks; raises InvariantViolated naming the violations."""
-    g = JohnsonGraph(n, levels[0]) if len(levels) == 1 else QJGraph(n, levels)
+def _finish(n, levels, quad, p1, p2):
+    """The two paths of a cover of J(n,k) (one level) or QJ(n,levels) on
+    masks, oriented as (u-to-v, x-to-y).  While intermediate covers are
+    being certified, raises InvariantViolated naming the violations."""
     u, v, x, y = quad
-    report = certify(host_of(g), (p1, p2), ((u, v), (x, y)))
-    if not report.valid:
-        raise InvariantViolated(f"invalid cover of {g}: {report.violations}")
+    p1, p2 = _orient(p1, p2, u, v, x, y)
+    if _certifying.get():
+        g = JohnsonGraph(n, levels[0]) if len(levels) == 1 else QJGraph(n, levels)
+        report = certify(host_of(g), (p1, p2), ((u, v), (x, y)))
+        if not report.valid:
+            raise InvariantViolated(f"invalid cover of {g}: {report.violations}")
+    return p1, p2
 
 
 def _orient(p1, p2, u, v, x, y):
@@ -137,16 +162,13 @@ def _oracle_cover(n, k, u, v, x, y):
     )
 
 
-def _solve(n, k, u, v, x, y, debug=False):
+def _solve(n, k, u, v, x, y):
     """Oriented (u-to-v, x-to-y) cover of J(n,k) on masks; assumes a valid quad."""
-    p1, p2 = _dispatch(n, k, u, v, x, y, debug)
-    p1, p2 = _orient(p1, p2, u, v, x, y)
-    if debug:
-        _debug_check(n, (k,), (u, v, x, y), p1, p2)
-    return p1, p2
+    p1, p2 = _dispatch(n, k, u, v, x, y)
+    return _finish(n, (k,), (u, v, x, y), p1, p2)
 
 
-def _dispatch(n, k, u, v, x, y, debug):
+def _dispatch(n, k, u, v, x, y):
     if k == 1 or k == n - 1:
         sol = p2c_complete(k_masks(n, k), EndpointQuad(u, v, x, y))
         return list(sol.path_uv), list(sol.path_xy)
@@ -154,7 +176,7 @@ def _dispatch(n, k, u, v, x, y, debug):
         return _solve_small(n, k, u, v, x, y)
     if 2 * k > n:
         full = full_mask(n)
-        p1, p2 = _solve(n, n - k, full ^ u, full ^ v, full ^ x, full ^ y, debug)
+        p1, p2 = _solve(n, n - k, full ^ u, full ^ v, full ^ x, full ^ y)
         return [full ^ w for w in p1], [full ^ w for w in p2]
 
     quad = (u, v, x, y)
@@ -163,29 +185,29 @@ def _dispatch(n, k, u, v, x, y, debug):
     sides = _sides(n, k)
     if cnt in (0, 4):
         side = cnt // 4
-        return _case_all_on_one_side(n, k, sides[side], sides[1 - side], quad, debug)
+        return _case_all_on_one_side(n, k, sides[side], sides[1 - side], quad)
     if cnt in (1, 3):
         # One endpoint apart from the other three: in Y if cnt is 1, else in X.
         lone = quad[in_y.index(cnt == 1)]
         side = cnt // 3
-        return _case_one_apart(n, sides[side], sides[1 - side], quad, lone, debug)
-    return _case_two_in_y(n, k, quad, in_y, sides, debug)
+        return _case_one_apart(n, sides[side], sides[1 - side], quad, lone)
+    return _case_two_in_y(n, k, quad, in_y, sides)
 
 
-def _solve_on(side, quad, debug):
+def _solve_on(side, quad):
     """Oriented cover of one side of the split, on masks of J(n,k)."""
     keep = ~side.bit
-    p1, p2 = _solve(side.n - 1, side.k, *(w & keep for w in quad), debug)
+    p1, p2 = _solve(side.n - 1, side.k, *(w & keep for w in quad))
     return side.embed(p1), side.embed(p2)
 
 
-def _case_all_on_one_side(n, k, side, other, quad, debug):
+def _case_all_on_one_side(n, k, side, other, quad):
     # Cover the side, then detour through the other side at the first edge
     # of the u-v path, whose ends trade a common element for n: adjacent
     # vertices share k-1 >= 1 elements on X and both lack n-k-1 >= 1 of
     # [n-1] on Y, as k >= 2 and n >= 2k here.
     nbit = 1 << n
-    paths = _solve_on(side, quad, debug)
+    paths = _solve_on(side, quad)
     p = paths[0]
     a, b = p[0], p[1]
     common = _swappable(a, n) & _swappable(b, n)
@@ -200,19 +222,22 @@ def _pairing(u, v, x, y):
     return {u: v, v: u, x: y, y: x}
 
 
-def _case_one_apart(n, side, other, quad, lone, debug):
+def _case_one_apart(n, side, other, quad, lone):
     # Three endpoints on this side: cover it from a bridge vertex a, its first
     # vertex that is no endpoint, in place of the lone endpoint, which
     # reaches a through the other side.
     partner = _pairing(*quad)[lone]
     q1, q2 = [z for z in quad if z not in (lone, partner)]
+    # With n >= 6 and k >= 2 each side has 5+ vertices, 3 of them endpoints,
+    # and a has k >= 2 (X) or n-k >= 2 (Y) neighbors across: neither scan
+    # runs dry.
     a = next(z for z in side.vertices() if z not in quad)
-    s1, s2 = _solve_on(side, (a, partner, q1, q2), debug)
+    s1, s2 = _solve_on(side, (a, partner, q1, q2))
     b = next(z for z in _across(a, n) if z != lone)
     return other.path(lone, b) + s1, s2
 
 
-def _case_two_in_y(n, k, quad, in_y, sides, debug):
+def _case_two_in_y(n, k, quad, in_y, sides):
     odd = next(
         (e for e in range(1, n + 1) if sum(w >> e & 1 for w in quad) != 2), None
     )
@@ -224,7 +249,7 @@ def _case_two_in_y(n, k, quad, in_y, sides, debug):
         def relabel(ws):
             return [w ^ swap if (w >> odd ^ w >> n) & 1 else w for w in ws]
 
-        p1, p2 = _solve(n, k, *relabel(quad), debug)
+        p1, p2 = _solve(n, k, *relabel(quad))
         return relabel(p1), relabel(p2)
 
     if n != 2 * k:
@@ -241,8 +266,8 @@ def _case_two_in_y(n, k, quad, in_y, sides, debug):
     w2, p2_ = (x, y) if in_y[2] else (y, x)
     x_side, y_side = sides
     a, ap, b, bp = _pick_bridges(y_side, w1, w2, p1_, p2_)
-    solx1, solx2 = _solve_on(x_side, (p1_, ap, p2_, bp), debug)
-    soly1, soly2 = _solve_on(y_side, (a, w1, b, w2), debug)
+    solx1, solx2 = _solve_on(x_side, (p1_, ap, p2_, bp))
+    soly1, soly2 = _solve_on(y_side, (a, w1, b, w2))
     # solx1 runs p1_ -> ap; soly1 runs a -> w1; joined via the edge ap-a.
     return solx1 + soly1, solx2 + soly2
 

@@ -29,10 +29,10 @@ from .errors import (
 from .graphs import QJGraph
 from .hamilton import _find_level_edge, _ham
 from .p2c_johnson import (
-    _debug_check,
-    _orient,
+    _finish,
     _pairing,
     _solve as _solve_johnson,
+    _with_debug,
     _wrap_cover,
 )
 from .subsets import cross_masks, full_mask, k_masks, mask_keys
@@ -132,32 +132,31 @@ def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution
 def absorb_apex_masks(g: QJGraph, quad, debug: bool = False):
     """``absorb_apex`` on masks, for a quad already known to be valid: the
     masks of the oriented (u-to-v, x-to-y) paths, as two lists."""
-    n = g.n
-    A = g.levels
-    if n not in A:
+    if g.n not in g.levels:
         raise LemmaPreconditionViolated(f"{g} has no apex level")
-    sub_levels = tuple(a for a in A if a != n)
-    if not sub_levels:
+    if len(g.levels) == 1:
         raise OutOfTheoremRange("QJ(n,{n}) is a single vertex")
+    return _with_debug(debug, _absorb_apex, g.n, g.levels, *quad)
+
+
+def _absorb_apex(n, A, u, v, x, y):
+    """Oriented (u-to-v, x-to-y) cover of QJ(n,A) on masks; A ends in n."""
+    sub_levels = A[:-1]
     apex = full_mask(n)
     top = sub_levels[-1]
-    u, v, x, y = quad
+    quad = (u, v, x, y)
 
     if apex not in quad:
-        p1, p2 = _solve_qj(n, sub_levels, u, v, x, y, debug)
+        p1, p2 = _solve_qj(n, sub_levels, u, v, x, y)
         pi, t = _locate_level_edge([p1, p2], top)
         (p1, p2)[pi].insert(t + 1, apex)
     else:
         partner = _pairing(u, v, x, y)[apex]
         others = [w for w in quad if w not in (apex, partner)]
-        cp = next(
-            w for w in k_masks(n, top) if w not in (partner, others[0], others[1])
-        )
-        p1, p2 = _solve_qj(n, sub_levels, cp, partner, others[0], others[1], debug)
-        p1, p2 = _orient([apex] + p1, p2, u, v, x, y)
-    if debug:
-        _debug_check(n, A, quad, p1, p2)
-    return p1, p2
+        cp = _first_vertex(n, top, (partner, *others))
+        p1, p2 = _solve_qj(n, sub_levels, cp, partner, others[0], others[1])
+        p1 = [apex] + p1
+    return _finish(n, A, quad, p1, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +171,8 @@ def p2c_qj(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
 
 def p2c_qj_masks(g: QJGraph, quad, debug: bool = False):
     """``p2c_qj`` on masks: the quad (u, v, x, y) as four masks in, the masks
-    of the u-to-v and x-to-y paths out, as two lists."""
+    of the u-to-v and x-to-y paths out, as two lists.  With ``debug``, every
+    intermediate cover is certified too."""
     if g.n < 4:
         raise OutOfTheoremRange(f"{g} has n < 4")
     if g.vertex_count < 4:
@@ -180,42 +180,39 @@ def p2c_qj_masks(g: QJGraph, quad, debug: bool = False):
     check_quad(quad, g.n, g.levels)
     if g.n in g.levels:
         return absorb_apex_masks(g, quad, debug)
-    return _solve_qj(g.n, g.levels, *quad, debug)
+    return _with_debug(debug, _solve_qj, g.n, g.levels, *quad)
 
 
-def _solve_qj(n, A, u, v, x, y, debug=False):
+def _solve_qj(n, A, u, v, x, y):
     """Oriented (u-to-v, x-to-y) cover of QJ(n,A) on masks; A excludes n."""
     if len(A) == 1:
-        return _solve_johnson(n, A[0], u, v, x, y, debug)
+        return _solve_johnson(n, A[0], u, v, x, y)
     levels = [A.index(w.bit_count()) for w in (u, v, x, y)]
     lo, hi = min(levels), max(levels)
-    local = _local_p2c(n, A, levels, u, v, x, y, debug)
+    local = _local_p2c(n, A, levels, u, v, x, y)
     p1, p2 = ep2c_expand(local, n, A, lo, hi)
-    p1, p2 = _orient(p1, p2, u, v, x, y)
-    if debug:
-        _debug_check(n, A, (u, v, x, y), p1, p2)
-    return p1, p2
+    return _finish(n, A, (u, v, x, y), p1, p2)
 
 
-def _flip_solve(n, A, lo, hi, u, v, x, y, debug):
+def _flip_solve(n, A, lo, hi, u, v, x, y):
     """Solve on the complement-flipped level range and map the cover back."""
     flipped = tuple(n - a for a in reversed(A[lo : hi + 1]))
     full = full_mask(n)
-    p1, p2 = _solve_qj(n, flipped, full ^ u, full ^ v, full ^ x, full ^ y, debug)
+    p1, p2 = _solve_qj(n, flipped, full ^ u, full ^ v, full ^ x, full ^ y)
     return [full ^ w for w in p1], [full ^ w for w in p2]
 
 
-def _local_p2c(n, A, levels, u, v, x, y, debug):
+def _local_p2c(n, A, levels, u, v, x, y):
     """Cover of QJ(n, A[lo..hi]) where lo..hi is the endpoint level range."""
     lo, hi = min(levels), max(levels)
     distinct = sorted(set(levels))
     if len(distinct) == 1:
-        return _solve_johnson(n, A[lo], u, v, x, y, debug)
+        return _solve_johnson(n, A[lo], u, v, x, y)
     if len(distinct) == 2:
-        return _local_two_levels(n, A, levels, u, v, x, y, debug)
+        return _local_two_levels(n, A, levels, u, v, x, y)
     if len(distinct) == 3:
-        return _local_three_levels(n, A, levels, u, v, x, y, debug)
-    return _local_four_levels(n, A, levels, u, v, x, y, debug)
+        return _local_three_levels(n, A, levels, u, v, x, y)
+    return _local_four_levels(n, A, levels, u, v, x, y)
 
 
 def _first_vertex(n, card, excluded):
@@ -225,12 +222,12 @@ def _first_vertex(n, card, excluded):
     raise SelectionExhausted(f"level {card} exhausted avoiding {excluded}")
 
 
-def _local_two_levels(n, A, levels, u, v, x, y, debug):
+def _local_two_levels(n, A, levels, u, v, x, y):
     i, j = min(levels), max(levels)
     low_count = sum(1 for li in levels if li == i)
 
     if low_count in (1, 3):
-        return _local_trio(n, A, levels, u, v, x, y, debug)
+        return _local_trio(n, A, levels, u, v, x, y)
     if levels[0] == levels[1]:
         # Aligned: each pair occupies a single level.  The lower pair rides a
         # Hamilton path of the lower stack, the upper pair one of the top level.
@@ -238,10 +235,10 @@ def _local_two_levels(n, A, levels, u, v, x, y, debug):
         p_low = _ham(n, A[i:j], low_pair[0], low_pair[1])
         p_high = _ham(n, (A[j],), high_pair[0], high_pair[1])
         return [p_low, p_high]
-    return _local_interleaved(n, A, i, j, u, v, x, y, debug)
+    return _local_interleaved(n, A, i, j, u, v, x, y)
 
 
-def _local_interleaved(n, A, i, j, u, v, x, y, debug):
+def _local_interleaved(n, A, i, j, u, v, x, y):
     """One endpoint of each pair per level; u,x low and v,y high after
     normalization."""
     if u.bit_count() == A[j]:
@@ -254,23 +251,24 @@ def _local_interleaved(n, A, i, j, u, v, x, y, debug):
         t = _find_level_edge(p1, A[j - 1])
         a, b = p1[t], p1[t + 1]
         ap, bp = pick_two_avoiding(n, A[j - 1], A[j], a, b, {v, y})
-        s1, s2 = _solve_johnson(n, A[j], ap, v, bp, y, debug)
+        s1, s2 = _solve_johnson(n, A[j], ap, v, bp, y)
         return [p1[: t + 1] + s1, list(reversed(p1[t + 1 :])) + s2]
 
     p2 = _ham(n, (A[j],), v, y)
     c, d = p2[0], p2[1]
     cp, dp = pick_two_avoiding(n, A[j], A[j - 1], c, d, {u, x})
-    s1, s2 = _solve_qj(n, A[i:j], cp, u, dp, x, debug)
+    s1, s2 = _solve_qj(n, A[i:j], cp, u, dp, x)
     return [
         list(reversed(s1)) + [c],
         list(reversed(s2)) + p2[1:],
     ]
 
 
-def _local_trio(n, A, levels, u, v, x, y, debug):
+def _local_trio(n, A, levels, u, v, x, y):
     """Three endpoints on one level, the fourth on the other."""
     endpoints = (u, v, x, y)
     counts = {li: sum(1 for lw in levels if lw == li) for li in set(levels)}
+    # Two levels hold the four endpoints, one of them and three of them.
     lone_level = next(li for li, c in counts.items() if c == 1)
     trio_level = next(li for li, c in counts.items() if c == 3)
     lone = endpoints[levels.index(lone_level)]
@@ -286,12 +284,12 @@ def _local_trio(n, A, levels, u, v, x, y, debug):
         ap = pick_one_avoiding(n, A[trio_level], A[trio_level - 1], a, {lone})
         bridge = _ham(n, A[lone_level:trio_level], ap, lone)
     s1, s2 = _solve_johnson(
-        n, A[trio_level], other_pair[0], other_pair[1], partner, a, debug
+        n, A[trio_level], other_pair[0], other_pair[1], partner, a
     )
     return [s1, s2 + bridge]
 
 
-def _local_three_levels(n, A, levels, u, v, x, y, debug):
+def _local_three_levels(n, A, levels, u, v, x, y):
     endpoints = (u, v, x, y)
     distinct = sorted(set(levels))
     i, j, l = distinct
@@ -299,7 +297,7 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
     if counts[l] == 2:
         # Mirror through complementation so the doubled level is lowest.
         lo, hi = i, l
-        p1, p2 = _flip_solve(n, A, lo, hi, u, v, x, y, debug)
+        p1, p2 = _flip_solve(n, A, lo, hi, u, v, x, y)
         return [p1, p2]
     pairing = _pairing(u, v, x, y)
     if counts[i] == 2:
@@ -319,7 +317,7 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
         xx = pairing[e_top]
         a = _first_vertex(n, A[j], {e_mid})
         ap = pick_one_avoiding(n, A[j], A[j + 1], a, {e_top})
-        s1, s2 = _solve_qj(n, A[i : j + 1], uu, e_mid, xx, a, debug)
+        s1, s2 = _solve_qj(n, A[i : j + 1], uu, e_mid, xx, a)
         bridge = _ham(n, A[j + 1 : l + 1], ap, e_top)
         return [s1, s2 + bridge]
 
@@ -334,7 +332,7 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
         b = _first_vertex(n, A[j], set(doubled) | {a})
         ap = pick_one_avoiding(n, A[j], A[j - 1], a, {e_low})
         bp = pick_one_avoiding(n, A[j], A[j + 1], b, {e_top})
-        s1, s2 = _solve_johnson(n, A[j], doubled[0], doubled[1], a, b, debug)
+        s1, s2 = _solve_johnson(n, A[j], doubled[0], doubled[1], a, b)
         h_low = _ham(n, A[i:j], e_low, ap)
         h_high = _ham(n, A[j + 1 : l + 1], bp, e_top)
         return [h_low + s2 + h_high, s1]
@@ -345,13 +343,13 @@ def _local_three_levels(n, A, levels, u, v, x, y, debug):
     b = _first_vertex(n, A[j], set(doubled) | {a})
     ap = pick_one_avoiding(n, A[j], A[j - 1], a, {e_low})
     bp = pick_one_avoiding(n, A[j], A[j + 1], b, {e_top})
-    s1, s2 = _solve_johnson(n, A[j], f_low, a, f_top, b, debug)
+    s1, s2 = _solve_johnson(n, A[j], f_low, a, f_top, b)
     h_low = _ham(n, A[i:j], ap, e_low)
     h_high = _ham(n, A[j + 1 : l + 1], bp, e_top)
     return [s1 + h_low, s2 + h_high]
 
 
-def _local_four_levels(n, A, levels, u, v, x, y, debug):
+def _local_four_levels(n, A, levels, u, v, x, y):
     endpoints = (u, v, x, y)
     order = sorted(range(4), key=lambda idx: levels[idx])
     e1, e2, e3, e4 = (endpoints[idx] for idx in order)
@@ -373,12 +371,12 @@ def _local_four_levels(n, A, levels, u, v, x, y, debug):
 
     if pairing[e1] == e3:
         # Pairs (e1,e3) and (e2,e4): middle cover joins a to e3 and b to e2.
-        s1, s2 = _solve_qj(n, A[j : k + 1], a, e3, b, e2, debug)
+        s1, s2 = _solve_qj(n, A[j : k + 1], a, e3, b, e2)
         path_a = h_low + s1
         path_b = list(reversed(s2)) + list(reversed(h_high))
         return [path_a, path_b]
 
     # Pairs (e1,e4) and (e2,e3): middle cover joins a to b and e2 to e3.
-    s1, s2 = _solve_qj(n, A[j : k + 1], a, b, e2, e3, debug)
+    s1, s2 = _solve_qj(n, A[j : k + 1], a, b, e2, e3)
     path_a = h_low + s1 + list(reversed(h_high))
     return [path_a, s2]

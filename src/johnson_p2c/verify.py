@@ -264,10 +264,7 @@ def p2c_bruteforce(g, q: EndpointQuad, cap: int = DEFAULT_ORACLE_CAP):
 
 def _oracle_paths(g, quad, cap: int):
     """``p2c_bruteforce`` on vertex keys, for a quad known to be valid."""
-    if g.vertex_count > cap:
-        raise TooLargeForOracle(
-            f"{g.vertex_count} vertices exceeds oracle cap {cap}"
-        )
+    _check_oracle_cap(g, cap)
     u, v, x, y = quad
     if isinstance(g, GenericGraph):
         return _cover_search(g.adjacency, ((u, v), (x, y)))
@@ -278,6 +275,11 @@ def _oracle_paths(g, quad, cap: int):
     if found is None:
         return None
     return [masks[i] for i in found[0]], [masks[i] for i in found[1]]
+
+
+def _check_oracle_cap(g, cap: int) -> None:
+    if g.vertex_count > cap:
+        raise TooLargeForOracle(f"{g.vertex_count} vertices exceeds oracle cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +305,10 @@ def builder_of(g, name: str | None = None, oracle_cap: int = DEFAULT_ORACLE_CAP)
 
     ``None`` names the graph's own: johnson for J(n,k), qj for QJ(n,A),
     oracle for an explicit graph.  A name that cannot run on g (johnson on
-    any other graph, qj on an explicit one) raises ValueError.  This is the
-    one place that tells the graph kinds apart to pick a builder."""
+    any other graph, qj on an explicit one) raises ValueError, and the
+    oracle on a graph above ``oracle_cap`` raises ``TooLargeForOracle``.
+    This is the one place that tells the graph kinds apart to pick a
+    builder."""
     # Local imports keep verify free of a static dependency on the builders.
     from .p2c_johnson import p2c_complete, p2c_johnson_masks
     from .p2c_qj import p2c_qj_masks
@@ -322,6 +326,7 @@ def builder_of(g, name: str | None = None, oracle_cap: int = DEFAULT_ORACLE_CAP)
     if name == "complete":
         return partial(_complete_paths, p2c_complete, host_of(g).vertices())
     if name == "oracle":
+        _check_oracle_cap(g, oracle_cap)
         return partial(_oracle_paths, cap=oracle_cap)
     raise ValueError(f"unknown constructor {name!r}")
 
@@ -371,7 +376,8 @@ def sweep(
 ) -> SweepSummary:
     """Run a constructor over endpoint quadruples and certify every result.
     The constructor defaults to the graph's own (``builder_of``); one that
-    cannot run on the graph raises ValueError before any quad runs.  A graph
+    cannot run on the graph raises ValueError, and the oracle above its cap
+    ``TooLargeForOracle``, before any quad runs.  A graph
     with fewer than 4 vertices has no quadruple and raises
     ``TooFewVertices`` rather than report an empty success.
 

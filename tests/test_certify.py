@@ -357,6 +357,51 @@ def test_debug_check_uses_the_core_on_masks(monkeypatch):
     )
 
 
+# Four endpoints on level 3 of QJ(5,{2,3}): the local cover is the small
+# J(5,3), which the EP2C expansion then joins to level 2.
+QJ_ONE_LEVEL_QUAD = ([1, 2, 3], [3, 4, 5], [1, 2, 4], [2, 4, 5])
+
+
+def test_debug_check_reaches_the_nested_subproblems_of_qj(monkeypatch):
+    monkeypatch.setattr(
+        p2c_johnson_module, "_solve_small", _drop_one(p2c_johnson_module._solve_small)
+    )
+    g = QJGraph(5, (2, 3))
+    q = EndpointQuad(*(ElementSet.from_elements(w, 5) for w in QJ_ONE_LEVEL_QUAD))
+    assert not check_p2c(g, q, p2c_qj(g, q)).valid
+    with pytest.raises(InvariantViolated) as info:
+        p2c_qj(g, q, debug=True)
+    # The inner J(5,3) is named, not the QJ graph the expansion builds.
+    assert str(info.value) == (
+        "invalid cover of J(5,3): [('NotCovering', '9 of 10 vertices covered')]"
+    )
+
+
+def test_debug_context_is_reset_after_a_failed_check(monkeypatch):
+    monkeypatch.setattr(
+        p2c_johnson_module, "_solve_small", _drop_one(p2c_johnson_module._solve_small)
+    )
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(p2c_johnson_module, "certify", counting)
+    g = JohnsonGraph(5, 3)
+    quad = mask_keys(
+        [ElementSet.from_elements(w, 5) for w in QJ_ONE_LEVEL_QUAD], 5
+    )
+    with pytest.raises(InvariantViolated):
+        p2c_johnson_module.p2c_johnson_masks(g, quad, True)
+    assert len(calls) == 1
+    # Neither a solver called outside any entry nor an entry without debug
+    # certifies anything once the failed entry has returned.
+    p2c_johnson_module._solve(5, 3, *quad)
+    p2c_johnson_module.p2c_johnson_masks(g, quad)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # The sweep path: mask entries, no ElementSet per cover vertex.
 
@@ -517,8 +562,8 @@ def _raise_exhausted(solve):
 
 def _mutate(change):
     def wrap(solve):
-        def broken(n, k, u, v, x, y, debug=False):
-            return change(*solve(n, k, u, v, x, y, debug), n, k)
+        def broken(n, k, u, v, x, y):
+            return change(*solve(n, k, u, v, x, y), n, k)
 
         return broken
 
@@ -600,8 +645,8 @@ def test_sweep_names_a_mask_outside_the_ground_set(bit, text, monkeypatch):
     # whole sweep; the core reports it as a foreign vertex of that quad.
     solve = p2c_qj_module._solve_johnson
 
-    def broken(n, k, u, v, x, y, debug=False):
-        p1, p2 = solve(n, k, u, v, x, y, debug)
+    def broken(n, k, u, v, x, y):
+        p1, p2 = solve(n, k, u, v, x, y)
         if 0b10110 in p1[1:-1]:
             p1[p1.index(0b10110)] |= bit
         return p1, p2

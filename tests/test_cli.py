@@ -337,6 +337,25 @@ class TestSweepCommand:
                 assert err == "" and json.loads(out)["total"] == 40
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_oracle_above_its_cap_fails_up_front(self, capsys, mode):
+        code, out, err = invoke(
+            capsys,
+            "sweep", "--graph", "johnson", "--n", "7", "--k", "3",
+            "--constructor", "oracle", "--mode", mode, "--count", "5",
+        )
+        assert code == 1 and out == ""
+        assert err == "TooLargeForOracle: 35 vertices exceeds oracle cap 20\n"
+
+    def test_oracle_cap_flag_reaches_the_refusal(self, capsys):
+        graph = ["--graph", "johnson", "--n", "6", "--k", "3"]
+        flags = ["--constructor", "oracle", "--mode", "sampled", "--count", "2"]
+        code, out, err = invoke(capsys, "sweep", *graph, *flags, "--oracle-cap", "19")
+        assert code == 1 and out == ""
+        assert err == "TooLargeForOracle: 20 vertices exceeds oracle cap 19\n"
+        code, out, err = invoke(capsys, "sweep", *graph, *flags)
+        assert code == 0 and err == "" and json.loads(out)["valid"] == 2
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_too_few_vertices_fails(self, capsys, mode):
         code, out, err = invoke(
             capsys,
@@ -365,6 +384,38 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         sol = json.loads(proc.stdout)
         assert sol["path_uv"][0] == [1, 2] and sol["path_xy"][-1] == [2, 4]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Written by _emit's print.
+            ["sweep", "--graph", "qj", "--n", "3", "--levels", "1,2"],
+            # Written part by part.
+            ["p2c", "--graph", "johnson", "--n", "4", "--k", "2",
+             "--u", "1,2", "--v", "1,3", "--x", "2,3", "--y", "2,4"],
+        ],
+        ids=["sweep", "p2c"],
+    )
+    def test_closed_stdout_ends_without_a_traceback(self, argv):
+        # As after `| head -c 50`, but every write fails: the pipe's read
+        # end is closed before the child starts.
+        src = os.path.dirname(os.path.dirname(johnson_p2c.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "johnson_p2c.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestColdPath:

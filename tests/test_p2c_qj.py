@@ -14,6 +14,7 @@ from johnson_p2c.errors import (
     BadQuad,
     LemmaPreconditionViolated,
     OutOfTheoremRange,
+    SelectionExhausted,
 )
 from johnson_p2c.p2c_johnson import _solve as _solve_johnson
 from johnson_p2c.p2c_qj import (
@@ -131,6 +132,15 @@ class TestAbsorbApex:
     def test_no_apex_level(self):
         with pytest.raises(LemmaPreconditionViolated):
             absorb_apex(QJGraph(4, [1, 2]), quad(4, [1], [2], [3], [4]))
+
+    def test_apex_pick_that_runs_dry_is_typed(self):
+        # The three other endpoints fill level 2 of QJ(3,{2,3}), so no level-2
+        # vertex is left to stand in for the apex: a CoverError that sweep
+        # catches, not a StopIteration.
+        g = QJGraph(3, [2, 3])
+        q = quad(3, [1, 2, 3], [1, 2], [1, 3], [2, 3])
+        with pytest.raises(SelectionExhausted, match="^level 2 exhausted"):
+            absorb_apex(g, q)
 
 
 class TestP2CQJ:

@@ -319,6 +319,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep(graph, constructor=name, budget=0)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "graph, cap", [(JohnsonGraph(7, 3), 20), (JohnsonGraph(6, 3), 19)]
+    )
+    def test_oracle_above_its_cap_is_refused(self, graph, cap, mode):
+        # Refused before any quad runs: every quad would fail alike, and the
+        # exhaustive sweep of J(7,3) would try 1,256,640 of them.
+        message = f"^{graph.vertex_count} vertices exceeds oracle cap {cap}$"
+        with pytest.raises(TooLargeForOracle, match=message):
+            sweep(graph, mode=mode, constructor="oracle", count=5, oracle_cap=cap)
+
     def test_qj_constructor_runs_on_johnson(self):
         summary = sweep(JohnsonGraph(5, 2), constructor="qj")
         assert summary.total == summary.valid == 5040
