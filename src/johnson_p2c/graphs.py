@@ -71,17 +71,25 @@ class _LevelGraph:
         return self.levels.index(card) if card in self.levels else None
 
     def neighbors(self, s: ElementSet) -> list[ElementSet]:
-        i = self._index_of(s.bits.bit_count())
-        if i is None or s.n != self.n:
+        if not self.has_vertex(s):
             raise NotAVertex(f"{s} is not a vertex of {self}")
-        n, levels, bits = self.n, self.levels, s.bits
-        out = same_level_masks(bits, n)
-        if i + 1 < len(levels):
-            out += up_masks(bits, n, levels[i + 1])
-        if i > 0:
-            out += down_masks(bits, levels[i - 1])
-        out.sort()
-        return [ElementSet(b, n) for b in out]
+        n = self.n
+        return [ElementSet(b, n) for b in _neighbor_masks(s.bits, n, self.levels)]
+
+
+def _neighbor_masks(bits: int, n: int, levels) -> list[int]:
+    """Neighbors of the vertex mask ``bits`` in the graph on the subsets of
+    [n] with cardinalities ``levels``, in bit-vector order: Johnson
+    neighbors in its level, and its supersets and subsets on the levels
+    next to it."""
+    i = levels.index(bits.bit_count())
+    out = same_level_masks(bits, n)
+    if i + 1 < len(levels):
+        out += up_masks(bits, n, levels[i + 1])
+    if i > 0:
+        out += down_masks(bits, levels[i - 1])
+    out.sort()
+    return out
 
 
 class JohnsonGraph(_LevelGraph):
@@ -227,18 +235,10 @@ def mask_generic(n: int, levels: tuple) -> tuple[GenericGraph, tuple[int, ...]]:
     as the graph's ``vertices()`` lists them.
     """
     verts = tuple(b for a in levels for b in k_masks(n, a))
-    next_level = dict(zip(levels, levels[1:]))
-    edges = []
-    for i, a in enumerate(verts):
-        ca = a.bit_count()
-        for j in range(i + 1, len(verts)):
-            b = verts[j]
-            cb = b.bit_count()
-            if cb == ca:
-                if (a ^ b).bit_count() == 2:
-                    edges.append((i, j))
-            elif next_level.get(ca) == cb and a & ~b == 0:
-                edges.append((i, j))
+    index = {b: i for i, b in enumerate(verts)}
+    edges = [
+        (i, index[b]) for i, a in enumerate(verts) for b in _neighbor_masks(a, n, levels)
+    ]
     return GenericGraph(len(verts), edges), verts
 
 

@@ -6,9 +6,9 @@ isomorphic to J(n-1,k-1)), splicing the smaller side's Hamilton path into
 an edge of the larger side's path.  The QJ builder peels the top level of
 the stack.  J(n,k) is the one-level stack QJ(n,{k}), so both builders share
 one memo, ``_ham_path``, keyed by ``(n, levels, s, t)``.  Recursion bottoms
-out in an exact backtracking search on any host graph with at most
-``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two terminal
-pairs, is the P2C oracle.
+out in ``_search_masks``, an exact backtracking search on any host graph
+with at most ``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two
+terminal pairs, is the P2C oracle and the Johnson constructor's base case.
 
 The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
 half of the split with its embedding into J(n,k), the identity on X and
@@ -152,6 +152,16 @@ def hamilton_bruteforce(g: GenericGraph, s: int, t: int) -> Path | None:
     return Path(tuple(found[0])) if found is not None else None
 
 
+def _search_masks(n: int, levels: tuple, pairs) -> list[list[int]] | None:
+    """``_cover_search`` on the memoized explicit copy of QJ(n,levels), J(n,k)
+    being ``levels == (k,)``, with the terminal pairs and the paths as masks.
+    The small-graph cases of the builders and the oracle all run here."""
+    generic, verts = mask_generic(n, levels)
+    index = verts.index
+    found = _cover_search(generic.adjacency, [(index(s), index(t)) for s, t in pairs])
+    return None if found is None else [[verts[i] for i in p] for p in found]
+
+
 def _cover_search(adj, pairs) -> list[list[int]] | None:
     """Cover the graph with adjacency lists ``adj`` by vertex-disjoint paths
     joining the terminal pairs (s_i, t_i), in that order; None if impossible.
@@ -289,13 +299,12 @@ def _ham_path(n: int, levels: tuple, s: int, t: int) -> tuple[int, ...]:
 
 
 def _ham_small(n: int, levels: tuple, s: int, t: int) -> list[int]:
-    generic, verts = mask_generic(n, levels)
-    found = hamilton_bruteforce(generic, verts.index(s), verts.index(t))
+    found = _search_masks(n, levels, ((s, t),))
     if found is None:
         raise CoverError(
             f"no Hamilton path from {s:#x} to {t:#x} in QJ({n},{set(levels)})"
         )
-    return [verts[i] for i in found]
+    return found[0]
 
 
 class _Side(NamedTuple):

@@ -4,8 +4,8 @@ The Johnson constructor runs a double induction: complement reduction when
 k < n < 2k, then a split of J(n,k) by the element n into X (without n,
 isomorphic to J(n-1,k)) and Y (with n, isomorphic to J(n-1,k-1)), with the
 dispatch driven by how many of the four endpoints contain n.  Subproblems
-on at most 12 vertices are answered by the exact oracle, which also covers
-the J(4,2) base case.
+on at most 12 vertices, the J(4,2) base case among them, are answered by
+the exact search ``hamilton._search_masks``.
 
 The induction runs on int bitmasks: each mirrored X/Y case is written once
 on a ``_Side`` (``hamilton``), whose embedding is the identity on X and
@@ -41,11 +41,12 @@ from .hamilton import (
     Path,
     _across,
     _ham_path,
+    _search_masks,
     _sides,
     _swappable,
 )
 from .subsets import ElementSet, full_mask, k_masks, mask_keys
-from .verify import certify, host_of, p2c_bruteforce
+from .verify import certify, host_of
 
 
 def clear_caches() -> None:
@@ -152,14 +153,10 @@ def _solve_small(n, k, u, v, x, y):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _oracle_cover(n, k, u, v, x, y):
-    generic, verts = mask_generic(n, (k,))
-    sol = p2c_bruteforce(generic, EndpointQuad(*map(verts.index, (u, v, x, y))))
-    if sol is None:
+    found = _search_masks(n, (k,), ((u, v), (x, y)))
+    if found is None:
         raise SelectionExhausted(f"oracle found no cover of J({n},{k})")
-    return (
-        tuple(verts[i] for i in sol.path_uv),
-        tuple(verts[i] for i in sol.path_xy),
-    )
+    return tuple(found[0]), tuple(found[1])
 
 
 def _solve(n, k, u, v, x, y):

@@ -5,16 +5,16 @@ spanned by the four endpoints (dispatch on how the endpoints are
 distributed over one to four levels), then expands it to the whole stack
 by splicing Hamilton paths of the level ranges below and above through
 boundary-level edges (the EP2C expansion).  An apex level J(n,n) is
-absorbed separately: its single vertex is either inserted into a
-top-level edge or attached by a pendant cross edge.
+absorbed separately (``_absorb_apex``): its single vertex is either
+inserted into a top-level edge or attached by a pendant cross edge.
 
 Vertices are int bitmasks throughout, as in the Johnson constructor; the
 lemma functions ``pick_one_avoiding``, ``pick_two_avoiding`` and
-``ep2c_expand`` take and return masks.  ``p2c_qj_masks`` and
-``absorb_apex_masks`` take the quad as four masks and return the two paths
-as mask lists; ``p2c_qj`` and ``absorb_apex`` are their wrappers, which
-take an ``EndpointQuad`` of ``ElementSet``s and return wrapped paths that
-end at the quad's own objects.
+``ep2c_expand`` take and return masks.  ``p2c_qj_masks`` takes the quad as
+four masks and returns the two paths as mask lists; it is the one way into
+both the stacked and the apex construction.  ``p2c_qj`` is its wrapper,
+which takes an ``EndpointQuad`` of ``ElementSet``s and returns wrapped
+paths that end at the quad's own objects.
 """
 
 from __future__ import annotations
@@ -124,23 +124,9 @@ def ep2c_expand(paths, n, A, lo, hi):
 # Apex absorption (level J(n,n)).
 
 
-def absorb_apex(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
-    """Cover of QJ(n,A) with n in A, via the cover of QJ(n, A-{n})."""
-    return _wrap_cover(q, absorb_apex_masks(g, q.validate(g), debug), g.n)
-
-
-def absorb_apex_masks(g: QJGraph, quad, debug: bool = False):
-    """``absorb_apex`` on masks, for a quad already known to be valid: the
-    masks of the oriented (u-to-v, x-to-y) paths, as two lists."""
-    if g.n not in g.levels:
-        raise LemmaPreconditionViolated(f"{g} has no apex level")
-    if len(g.levels) == 1:
-        raise OutOfTheoremRange("QJ(n,{n}) is a single vertex")
-    return _with_debug(debug, _absorb_apex, g.n, g.levels, *quad)
-
-
 def _absorb_apex(n, A, u, v, x, y):
-    """Oriented (u-to-v, x-to-y) cover of QJ(n,A) on masks; A ends in n."""
+    """Oriented (u-to-v, x-to-y) cover of QJ(n,A) on masks, via the cover of
+    QJ(n, A-{n}); A ends in n and holds another level."""
     sub_levels = A[:-1]
     apex = full_mask(n)
     top = sub_levels[-1]
@@ -178,9 +164,8 @@ def p2c_qj_masks(g: QJGraph, quad, debug: bool = False):
     if g.vertex_count < 4:
         raise OutOfTheoremRange(f"{g} has fewer than 4 vertices")
     check_quad(quad, g.n, g.levels)
-    if g.n in g.levels:
-        return absorb_apex_masks(g, quad, debug)
-    return _with_debug(debug, _solve_qj, g.n, g.levels, *quad)
+    solve = _absorb_apex if g.n in g.levels else _solve_qj
+    return _with_debug(debug, solve, g.n, g.levels, *quad)
 
 
 def _solve_qj(n, A, u, v, x, y):
@@ -321,17 +306,18 @@ def _local_three_levels(n, A, levels, u, v, x, y):
         bridge = _ham(n, A[j + 1 : l + 1], ap, e_top)
         return [s1, s2 + bridge]
 
-    # Doubled level is the middle one.
+    # Doubled level is the middle one: two auxiliary middle vertices a and b
+    # reach down to a' and up to b'.
     doubled = [w for w, lw in zip(endpoints, levels) if lw == j]
     e_low = endpoints[levels.index(i)]
     e_top = endpoints[levels.index(l)]
+    a = _first_vertex(n, A[j], set(doubled))
+    b = _first_vertex(n, A[j], set(doubled) | {a})
+    ap = pick_one_avoiding(n, A[j], A[j - 1], a, {e_low})
+    bp = pick_one_avoiding(n, A[j], A[j + 1], b, {e_top})
     if pairing[doubled[0]] == doubled[1]:
         # Middle pair covered inside its level; the outer pair threads both
-        # Hamilton stacks through two auxiliary middle vertices.
-        a = _first_vertex(n, A[j], set(doubled))
-        b = _first_vertex(n, A[j], set(doubled) | {a})
-        ap = pick_one_avoiding(n, A[j], A[j - 1], a, {e_low})
-        bp = pick_one_avoiding(n, A[j], A[j + 1], b, {e_top})
+        # Hamilton stacks through a and b.
         s1, s2 = _solve_johnson(n, A[j], doubled[0], doubled[1], a, b)
         h_low = _ham(n, A[i:j], e_low, ap)
         h_high = _ham(n, A[j + 1 : l + 1], bp, e_top)
@@ -339,10 +325,6 @@ def _local_three_levels(n, A, levels, u, v, x, y):
     # Middle holds one endpoint of each pair.
     f_low = pairing[e_low]  # middle endpoint paired with the bottom one
     f_top = pairing[e_top]
-    a = _first_vertex(n, A[j], set(doubled))
-    b = _first_vertex(n, A[j], set(doubled) | {a})
-    ap = pick_one_avoiding(n, A[j], A[j - 1], a, {e_low})
-    bp = pick_one_avoiding(n, A[j], A[j + 1], b, {e_top})
     s1, s2 = _solve_johnson(n, A[j], f_low, a, f_top, b)
     h_low = _ham(n, A[i:j], ap, e_low)
     h_high = _ham(n, A[j + 1 : l + 1], bp, e_top)

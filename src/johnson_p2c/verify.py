@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
-from .graphs import GenericGraph, JohnsonGraph, mask_generic
-from .hamilton import Path, _cover_search, mask_path
+from .graphs import GenericGraph, JohnsonGraph
+from .hamilton import Path, _cover_search, _search_masks, mask_path
 from .subsets import k_masks, key_text, mask_elements, mask_keys
 
 DEFAULT_ORACLE_CAP = 20
@@ -268,13 +268,7 @@ def _oracle_paths(g, quad, cap: int):
     u, v, x, y = quad
     if isinstance(g, GenericGraph):
         return _cover_search(g.adjacency, ((u, v), (x, y)))
-    # A J(n,k) or QJ(n,A): search its memoized explicit copy on masks.
-    generic, masks = mask_generic(g.n, tuple(g.levels))
-    u, v, x, y = map(masks.index, quad)
-    found = _cover_search(generic.adjacency, ((u, v), (x, y)))
-    if found is None:
-        return None
-    return [masks[i] for i in found[0]], [masks[i] for i in found[1]]
+    return _search_masks(g.n, tuple(g.levels), ((u, v), (x, y)))
 
 
 def _check_oracle_cap(g, cap: int) -> None:

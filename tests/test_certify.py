@@ -491,29 +491,34 @@ def test_validate_returns_vertex_keys():
 
 
 def test_absorb_apex_refuses_bad_quads():
-    # It took each vertex's mask unchecked: a vertex over [6] came back in
-    # the cover as a vertex over [5], and a repeated one was named by its
-    # mask in an error of the complete-graph cover.
+    # The apex construction must not take a vertex's mask unchecked: a
+    # vertex over [6] would come back in the cover as one over [5], and a
+    # repeated one be named by its mask in an error of the complete-graph
+    # cover.  Its one way in, p2c_qj, checks the quad first.
     g = QJGraph(5, (4, 5))
     sets = ([1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5])
     a, b, c = (ElementSet.from_elements(e, 5) for e in sets)
     foreign = ElementSet.from_elements([2, 3, 4, 5], 6)
     with pytest.raises(BadQuad) as info:
-        p2c_qj_module.absorb_apex(g, EndpointQuad(a, b, c, foreign))
+        p2c_qj(g, EndpointQuad(a, b, c, foreign))
     assert str(info.value) == "{2,3,4,5} is not a vertex of the host graph"
-    with pytest.raises(BadQuad) as info:
-        p2c_qj_module.absorb_apex(g, EndpointQuad(a, a, b, c))
-    assert str(info.value) == (
+    repeated = (
         "endpoints not pairwise distinct: ({1,2,3,4}, {1,2,3,4}, {1,2,3,5}, {1,2,4,5})"
     )
+    with pytest.raises(BadQuad) as info:
+        p2c_qj(g, EndpointQuad(a, a, b, c))
+    assert str(info.value) == repeated
+    with pytest.raises(BadQuad) as info:
+        p2c_qj_module.p2c_qj_masks(g, (a.bits, a.bits, b.bits, c.bits))
+    assert str(info.value) == repeated
 
 
 def test_absorb_apex_is_wrapped_mask_entry():
     g = QJGraph(5, (3, 4, 5))
     for q in _quads(g, 20, 2):
         quad = tuple(w.bits for w in q.vertices())
-        p1, p2 = p2c_qj_module.absorb_apex_masks(g, quad)
-        sol = p2c_qj_module.absorb_apex(g, q)
+        p1, p2 = p2c_qj_module.p2c_qj_masks(g, quad)
+        sol = p2c_qj(g, q)
         assert sol == P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
         assert check_p2c(g, q, sol).valid
 

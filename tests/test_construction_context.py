@@ -1,7 +1,7 @@
 """One context, not a threaded flag, says whether covers are certified.
 
 The constructors certify every intermediate cover when an entry point is
-called with ``debug=True``.  Only the six entry points take that parameter;
+called with ``debug=True``.  Only the four entry points take that parameter;
 they set the context variable ``_certifying`` through ``_with_debug``, and
 only ``_finish``, the step that ends every subproblem, reads it.  A private
 function that takes ``debug`` again, or a second reader of the variable,
@@ -21,8 +21,6 @@ ENTRIES = {
     ("p2c_johnson.py", "p2c_johnson_masks"),
     ("p2c_qj.py", "p2c_qj"),
     ("p2c_qj.py", "p2c_qj_masks"),
-    ("p2c_qj.py", "absorb_apex"),
-    ("p2c_qj.py", "absorb_apex_masks"),
 }
 CONTEXT = "_certifying"
 CONTEXT_USES = {

@@ -186,9 +186,15 @@ class TestGenericGraph:
 
 class TestExport:
     def test_mask_generic_preserves_adjacency(self):
-        graphs = [JohnsonGraph(4, 2), JohnsonGraph(5, 2), QJGraph(4, [1, 3])]
-        graphs += [QJGraph(4, [1, 2, 4]), QJGraph(5, [1, 2])]
-        for g in graphs:
+        # Every J(n,k) with n <= 7 and QJ(n,A) with n <= 6, up to 20 vertices.
+        graphs = [JohnsonGraph(n, k) for n in range(1, 8) for k in range(n + 1)]
+        graphs += [
+            QJGraph(n, A)
+            for n in range(1, 7)
+            for r in range(1, n + 1)
+            for A in combinations(range(1, n + 1), r)
+        ]
+        for g in (g for g in graphs if g.vertex_count <= 20):
             levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels
             gen, masks = mask_generic(g.n, levels)
             verts = list(g.vertices())

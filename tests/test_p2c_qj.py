@@ -18,7 +18,7 @@ from johnson_p2c.errors import (
 )
 from johnson_p2c.p2c_johnson import _solve as _solve_johnson
 from johnson_p2c.p2c_qj import (
-    absorb_apex,
+    _first_vertex,
     ep2c_expand,
     pick_one_avoiding,
     pick_two_avoiding,
@@ -116,7 +116,7 @@ class TestAbsorbApex:
         g = QJGraph(5, [4, 5])
         verts = [w for w in g.vertices() if w.cardinality() == 4]
         q = EndpointQuad(*verts[:4])
-        sol = absorb_apex(g, q)
+        sol = p2c_qj(g, q)
         assert check_p2c(g, q, sol).valid
         apex = es([1, 2, 3, 4, 5], 5)
         assert apex in set(sol.path_uv) | set(sol.path_xy)
@@ -129,18 +129,19 @@ class TestAbsorbApex:
         assert check_p2c(g, q, sol).valid
         assert sol.path_uv[0] == apex
 
-    def test_no_apex_level(self):
-        with pytest.raises(LemmaPreconditionViolated):
-            absorb_apex(QJGraph(4, [1, 2]), quad(4, [1], [2], [3], [4]))
-
     def test_apex_pick_that_runs_dry_is_typed(self):
         # The three other endpoints fill level 2 of QJ(3,{2,3}), so no level-2
-        # vertex is left to stand in for the apex: a CoverError that sweep
+        # vertex is left to stand in for the apex.  The apex construction is
+        # reached only through p2c_qj, which refuses n < 4 first; the pick
+        # itself, on an exhausted level, raises a CoverError that sweep
         # catches, not a StopIteration.
         g = QJGraph(3, [2, 3])
         q = quad(3, [1, 2, 3], [1, 2], [1, 3], [2, 3])
+        with pytest.raises(OutOfTheoremRange, match=r"^QJ\(3,\{2,3\}\) has n < 4$"):
+            p2c_qj(g, q)
+        level = {mask(p, 3) for p in ([1, 2], [1, 3], [2, 3])}
         with pytest.raises(SelectionExhausted, match="^level 2 exhausted"):
-            absorb_apex(g, q)
+            _first_vertex(3, 2, level)
 
 
 class TestP2CQJ:
