@@ -29,7 +29,15 @@ from .subsets import (
 # (acceptance criterion 6), 10,440 oracle covers (the exhaustive J(6,3) and
 # QJ(5,A) sweeps) and 22 small explicit graphs.  Long sampled sweeps, which
 # grew the memos without end, stop growing at the bound.
+#
+# The Hamilton memo also bounds what one entry holds: it keeps the paths of
+# subgraphs with at most MEMO_VERTICES vertices, under their canonical key
+# (a one-level J(n,k) as J(n,n-k) when 2k > n, read back by complementing).
+# Larger subgraphs, the halves near the top of a cold build, are built
+# straight into their caller's list, so a cold build's memory follows its
+# output.  Every sweep graph of the acceptance criteria is below the bound.
 MEMO_SIZE = 1 << 14
+MEMO_VERTICES = 1000
 
 
 class _LevelGraph:

@@ -10,6 +10,15 @@ out in ``_search_masks``, an exact backtracking search on any host graph
 with at most ``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two
 terminal pairs, is the P2C oracle and the Johnson constructor's base case.
 
+Every path is read through ``_ham``, the memo's one reader.  The memo
+holds small canonical paths only: a one-level key with 2k > n is stored as
+J(n,n-k), whose vertices are the complements, and a subgraph above
+``MEMO_VERTICES`` vertices (``graphs``) is not stored at all but built
+straight into the caller's list.  A read copies the memo's tuple once and
+applies, in that copy, the complement and a ``_Side``'s bit as one XOR.
+The builders splice the paths they get in place, so a cold build holds
+about its output, not every half it made on the way.
+
 The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
 half of the split with its embedding into J(n,k), the identity on X and
 setting bit n on Y, so each mirrored X/Y case is written once.
@@ -27,7 +36,14 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .errors import CoverError, EqualEndpoints, NotAVertex, SpliceEdgeNotFound
-from .graphs import MEMO_SIZE, GenericGraph, JohnsonGraph, QJGraph, mask_generic
+from .graphs import (
+    MEMO_SIZE,
+    MEMO_VERTICES,
+    GenericGraph,
+    JohnsonGraph,
+    QJGraph,
+    mask_generic,
+)
 from .subsets import (
     ElementSet,
     cross_masks,
@@ -285,17 +301,44 @@ def hamilton_masks(g, s, t) -> list[int]:
     return _ham(g.n, g.levels, s, t)
 
 
-def _ham(n: int, levels: tuple, s: int, t: int) -> list[int]:
+def _ham(n: int, levels: tuple, s: int, t: int, bit: int = 0) -> list[int]:
     """Hamilton path of QJ(n,levels) from s to t, J(n,k) being ``levels ==
-    (k,)``; the caller owns the returned list."""
-    return list(_ham_path(n, levels, s, t))
+    (k,)``, with ``bit`` set on every vertex: 0, or a bit above n that
+    embeds the graph in a larger one (``_Side``).  The caller owns the
+    returned list.
+
+    The one reader of the memo ``_ham_path``.  A one-level key with 2k > n
+    is read as J(n,n-k), whose vertices are the complements; the complement
+    and ``bit`` are one XOR, applied in the copy that a read makes anyway.
+    A graph above ``MEMO_VERTICES`` vertices is built straight into the
+    returned list."""
+    flip = bit
+    if len(levels) == 1 and 2 * levels[0] > n:
+        flip |= full_mask(n)
+        levels = (n - levels[0],)
+    s ^= flip
+    t ^= flip
+    # QJ(n,levels) has at most 2^n vertices: count them only above the bound.
+    if 1 << n > MEMO_VERTICES and sum(comb(n, a) for a in levels) > MEMO_VERTICES:
+        h = _ham_build(n, levels, s, t)
+        if not flip:
+            return h
+    else:
+        h = _ham_path(n, levels, s, t)
+    return [v ^ flip for v in h] if flip else list(h)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _ham_path(n: int, levels: tuple, s: int, t: int) -> tuple[int, ...]:
+    return tuple(_ham_build(n, levels, s, t))
+
+
+def _ham_build(n: int, levels: tuple, s: int, t: int) -> list[int]:
+    """A new Hamilton path of QJ(n,levels) under a canonical key: a single
+    level k has 2k <= n."""
     if len(levels) == 1:
-        return tuple(_ham_johnson_build(n, levels[0], s, t))
-    return tuple(_ham_qj_build(n, levels, s, t))
+        return _ham_johnson_build(n, levels[0], s, t)
+    return _ham_qj_build(n, levels, s, t)
 
 
 def _ham_small(n: int, levels: tuple, s: int, t: int) -> list[int]:
@@ -329,10 +372,8 @@ class _Side(NamedTuple):
 
     def path(self, s: int, t: int) -> list[int]:
         """Hamilton path of the side between two of its vertices, as a new
-        list embedded straight from the memo's tuple."""
-        bit = self.bit
-        h = _ham_path(self.n - 1, (self.k,), s & ~bit, t & ~bit)
-        return [v | bit for v in h] if bit else list(h)
+        list of masks of J(n,k)."""
+        return _ham(self.n - 1, (self.k,), s, t, self.bit)
 
 
 def _sides(n: int, k: int) -> tuple[_Side, _Side]:
@@ -353,10 +394,6 @@ def _across(a: int, n: int) -> list[int]:
 
 
 def _ham_johnson_build(n, k, s, t):
-    if 2 * k > n:
-        # J(n,k) and J(n,n-k) are isomorphic under complementation.
-        full = full_mask(n)
-        return [full ^ v for v in _ham(n, (n - k,), full ^ s, full ^ t)]
     if k == 1:
         return list(hamilton_complete(k_masks(n, 1), s, t))
     if comb(n, k) <= BRUTE_FORCE_LIMIT:
@@ -372,10 +409,13 @@ def _ham_johnson_build(n, k, s, t):
         ap = _across(a, n)[0]
         # b has k >= 2 (X) or n-k >= 2 (Y) neighbors across, so one is not ap.
         bp = next(w for w in _across(b, n) if w != ap)
-        return [h[0], *sides[1 - i].path(ap, bp), *h[1:]]
+        h[1:1] = sides[1 - i].path(ap, bp)
+        return h
 
     if i:
-        return list(reversed(_ham_johnson_build(n, k, t, s)))
+        h = _ham_johnson_build(n, k, t, s)
+        h.reverse()
+        return h
 
     # s in X, t in Y: end the X-path at an auxiliary vertex bridging into Y.
     x_side, y_side = sides
@@ -383,7 +423,9 @@ def _ham_johnson_build(n, k, s, t):
     # neighbors in Y: neither scan runs dry.
     a = next(v for v in x_side.vertices() if v != s)
     ap = next(w for w in _across(a, n) if w != t)
-    return x_side.path(s, a) + y_side.path(ap, t)
+    h = x_side.path(s, a)
+    h += y_side.path(ap, t)
+    return h
 
 
 def _ham_qj_build(n, levels, s, t):
@@ -408,19 +450,25 @@ def _ham_qj_build(n, levels, s, t):
             ap = cross_masks(h[i], n, other[-1])[0]
             bp = next(w for w in cross_masks(h[i + 1], n, other[-1]) if w != ap)
             detour = _ham(n, other, ap, bp)
-        return [*h[: i + 1], *detour, *h[i + 1 :]]
+        h[i + 1 : i + 1] = detour
+        return h
 
     if s_top:
-        return list(reversed(_ham_qj_build(n, levels, t, s)))
+        h = _ham_qj_build(n, levels, t, s)
+        h.reverse()
+        return h
 
     # s below, t in the top level: bridge through a cross edge.
     # A level 1 <= l < n holds n >= 2 vertices, and below a top level under
     # n a vertex has at least 2 up-neighbors: neither scan runs dry.
     a = next(v for v in k_masks(n, levels[-2]) if v != s)
+    h = _ham(n, lower, s, a)
     if top == n:
-        return _ham(n, lower, s, a) + [t]
-    ap = next(w for w in up_masks(a, n, top) if w != t)
-    return _ham(n, lower, s, a) + _ham(n, (top,), ap, t)
+        h.append(t)
+    else:
+        ap = next(w for w in up_masks(a, n, top) if w != t)
+        h += _ham(n, (top,), ap, t)
+    return h
 
 
 def _find_level_edge(path, card: int, forbidden=()) -> int:

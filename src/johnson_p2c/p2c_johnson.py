@@ -231,7 +231,9 @@ def _case_one_apart(n, side, other, quad, lone):
     a = next(z for z in side.vertices() if z not in quad)
     s1, s2 = _solve_on(side, (a, partner, q1, q2))
     b = next(z for z in _across(a, n) if z != lone)
-    return other.path(lone, b) + s1, s2
+    p = other.path(lone, b)
+    p += s1
+    return p, s2
 
 
 def _case_two_in_y(n, k, quad, in_y, sides):
@@ -266,7 +268,9 @@ def _case_two_in_y(n, k, quad, in_y, sides):
     solx1, solx2 = _solve_on(x_side, (p1_, ap, p2_, bp))
     soly1, soly2 = _solve_on(y_side, (a, w1, b, w2))
     # solx1 runs p1_ -> ap; soly1 runs a -> w1; joined via the edge ap-a.
-    return solx1 + soly1, solx2 + soly2
+    solx1 += soly1
+    solx2 += soly2
+    return solx1, solx2
 
 
 def _pick_bridges(y_side, w1, w2, p1_, p2_):

@@ -237,16 +237,20 @@ def _local_interleaved(n, A, i, j, u, v, x, y):
         a, b = p1[t], p1[t + 1]
         ap, bp = pick_two_avoiding(n, A[j - 1], A[j], a, b, {v, y})
         s1, s2 = _solve_johnson(n, A[j], ap, v, bp, y)
-        return [p1[: t + 1] + s1, list(reversed(p1[t + 1 :])) + s2]
+        tail = p1[:t:-1]
+        tail += s2
+        del p1[t + 1 :]
+        p1 += s1
+        return [p1, tail]
 
     p2 = _ham(n, (A[j],), v, y)
     c, d = p2[0], p2[1]
     cp, dp = pick_two_avoiding(n, A[j], A[j - 1], c, d, {u, x})
     s1, s2 = _solve_qj(n, A[i:j], cp, u, dp, x)
-    return [
-        list(reversed(s1)) + [c],
-        list(reversed(s2)) + p2[1:],
-    ]
+    s1.reverse()
+    s1.append(c)
+    p2[:1] = reversed(s2)
+    return [s1, p2]
 
 
 def _local_trio(n, A, levels, u, v, x, y):
@@ -354,11 +358,13 @@ def _local_four_levels(n, A, levels, u, v, x, y):
     if pairing[e1] == e3:
         # Pairs (e1,e3) and (e2,e4): middle cover joins a to e3 and b to e2.
         s1, s2 = _solve_qj(n, A[j : k + 1], a, e3, b, e2)
-        path_a = h_low + s1
-        path_b = list(reversed(s2)) + list(reversed(h_high))
-        return [path_a, path_b]
+        h_low += s1
+        s2.reverse()
+        s2 += reversed(h_high)
+        return [h_low, s2]
 
     # Pairs (e1,e4) and (e2,e3): middle cover joins a to b and e2 to e3.
     s1, s2 = _solve_qj(n, A[j : k + 1], a, b, e2, e3)
-    path_a = h_low + s1 + list(reversed(h_high))
-    return [path_a, s2]
+    h_low += s1
+    h_low += reversed(h_high)
+    return [h_low, s2]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import permutations
+from itertools import islice, permutations
 from math import perm
 from typing import NamedTuple
 
@@ -331,11 +331,21 @@ def _complete_paths(p2c_complete, verts, g, quad):
     return list(sol.path_uv), list(sol.path_xy)
 
 
-def _run_quads(g, quads, build):
+def _quads(verts, mode_json):
+    """A sweep's quads in order: every ordered quad of ``verts`` in
+    ``permutations`` order, or ``count`` draws of ``random.Random(seed)``."""
+    if mode_json["kind"] == "exhaustive":
+        return permutations(verts, 4)
+    rng = random.Random(mode_json["seed"])
+    return (tuple(rng.sample(verts, 4)) for _ in range(mode_json["count"]))
+
+
+def _run_quads(g, build, verts, mode_json, bounds):
+    """Build and certify the sweep's quads with indices in ``range(*bounds)``."""
     host = host_of(g)
     total = valid = invalid = errors = 0
     failures = []
-    for quad in quads:
+    for quad in islice(_quads(verts, mode_json), *bounds):
         total += 1
         try:
             paths = build(g, quad)
@@ -377,7 +387,9 @@ def sweep(
 
     The quads are drawn from the graph's vertex keys (masks, or indices of
     an explicit graph) listed in ``vertices()`` order, and the constructor
-    and the checker run on those keys."""
+    and the checker run on those keys.  With ``jobs`` > 1 each worker
+    process draws and runs one index range of the quads, and the summary
+    equals the one-process summary."""
     build = builder_of(g, constructor, oracle_cap)
     verts = host_of(g).vertices()
     nv = len(verts)
@@ -387,21 +399,27 @@ def sweep(
         n_quads = perm(nv, 4)
         if n_quads > budget:
             raise SweepBudget(f"{n_quads} quads exceeds budget {budget}")
-        quads = permutations(verts, 4)
         mode_json = {"kind": "exhaustive"}
     elif mode == "sampled":
         if count <= 0:
             raise ValueError(f"sampled sweep needs a positive count, got {count}")
-        rng = random.Random(seed)
-        quads = [tuple(rng.sample(verts, 4)) for _ in range(count)]
+        n_quads = count
         mode_json = {"kind": "sampled", "seed": seed, "count": count}
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
 
+    run = partial(_run_quads, g, build, verts, mode_json)
     if jobs > 1:
-        results = _sweep_parallel(g, quads, build, jobs)
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Each worker draws its own index range of the quad order, so no
+        # process holds the whole list of quads.
+        chunk = -(-n_quads // jobs)
+        ranges = [(i, min(i + chunk, n_quads)) for i in range(0, n_quads, chunk)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run, ranges))
     else:
-        results = [_run_quads(g, quads, build)]
+        results = [run((0, n_quads))]
 
     total = sum(r[0] for r in results)
     valid = sum(r[1] for r in results)
@@ -419,13 +437,3 @@ def sweep(
         failures=failures[:10],
     )
 
-
-def _sweep_parallel(g, quads, build, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    quads = list(quads)
-    chunk = max(1, (len(quads) + jobs - 1) // jobs)
-    batches = [quads[i : i + chunk] for i in range(0, len(quads), chunk)]
-    run = partial(_run_quads, g, build=build)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, batches))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import random
 from itertools import permutations
@@ -283,6 +284,54 @@ class TestSweep:
         serial = sweep(graph, jobs=1, **kwargs)
         parallel = sweep(graph, jobs=2, **kwargs)
         assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize(
+        "graph, constructor",
+        [
+            (JohnsonGraph(5, 2), "johnson"),
+            (JohnsonGraph(5, 2), "complete"),
+            (QJGraph(5, (3, 5)), "qj"),
+            (QJGraph(5, (3, 5)), "complete"),
+        ],
+        ids=["j52", "j52-complete", "qj5-35", "qj5-35-complete"],
+    )
+    def test_exhaustive_parallel_matches_serial(self, graph, constructor):
+        # The complete-graph cover is no cover of these graphs, so the
+        # failure records are compared too.
+        serial = sweep(graph, mode="exhaustive", constructor=constructor, jobs=1)
+        parallel = sweep(graph, mode="exhaustive", constructor=constructor, jobs=2)
+        assert serial == parallel
+        assert (serial.invalid > 0) == (constructor == "complete")
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_parallel_workers_get_index_ranges(self, mode, monkeypatch):
+        # Workers get index ranges of the quad order, not lists of quads.
+        given = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                given.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        g = JohnsonGraph(5, 2)
+        kwargs = dict(mode=mode, seed=3, count=1000)
+        summary = sweep(g, jobs=3, **kwargs)
+        total = 5040 if mode == "exhaustive" else 1000
+        third = -(-total // 3)
+        assert given == [(0, third), (third, 2 * third), (2 * third, total)]
+        assert summary == sweep(g, jobs=1, **kwargs)
+        assert summary.total == summary.valid == total
 
     @pytest.mark.parametrize(
         "graph, own",
