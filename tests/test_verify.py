@@ -278,7 +278,7 @@ class TestSweep:
         ids=["fig1-oracle", "qj5-124"],
     )
     def test_parallel_matches_serial_beyond_johnson(self, graph, constructor, mode):
-        # Workers get the graph and the quads themselves, pickled, so every
+        # Workers get the graph, pickled, and draw their own quads, so every
         # graph kind sweeps in parallel, the explicit fixture included.
         kwargs = dict(mode=mode, constructor=constructor, seed=5, count=200)
         serial = sweep(graph, jobs=1, **kwargs)
