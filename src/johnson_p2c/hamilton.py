@@ -16,8 +16,11 @@ J(n,n-k), whose vertices are the complements, and a subgraph above
 ``MEMO_VERTICES`` vertices (``graphs``) is not stored at all but built
 straight into the caller's list.  A read copies the memo's tuple once and
 applies, in that copy, the complement and a ``_Side``'s bit as one XOR.
-The builders splice the paths they get in place, so a cold build holds
-about its output, not every half it made on the way.
+A large graph that is complemented or embedded is built in its caller's
+masks: ``_ham`` hands that XOR down the build as ``out``, and only the
+leaves apply it (memo reads and the k = 1 list), which copy anyway.  The
+builders splice the paths they get in place, so a cold build holds about
+its output, not every half it made on the way.
 
 The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
 half of the split with its embedding into J(n,k), the identity on X and
@@ -301,30 +304,33 @@ def hamilton_masks(g, s, t) -> list[int]:
     return _ham(g.n, g.levels, s, t)
 
 
-def _ham(n: int, levels: tuple, s: int, t: int, bit: int = 0) -> list[int]:
+def _ham(
+    n: int, levels: tuple, s: int, t: int, bit: int = 0, out: int = 0
+) -> list[int]:
     """Hamilton path of QJ(n,levels) from s to t, J(n,k) being ``levels ==
     (k,)``, with ``bit`` set on every vertex: 0, or a bit above n that
-    embeds the graph in a larger one (``_Side``).  The caller owns the
-    returned list.
+    embeds the graph in a larger one (``_Side``).  Every vertex is then
+    XORed with ``out``: 0, or, inside a large build that is complemented or
+    embedded, the XOR from that build's masks to its caller's.  The caller
+    owns the returned list.
 
     The one reader of the memo ``_ham_path``.  A one-level key with 2k > n
-    is read as J(n,n-k), whose vertices are the complements; the complement
-    and ``bit`` are one XOR, applied in the copy that a read makes anyway.
-    A graph above ``MEMO_VERTICES`` vertices is built straight into the
-    returned list."""
+    is read as J(n,n-k), whose vertices are the complements; the
+    complement, ``bit`` and ``out`` are one XOR, applied in the copy that a
+    read makes anyway.  A graph above ``MEMO_VERTICES`` vertices is built
+    straight into the returned list, in its final masks: the XOR goes down
+    to the leaves of the build, which copy anyway."""
     flip = bit
     if len(levels) == 1 and 2 * levels[0] > n:
         flip |= full_mask(n)
         levels = (n - levels[0],)
     s ^= flip
     t ^= flip
+    flip ^= out
     # QJ(n,levels) has at most 2^n vertices: count them only above the bound.
     if 1 << n > MEMO_VERTICES and sum(comb(n, a) for a in levels) > MEMO_VERTICES:
-        h = _ham_build(n, levels, s, t)
-        if not flip:
-            return h
-    else:
-        h = _ham_path(n, levels, s, t)
+        return _ham_build(n, levels, s, t, flip)
+    h = _ham_path(n, levels, s, t)
     return [v ^ flip for v in h] if flip else list(h)
 
 
@@ -333,11 +339,13 @@ def _ham_path(n: int, levels: tuple, s: int, t: int) -> tuple[int, ...]:
     return tuple(_ham_build(n, levels, s, t))
 
 
-def _ham_build(n: int, levels: tuple, s: int, t: int) -> list[int]:
-    """A new Hamilton path of QJ(n,levels) under a canonical key: a single
-    level k has 2k <= n."""
+def _ham_build(n: int, levels: tuple, s: int, t: int, out: int = 0) -> list[int]:
+    """A new Hamilton path of QJ(n,levels) under a canonical key, a single
+    level k having 2k <= n, with every vertex XORed with ``out``.  Only a
+    one-level graph is ever flipped or embedded, so ``out`` is 0 on more
+    levels."""
     if len(levels) == 1:
-        return _ham_johnson_build(n, levels[0], s, t)
+        return _ham_johnson_build(n, levels[0], s, t, out)
     return _ham_qj_build(n, levels, s, t)
 
 
@@ -370,10 +378,10 @@ class _Side(NamedTuple):
         bit = self.bit
         return (v | bit for v in k_masks(self.n - 1, self.k))
 
-    def path(self, s: int, t: int) -> list[int]:
+    def path(self, s: int, t: int, out: int = 0) -> list[int]:
         """Hamilton path of the side between two of its vertices, as a new
-        list of masks of J(n,k)."""
-        return _ham(self.n - 1, (self.k,), s, t, self.bit)
+        list of masks of J(n,k), each XORed with ``out``."""
+        return _ham(self.n - 1, (self.k,), s, t, self.bit, out)
 
 
 def _sides(n: int, k: int) -> tuple[_Side, _Side]:
@@ -393,9 +401,13 @@ def _across(a: int, n: int) -> list[int]:
     return sorted(flipped ^ (1 << e) for e in mask_elements(_swappable(a, n)))
 
 
-def _ham_johnson_build(n, k, s, t):
+def _ham_johnson_build(n, k, s, t, out):
+    """A new Hamilton path of J(n,k) from s to t, with every vertex XORed
+    with ``out``; s and t are masks of J(n,k) itself."""
     if k == 1:
-        return list(hamilton_complete(k_masks(n, 1), s, t))
+        h = hamilton_complete(k_masks(n, 1), s, t)
+        return [v ^ out for v in h] if out else list(h)
+    # out is nonzero only above MEMO_VERTICES, never on a small graph.
     if comb(n, k) <= BRUTE_FORCE_LIMIT:
         return _ham_small(n, (k,), s, t)
 
@@ -404,16 +416,16 @@ def _ham_johnson_build(n, k, s, t):
     if i == j:
         # Both ends on one side: detour through the other side between the
         # first two path vertices.
-        h = sides[i].path(s, t)
-        a, b = h[0], h[1]
+        h = sides[i].path(s, t, out)
+        a, b = h[0] ^ out, h[1] ^ out
         ap = _across(a, n)[0]
         # b has k >= 2 (X) or n-k >= 2 (Y) neighbors across, so one is not ap.
         bp = next(w for w in _across(b, n) if w != ap)
-        h[1:1] = sides[1 - i].path(ap, bp)
+        h[1:1] = sides[1 - i].path(ap, bp, out)
         return h
 
     if i:
-        h = _ham_johnson_build(n, k, t, s)
+        h = _ham_johnson_build(n, k, t, s, out)
         h.reverse()
         return h
 
@@ -423,8 +435,8 @@ def _ham_johnson_build(n, k, s, t):
     # neighbors in Y: neither scan runs dry.
     a = next(v for v in x_side.vertices() if v != s)
     ap = next(w for w in _across(a, n) if w != t)
-    h = x_side.path(s, a)
-    h += y_side.path(ap, t)
+    h = x_side.path(s, a, out)
+    h += y_side.path(ap, t, out)
     return h
 
 

@@ -5,15 +5,19 @@ a ``JohnsonGraph``, a ``QJGraph`` or a ``GenericGraph``.  Each unwraps its
 paths once into int vertex keys, the masks of J(n,k) and QJ(n,A) or the
 indices of an explicit graph, and hands them to one certification core,
 ``certify``.  The core walks each path once, checking membership and steps
-with bit arithmetic (``holds``), and checks repeats, endpoints,
-disjointness and coverage with sets.  Only a path that fails is walked
-again, in order, to find the vertex or step to name; a violation's text
-is formatted only then.  A vertex that is not one of the graph's kind (an
-``ElementSet`` over another ground set, an object of another type)
-becomes a 1-tuple around itself: it fails membership and compares equal
-to what it equalled before.  The constructors' debug check, ``sweep`` and
-the CLI's ``p2c`` and ``hamilton`` hand their mask lists to the core
-directly.  The core shares no code with the constructors.
+with bit arithmetic (``holds``) and checks the endpoints.  On a graph of
+more than ``SORTED_ABOVE`` vertices it checks repeats, disjointness and
+coverage on one sorted list of every vertex key, 8 B a vertex: the keys of
+a valid cover are ``count`` distinct ones.  Only a cover that fails there,
+or one of a smaller graph, is checked with a set per path, and only a path
+that fails is walked again, in order, to find the vertex or step to name;
+a violation's text is formatted only then.  A vertex that is not one of
+the graph's kind (an ``ElementSet`` over another ground set, an object of
+another type) becomes a 1-tuple around itself: it fails membership and
+compares equal to what it equalled before.  The constructors' debug
+check, ``sweep`` and the CLI's ``p2c`` and ``hamilton`` hand their mask
+lists to the core directly.  The core shares no code with the
+constructors.
 
 ``p2c_bruteforce`` is the exact oracle: a backtracking search that either
 produces a checkable cover or proves none exists.  ``sweep`` runs a
@@ -29,6 +33,7 @@ import random
 from functools import partial
 from itertools import islice, permutations
 from math import perm
+from operator import lt
 from typing import NamedTuple
 
 from .covers import EndpointQuad, P2CSolution
@@ -39,6 +44,14 @@ from .subsets import k_masks, key_text, mask_elements, mask_keys
 
 DEFAULT_ORACLE_CAP = 20
 DEFAULT_SWEEP_BUDGET = 2_000_000
+# A cover of a graph with more vertices is certified on one sorted list of
+# its keys first, 8 B a vertex.  A smaller one, as sweeps certify by the
+# thousand, goes straight to a set per path, which takes it less time.
+SORTED_ABOVE = 1000
+# A sweep summary lists this many failure records, the first by
+# ``_failure_key``; a sweep cuts its records back to as many whenever it
+# holds more than twice as many.
+FAILURES_SHOWN = 10
 
 
 class CheckReport:
@@ -177,9 +190,13 @@ def certify(host, paths, ends) -> CheckReport:
 
     One path is a Hamilton path and must run from ``ends[0][0]`` to
     ``ends[0][1]``; two paths are a paired cover, each joining its pair of
-    ``ends`` either way.  The paths must be vertex-disjoint, step along
-    edges and together cover the graph exactly once.  A path with no
-    repeated vertex that passes ``host.holds`` is not walked again.
+    ``ends`` either way.  The paths, lists of keys, must be vertex-disjoint,
+    step along edges and together cover the graph exactly once.  On a graph
+    above ``SORTED_ABOVE`` vertices, repeats, disjointness and coverage are
+    checked on one sorted list of every key; only a cover that fails there,
+    or one of a smaller graph, is checked with a set per path, which names
+    the violation.  A path with no repeated vertex that passes
+    ``host.holds`` is not walked again.
     """
     report = CheckReport()
     show = host.show
@@ -193,6 +210,13 @@ def certify(host, paths, ends) -> CheckReport:
                 report.add(
                     "BadEndpoint", f"{name} endpoints are not {{{show(a)},{show(b)}}}"
                 )
+    if host.count > SORTED_ABOVE and all(map(host.holds, paths)):
+        # Members joined by edges: the cover is exact iff its keys, sorted,
+        # are host.count distinct ones.
+        keys = paths[0] + paths[1] if len(paths) == 2 else list(paths[0])
+        keys.sort()
+        if len(keys) == host.count and all(map(lt, keys, islice(keys, 1, None))):
+            return report
     seen = []
     for p in paths:
         vs = set(p)
@@ -340,8 +364,15 @@ def _quads(verts, mode_json):
     return (tuple(rng.sample(verts, 4)) for _ in range(mode_json["count"]))
 
 
+def _failure_key(failure) -> str:
+    return str(failure["quad"])
+
+
 def _run_quads(g, build, verts, mode_json, bounds):
-    """Build and certify the sweep's quads with indices in ``range(*bounds)``."""
+    """Build and certify the sweep's quads with indices in ``range(*bounds)``.
+    Of the failure records, the ``FAILURES_SHOWN`` first by ``_failure_key``
+    are among those returned: the sort is stable, so ties stay in quad
+    order."""
     host = host_of(g)
     total = valid = invalid = errors = 0
     failures = []
@@ -365,6 +396,9 @@ def _run_quads(g, build, verts, mode_json, bounds):
                 invalid += 1
                 failure = {"violations": report.to_json()["violations"]}
         failures.append({"quad": list(map(host.json, quad)), **failure})
+        if len(failures) > 2 * FAILURES_SHOWN:
+            failures.sort(key=_failure_key)
+            del failures[FAILURES_SHOWN:]
     return total, valid, invalid, errors, failures
 
 
@@ -426,7 +460,7 @@ def sweep(
     invalid = sum(r[2] for r in results)
     errors = sum(r[3] for r in results)
     failures = [f for r in results for f in r[4]]
-    failures.sort(key=lambda f: str(f["quad"]))
+    failures.sort(key=_failure_key)
     return SweepSummary(
         graph=g.descriptor(),
         mode=mode_json,
@@ -434,6 +468,6 @@ def sweep(
         valid=valid,
         invalid=invalid,
         errors=errors,
-        failures=failures[:10],
+        failures=failures[:FAILURES_SHOWN],
     )
 

@@ -13,7 +13,7 @@ import hashlib
 import importlib
 import json
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -49,6 +49,7 @@ from johnson_p2c.verify import certify, host_of
 
 p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
 p2c_qj_module = importlib.import_module("johnson_p2c.p2c_qj")
+verify_module = importlib.import_module("johnson_p2c.verify")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +253,82 @@ def test_check_hamilton_matches_frozen_checker(g):
             want = frozen_check_hamilton(g, p1, s, t).violations
             assert check_hamilton(g, p1, s, t).violations == want, name
             assert check_hamilton(g, Path(tuple(p1)), s, t).violations == want, name
+
+
+def _silent_mutants(g, p1, p2):
+    """(name, path_uv, path_xy) for covers of edges only, as many vertices
+    long as g, that still repeat a vertex: a path that steps back to the
+    vertex before last in place of one of its own ("revisit"), or one that
+    borrows a vertex of the other path in place of one of its own
+    ("borrow").  The core finds them on its sorted key list, not on the
+    steps or the count."""
+    out = []
+    for name, a, b in (("uv", p1, p2), ("xy", p2, p1)):
+
+        def put(mutant, name=name, b=b):
+            return (mutant, b) if name == "uv" else (b, mutant)
+
+        for i in range(2, len(a) - 1):
+            if g.adjacent(a[i - 2], a[i + 1]):
+                out.append((f"revisit_{name}", *put(a[:i] + [a[i - 2]] + a[i + 1 :])))
+                break
+        spot = next(
+            (
+                (j, w)
+                for j in range(1, len(a) - 1)
+                for w in b
+                if g.adjacent(a[j - 1], w) and g.adjacent(w, a[j + 1])
+            ),
+            None,
+        )
+        if spot is not None:
+            j, w = spot
+            out.append((f"borrow_{name}", *put(a[:j] + [w] + a[j + 1 :])))
+    return out
+
+
+def _silent_corpus(g):
+    """(name, quad, cover) for the ``_silent_mutants`` of a few covers of g,
+    checked to pass every step and to be exactly g's vertex count long."""
+    host = host_of(g)
+    for q in _quads(g, 3, 5):
+        sol = _build(g, q)
+        if sol is None:
+            continue
+        for name, p1, p2 in _silent_mutants(g, list(sol.path_uv), list(sol.path_xy)):
+            keys = host.unwrap((p1, p2))
+            assert all(map(host.holds, keys)), name
+            assert sum(map(len, keys)) == host.count, name
+            yield name, q, P2CSolution(Path(tuple(p1)), Path(tuple(p2)))
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=_graph_id)
+def test_sorted_key_check_matches_frozen_checker(g, monkeypatch):
+    # These graphs are small enough for a set per path; SORTED_ABOVE = 0
+    # sends their covers through the sorted key list first.
+    monkeypatch.setattr(verify_module, "SORTED_ABOVE", 0)
+    for name, q, sol in chain(_cover_corpus(g), _silent_corpus(g)):
+        want = frozen_check_p2c(g, q, sol).violations
+        assert check_p2c(g, q, sol).violations == want, name
+    verts = list(g.vertices())
+    rng = random.Random(4)
+    for s, t in (rng.sample(verts, 2) for _ in range(2)):
+        p = list(_hamilton(g, s, t))
+        mutants = [m for m in _silent_mutants(g, p, [s, t]) if m[0] == "revisit_uv"]
+        for name, p1, _ in _mutations(g, p, [s, t]) + mutants:
+            want = frozen_check_hamilton(g, p1, s, t).violations
+            assert check_hamilton(g, p1, s, t).violations == want, name
+            if name == "revisit_uv":
+                assert [code for code, _ in want] == ["RepeatedVertex"]
+
+
+def test_silent_corpus_reaches_repeats_and_shared_vertices():
+    codes = {}
+    for g in GRAPHS:
+        for name, q, sol in _silent_corpus(g):
+            for code, _ in frozen_check_p2c(g, q, sol).violations:
+                codes.setdefault(name.split("_")[0], set()).add(code)
+    assert codes == {"revisit": {"RepeatedVertex"}, "borrow": {"PathsIntersect"}}
 
 
 def test_non_vertex_objects_are_foreign():

@@ -10,7 +10,10 @@ recorded while J(n,k) and QJ(n,A) still had separate Hamilton memos.
 The ``gen`` digests were recorded while ``gen`` and ``to_dot`` still
 deduplicated edges through sets of visited endpoint pairs.  The ``p2c`` and
 ``hamilton`` digests were recorded while the CLI still printed
-``json.dumps(to_json())`` of the cover or path.
+``json.dumps(to_json())`` of the cover or path.  The pins of graphs above
+``MEMO_VERTICES`` (1,000 vertices) were recorded while a complemented or
+embedded half that large was still built in its own masks and then copied
+with an XOR.
 """
 
 import contextlib
@@ -83,6 +86,17 @@ GOLDEN = [
     (("qj", 6, (1, 3, 6)),
      ([2, 3, 6], [1, 3, 5], [4, 5, 6], [4]),
      "2ed8c4979660567a5b38fb8ff973e97df6105d7801c1859add46525b38ed4266"),
+    # Above MEMO_VERTICES: J(14,7) has 3,432 vertices, and its halves
+    # J(13,7) and J(13,6) are built, not memoized; J(15,9) (5,005) also
+    # goes through complement reduction.  Quads drawn with random.Random(1).
+    (("johnson", 14, 7),
+     ([2, 3, 4, 5, 7, 11, 12], [2, 3, 6, 7, 10, 12, 14],
+      [2, 3, 9, 10, 12, 13, 14], [1, 3, 6, 7, 12, 13, 14]),
+     "c7b28e12bf18301537e65b86420346cf53e16f2afab451d3a3fcc8e92e5f7eca"),
+    (("johnson", 15, 9),
+     ([1, 3, 5, 6, 7, 10, 11, 12, 14], [3, 5, 7, 8, 9, 12, 13, 14, 15],
+      [1, 3, 4, 5, 6, 8, 11, 12, 13], [2, 3, 4, 5, 6, 7, 10, 11, 15]),
+     "d79b2790e7c6f35fbd1c5ae8fc38ec2730b5b1860696a80dbc933af005edd50b"),
 ]
 
 
@@ -171,26 +185,41 @@ def test_hamilton_qj_paths_are_byte_identical(n, levels, digest):
 
 
 # (n, k, sha256 of the Hamilton paths' JSON on 20 endpoint pairs drawn with
-# random.Random(0)).  J(9,6) goes through complement reduction.
+# random.Random(0)).  J(9,6) and J(15,9) go through complement reduction;
+# J(14,7) and J(15,9) have more than MEMO_VERTICES vertices.
 HAMILTON_JOHNSON_GOLDEN = [
     (9, 4, "2a2ff0d2ed4ae3d6a0d8b37327086126a5e2d2956dca6f0cb8d917ee153bbc52"),
     (10, 5, "7b8b1accf6489eaba97619ff8f4c0743ba15196c2cff758056e0614c76a94880"),
     (9, 6, "a28855d66b995b7f0d02b5f508583a8e0e5dbf9c752a159c6064f435de5d21d3"),
+    (14, 7, "0fe9c6c8b023f8f06ac34a73d4bd221d43b94ac156434ec9ca0a830bbc25b438"),
+    (15, 9, "b4a5a735b90a792fa41561c3a400435e553a8bf11360e3b459f445f6883a9749"),
 ]
 
 
-@pytest.mark.parametrize("n, k, digest", HAMILTON_JOHNSON_GOLDEN)
-def test_hamilton_johnson_paths_are_byte_identical(n, k, digest):
-    g = JohnsonGraph(n, k)
+def _sampled_paths(g, construct):
     vertices = list(g.vertices())
     rng = random.Random(0)
     paths = []
     for _ in range(20):
         s, t = rng.sample(vertices, 2)
-        p = hamilton_johnson(g, s, t)
+        p = construct(g, s, t)
         assert check_hamilton(g, p, s, t).valid
         paths.append(p.to_json())
-    assert _digest(paths) == digest
+    return paths
+
+
+@pytest.mark.parametrize("n, k, digest", HAMILTON_JOHNSON_GOLDEN)
+def test_hamilton_johnson_paths_are_byte_identical(n, k, digest):
+    assert _digest(_sampled_paths(JohnsonGraph(n, k), hamilton_johnson)) == digest
+
+
+def test_sampled_hamilton_qj_paths_above_the_memo_are_byte_identical():
+    # QJ(13,{7,8}) has 3,003 vertices; its top level, J(13,8), is a
+    # complemented build of 1,287, above MEMO_VERTICES.
+    paths = _sampled_paths(QJGraph(13, (7, 8)), hamilton_qj)
+    assert _digest(paths) == (
+        "fbec1e440f866b526c7dc76018a9da0eefdf438e87316500ca5ffa00866e3fad"
+    )
 
 
 # (gen arguments, sha256 of the stdout of ``johnson-p2c gen``).

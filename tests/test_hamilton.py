@@ -25,6 +25,7 @@ from johnson_p2c import (
 from johnson_p2c import hamilton
 from johnson_p2c.errors import EqualEndpoints, NotAVertex
 from johnson_p2c.graphs import MEMO_SIZE, mask_generic
+from johnson_p2c.verify import certify, host_of
 
 # The package attribute ``p2c_johnson`` is the function of that name.
 p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
@@ -164,6 +165,18 @@ class TestLargeGroundSet:
         s, t = es([70], 70), es([1], 70)
         p = hamilton_johnson(g, s, t)
         assert check_hamilton(g, p, s, t).valid and len(p) == 70
+
+    def test_complemented_complete_graph_above_the_memo(self):
+        # J(1001,1000) is read as J(1001,1), which has more than
+        # MEMO_VERTICES vertices: the k = 1 leaf applies the complement.
+        n = 1001
+        g = JohnsonGraph(n, n - 1)
+        full = (1 << n + 1) - 2
+        s, t = full ^ 1 << 5, full ^ 1 << 700
+        p = hamilton.hamilton_masks(g, s, t)
+        assert certify(host_of(g), [p], ((s, t),)).valid
+        canonical = hamilton.hamilton_masks(JohnsonGraph(n, 1), s ^ full, t ^ full)
+        assert p == [v ^ full for v in canonical]
 
 
 def test_clear_caches_empties_every_memo():

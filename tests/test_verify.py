@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -378,6 +379,24 @@ class TestSweep:
         message = f"^{graph.vertex_count} vertices exceeds oracle cap {cap}$"
         with pytest.raises(TooLargeForOracle, match=message):
             sweep(graph, mode=mode, constructor="oracle", count=5, oracle_cap=cap)
+
+    def test_failing_sweep_holds_a_bounded_number_of_records(self):
+        # The complete-graph cover fails every quad of J(6,3).  The summary
+        # lists 10 failure records; holding all 20,000 peaked at 24 MB.
+        tracemalloc.start()
+        try:
+            summary = sweep(
+                JohnsonGraph(6, 3),
+                mode="sampled",
+                constructor="complete",
+                seed=1,
+                count=20_000,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.invalid == 20_000 and len(summary.failures) == 10
+        assert peak < 2 * 2**20
 
     def test_qj_constructor_runs_on_johnson(self):
         summary = sweep(JohnsonGraph(5, 2), constructor="qj")
