@@ -9,7 +9,6 @@ oracles and the built-in fixtures.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -46,14 +45,15 @@ class _LevelGraph:
     levels.  J(n,k) is the one-level graph QJ(n,{k}), so both kinds share
     this one body and differ only in how they are built and named."""
 
-    __slots__ = ("n", "levels")
+    __slots__ = ("n", "levels", "vertex_count")
+
+    def _init(self, n: int, levels: tuple) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "vertex_count", sum(comb(n, a) for a in levels))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(comb(self.n, a) for a in self.levels)
 
     def vertices(self) -> Iterator[ElementSet]:
         for a in self.levels:
@@ -110,9 +110,8 @@ class JohnsonGraph(_LevelGraph):
     def __init__(self, n: int, k: int):
         if not 0 <= k <= n:
             raise ValueError(f"k={k} outside [0, {n}]")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "levels", (k,))
+        self._init(n, (k,))
 
     def __reduce__(self):
         return JohnsonGraph, (self.n, self.k)
@@ -158,8 +157,7 @@ class QJGraph(_LevelGraph):
             levels = LevelSpec(levels)
         if levels[-1] > n:
             raise ValueError(f"level {levels[-1]} exceeds ground set size {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", levels)
+        self._init(n, levels)
 
     def __reduce__(self):
         return QJGraph, (self.n, self.levels)
@@ -233,11 +231,10 @@ def fig1_counterexample() -> tuple[GenericGraph, tuple[int, int, int, int]]:
     return GenericGraph(8, edges), (0b000, 0b101, 0b100, 0b001)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def mask_generic(n: int, levels: tuple) -> tuple[GenericGraph, tuple[int, ...]]:
     """Materialize J(n,k) (``levels == (k,)``) or QJ(n,levels) on int masks;
-    returns (graph, index->mask tuple).  Memoized: the exact searches ask
-    for the same few small graphs over and over.
+    returns (graph, index->mask tuple).  The exact search keeps what it
+    reads of it in its own memo (``hamilton._mask_search``).
 
     Vertices are numbered level by level, each level in bit-vector order,
     as the graph's ``vertices()`` lists them.

@@ -10,6 +10,13 @@ out in ``_search_masks``, an exact backtracking search on any host graph
 with at most ``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two
 terminal pairs, is the P2C oracle and the Johnson constructor's base case.
 
+The search reads each small graph through tables built once and kept in
+the memo ``_mask_search``, keyed by ``(n, levels)``: the vertex masks, a
+mask-to-index dict, the neighbor masks, and neighbor-union tables over
+chunks of ``SEARCH_CHUNK`` (8) vertices, 256 entries a chunk, so memory
+grows linearly with the graph.  It prunes by reachability alone (see
+``_cover_search``).
+
 Every path is read through ``_ham``, the memo's one reader.  The memo
 holds small canonical paths only: a one-level key with 2k > n is stored as
 J(n,n-k), whose vertices are the complements, and a subgraph above
@@ -162,105 +169,135 @@ def _chunk_table(lo: int, hi: int) -> list[str]:
 
 
 def hamilton_bruteforce(g: GenericGraph, s: int, t: int) -> Path | None:
-    """Exact Hamilton path search with connectivity and dead-end pruning."""
+    """Exact Hamilton path search with connectivity pruning."""
     if s == t:
         raise EqualEndpoints(f"endpoints coincide: {s}")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise NotAVertex(f"{s} or {t} not in graph")
-    found = _cover_search(g.adjacency, ((s, t),))
+    found = _cover_search(_search_tables(g.adjacency), ((s, t),))
     return Path(tuple(found[0])) if found is not None else None
 
 
-def _search_masks(n: int, levels: tuple, pairs) -> list[list[int]] | None:
-    """``_cover_search`` on the memoized explicit copy of QJ(n,levels), J(n,k)
-    being ``levels == (k,)``, with the terminal pairs and the paths as masks.
-    The small-graph cases of the builders and the oracle all run here."""
+# Vertices per chunk of the search's neighbor-union tables: a chunk's table
+# has 2 ** SEARCH_CHUNK entries, so the tables grow linearly with the graph.
+SEARCH_CHUNK = 8
+_CHUNK_MASK = (1 << SEARCH_CHUNK) - 1
+
+
+def _search_tables(adj) -> tuple:
+    """The graph with adjacency lists ``adj`` as the exact search reads it:
+    (nbrs, chunks, full).  nbrs[v] is the neighbor mask of vertex v, bit z
+    for neighbor z.  chunks holds a pair (lo, table) for each run of
+    SEARCH_CHUNK indices from lo: table[b] is the union of the neighbor
+    masks of the vertices lo + i with bit i set in b.  full is the mask of
+    every vertex."""
+    nbrs = tuple(sum(1 << z for z in a) for a in adj)
+    chunks = []
+    for lo in range(0, len(nbrs), SEARCH_CHUNK):
+        table = [0]
+        for m in nbrs[lo : lo + SEARCH_CHUNK]:
+            # The entries with this vertex's bit set are those without it,
+            # plus its neighbors.
+            table += [u | m for u in table]
+        chunks.append((lo, tuple(table)))
+    return nbrs, tuple(chunks), (1 << len(nbrs)) - 1
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _mask_search(n: int, levels: tuple):
+    """(vertex masks in index order, mask->index dict, ``_search_tables``)
+    of the explicit copy of QJ(n,levels), J(n,k) being ``levels == (k,)``."""
     generic, verts = mask_generic(n, levels)
-    index = verts.index
-    found = _cover_search(generic.adjacency, [(index(s), index(t)) for s, t in pairs])
+    index = {b: i for i, b in enumerate(verts)}
+    return verts, index, _search_tables(generic.adjacency)
+
+
+def _search_masks(n: int, levels: tuple, pairs) -> list[list[int]] | None:
+    """``_cover_search`` on QJ(n,levels), J(n,k) being ``levels == (k,)``,
+    with the terminal pairs and the paths as masks.  The small-graph cases of
+    the builders and the oracle all run here."""
+    verts, index, tables = _mask_search(n, levels)
+    found = _cover_search(tables, [(index[s], index[t]) for s, t in pairs])
     return None if found is None else [[verts[i] for i in p] for p in found]
 
 
-def _cover_search(adj, pairs) -> list[list[int]] | None:
-    """Cover the graph with adjacency lists ``adj`` by vertex-disjoint paths
-    joining the terminal pairs (s_i, t_i), in that order; None if impossible.
+def _cover_search(tables, pairs) -> list[list[int]] | None:
+    """Cover the graph of ``_search_tables`` by vertex-disjoint paths joining
+    the terminal pairs (s_i, t_i), in that order; None if impossible.
 
     A Hamilton path is one pair, a paired 2-disjoint path cover two.  The
-    paths are grown one at a time, each scanning its neighbors in adjacency
-    order; path i never steps onto the terminal of a later path, and the
-    last path reaches its terminal only as the last uncovered vertex.
-    Vertex sets are int bitmasks over the indices, bit i for vertex i.
+    paths are grown one at a time, depth first, each trying its neighbors in
+    ascending order; path i never steps onto the terminal of a later path,
+    and the last path reaches its terminal only as the last uncovered
+    vertex.  Vertex sets are int bitmasks over the indices, bit i for vertex
+    i.
+
+    The one pruning rule is reachability: every unvisited vertex must still
+    connect to a path end (the growing end or a later path's start) through
+    unvisited vertices.  The flood that tests it grows its frontier by one
+    table lookup per chunk of SEARCH_CHUNK vertices, not one per vertex.
+    A rule only cuts branches that hold no cover, so the search returns the
+    same first cover whichever rules it applies.  A degree rule (each
+    unvisited vertex keeps two usable neighbors, one if a pending terminal)
+    is not applied: on every graph measured, its per-vertex scan cost more
+    than the branches it cut.
     """
-    nbrs = [sum(1 << z for z in a) for a in adj]
-    visited = sum(1 << s for s, _ in pairs)
+    visited = 0
+    for s, _ in pairs:
+        visited |= 1 << s
     paths = [[s] for s, _ in pairs]
-    # Per path: the later paths' start vertices (still path ends to reach),
-    # the terminals still pending, the terminals it must not step onto, and
-    # its own terminal.
-    stages = [
-        (
-            sum(1 << s for s, _ in pairs[i + 1 :]),
-            sum(1 << t for _, t in pairs[i:]),
-            sum(1 << t for _, t in pairs[i + 1 :]),
-            pairs[i][1],
-        )
-        for i in range(len(pairs))
-    ]
-    if _extend(adj, nbrs, visited, paths, stages, 0):
+    # Per path: its terminal, the later paths' starts (path ends still to
+    # reach) and the later paths' terminals, which it must not step onto.
+    stages = []
+    for i, (_, t) in enumerate(pairs):
+        starts = forbidden = 0
+        for s2, t2 in pairs[i + 1 :]:
+            starts |= 1 << s2
+            forbidden |= 1 << t2
+        stages.append((t, starts, forbidden))
+    if _extend(tables, visited, paths, stages, 0):
         return paths
     return None
 
 
-def _extend(adj, nbrs, visited, paths, stages, i) -> bool:
+def _extend(tables, visited, paths, stages, i) -> bool:
     """Grow path i (and then the later ones) into a cover; on failure,
     undo every step taken."""
+    nbrs, chunks, full = tables
     path = paths[i]
     cur = path[-1]
-    later_starts, pending, forbidden, t = stages[i]
+    t, starts, forbidden = stages[i]
     last = i == len(paths) - 1
-    full = (1 << len(adj)) - 1
     if cur == t:
         if last:
             return visited == full
-        return _extend(adj, nbrs, visited, paths, stages, i + 1)
-    if not _feasible(nbrs, full ^ visited, later_starts | 1 << cur, pending):
-        return False
-    blocked = visited | forbidden
-    for nxt in adj[cur]:
-        bit = 1 << nxt
-        if blocked & bit or last and nxt == t and visited | bit != full:
-            continue
-        path.append(nxt)
-        if _extend(adj, nbrs, visited | bit, paths, stages, i):
+        return _extend(tables, visited, paths, stages, i + 1)
+    # Reachability: flood the unvisited vertices from the path ends.
+    unvisited = full ^ visited
+    frontier, reached = starts | 1 << cur, 0
+    while True:
+        grown = 0
+        for lo, table in chunks:
+            grown |= table[frontier >> lo & _CHUNK_MASK]
+        frontier = grown & (unvisited ^ reached)
+        if not frontier:
+            return False
+        reached |= frontier
+        if reached == unvisited:
+            break
+    # The neighbors in ascending order, the terminal of the last path only
+    # as its last vertex.
+    steps = nbrs[cur] & ~(visited | forbidden)
+    if last and unvisited != 1 << t:
+        steps &= ~(1 << t)
+    while steps:
+        bit = steps & -steps
+        steps ^= bit
+        path.append(bit.bit_length() - 1)
+        if _extend(tables, visited | bit, paths, stages, i):
             return True
         path.pop()
     return False
-
-
-def _feasible(nbrs, unvisited, ends, pending) -> bool:
-    """Reachability: every unvisited vertex connects to a path end through
-    unvisited vertices.  Degree: each keeps a usable neighbor, and two
-    unless it is a pending terminal."""
-    reached, frontier = 0, ends
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= nbrs[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & unvisited & ~reached
-        reached |= frontier
-    if reached != unvisited:
-        return False
-    usable = unvisited | ends
-    while unvisited:
-        low = unvisited & -unvisited
-        unvisited ^= low
-        avail = nbrs[low.bit_length() - 1] & usable
-        # At most one usable neighbor: only a pending terminal may keep one.
-        if not avail & (avail - 1) and not (avail and pending & low):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +421,7 @@ class _Side(NamedTuple):
         return _ham(self.n - 1, (self.k,), s, t, self.bit, out)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _sides(n: int, k: int) -> tuple[_Side, _Side]:
     """(X, Y) of J(n,k); the side of a mask w is ``_sides(n, k)[w >> n & 1]``."""
     return _Side(n, k, 0), _Side(n, k - 1, 1 << n)
@@ -396,9 +434,14 @@ def _swappable(a: int, n: int) -> int:
 
 
 def _across(a: int, n: int) -> list[int]:
-    """Neighbors of a on the other side of the split by n, in bit-vector order."""
+    """Neighbors of a on the other side of the split by n, in bit-vector
+    order: trading a larger element gives a smaller mask from X and a larger
+    one from Y, so the traded elements run descending on X, ascending on Y."""
     flipped = a ^ (1 << n)
-    return sorted(flipped ^ (1 << e) for e in mask_elements(_swappable(a, n)))
+    elements = mask_elements(_swappable(a, n))
+    if not a >> n & 1:
+        elements.reverse()
+    return [flipped ^ (1 << e) for e in elements]
 
 
 def _ham_johnson_build(n, k, s, t, out):

@@ -35,12 +35,13 @@ from .errors import (
     SelectionExhausted,
     TooFewVertices,
 )
-from .graphs import MEMO_SIZE, JohnsonGraph, QJGraph, mask_generic
+from .graphs import MEMO_SIZE, JohnsonGraph, QJGraph
 from .hamilton import (
     BRUTE_FORCE_LIMIT,
     Path,
     _across,
     _ham_path,
+    _mask_search,
     _search_masks,
     _sides,
     _swappable,
@@ -53,7 +54,8 @@ def clear_caches() -> None:
     """Empty every memo, so the next construction starts cold."""
     _ham_path.cache_clear()
     _oracle_cover.cache_clear()
-    mask_generic.cache_clear()
+    _mask_search.cache_clear()
+    _sides.cache_clear()
 
 
 def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
@@ -132,7 +134,8 @@ def _finish(n, levels, quad, p1, p2):
 
 def _orient(p1, p2, u, v, x, y):
     """Return the two paths as (u-to-v, x-to-y)."""
-    if {p1[0], p1[-1]} == {u, v}:
+    ends = p1[0], p1[-1]
+    if ends == (u, v) or ends == (v, u):
         puv, pxy = p1, p2
     else:
         puv, pxy = p2, p1
@@ -237,12 +240,14 @@ def _case_one_apart(n, side, other, quad, lone):
 
 
 def _case_two_in_y(n, k, quad, in_y, sides):
-    odd = next(
-        (e for e in range(1, n + 1) if sum(w >> e & 1 for w in quad) != 2), None
-    )
-    if odd is not None:
-        # Swap an unbalanced element with n and re-dispatch: the swapped quad
-        # no longer has exactly two endpoints containing n.
+    # The elements of [n] in an odd number of endpoints, in all four or in
+    # none: those not in exactly two.
+    u, v, x, y = quad
+    unbalanced = u ^ v ^ x ^ y | u & v & x & y | full_mask(n) & ~(u | v | x | y)
+    if unbalanced:
+        # Swap the lowest unbalanced element with n and re-dispatch: the
+        # swapped quad no longer has exactly two endpoints containing n.
+        odd = (unbalanced & -unbalanced).bit_length() - 1
         swap = (1 << odd) | (1 << n)
 
         def relabel(ws):
@@ -251,9 +256,7 @@ def _case_two_in_y(n, k, quad, in_y, sides):
         p1, p2 = _solve(n, k, *relabel(quad))
         return relabel(p1), relabel(p2)
 
-    if n != 2 * k:
-        raise InvariantViolated(f"balanced element counts in J({n},{k}) force n = 2k")
-    u, v, x, y = quad
+    # Every element lies in exactly two of the four k-subsets, so 4k = 2n.
     if in_y[0] == in_y[1]:
         # One pair lives entirely in Y, the other entirely in X: two
         # independent Hamilton paths.

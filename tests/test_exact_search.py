@@ -8,10 +8,13 @@ validating, object-wrapping searches ``p2c_bruteforce`` and
 mapped to masks.
 """
 
+import hashlib
 import importlib
 import random
 import sys
 from itertools import combinations, permutations
+
+import pytest
 
 from johnson_p2c import (
     EndpointQuad,
@@ -109,3 +112,27 @@ def test_p2c_search_matches_the_public_search():
                 continue
             assert found == [[masks[z] for z in p] for p in by_index], (g, idx)
             assert found == [[w.bits for w in p] for p in on_graph], (g, idx)
+
+
+# One sha256 per small graph that the constructors search, over the search's
+# answer to every ordered Hamilton pair and then every ordered P2C quad, in
+# the order ``permutations`` lists them from the vertices in bit-vector order.
+# Recorded before the search ran on its per-graph tables; a change of
+# pruning rule or table must leave every answer as it was.
+SEARCH_DIGESTS = {
+    (4, (2,)): "b09e8bdc7cf82506259df8b5ee400806d3cdff69a69ace9719b24ab67049e824",
+    (5, (2,)): "0ec7cbcd3da34279c4920062eaf38bc505371474cb46d62041f9867f2d29b24c",
+    (5, (3,)): "4ac84296315f1f0c7961f12f0d067d457e700664244d29c929e4a98f2d350bd4",
+    (4, (2, 3)): "38f8c5eae5dd88fff0a525b7725f614091a32ee265057ddb16d6efa32a13a797",
+}
+
+
+@pytest.mark.parametrize("n, levels", list(SEARCH_DIGESTS), ids=repr)
+def test_search_answers_are_pinned(n, levels):
+    verts = [b for a in levels for b in k_masks(n, a)]
+    digest = hashlib.sha256()
+    for s, t in permutations(verts, 2):
+        digest.update(repr(_search_masks(n, levels, ((s, t),))).encode())
+    for u, v, x, y in permutations(verts, 4):
+        digest.update(repr(_search_masks(n, levels, ((u, v), (x, y)))).encode())
+    assert digest.hexdigest() == SEARCH_DIGESTS[n, levels]

@@ -23,7 +23,7 @@ from johnson_p2c import (
     p2c_qj,
 )
 from johnson_p2c import hamilton
-from johnson_p2c.errors import EqualEndpoints, NotAVertex
+from johnson_p2c.errors import CoverError, EqualEndpoints, NotAVertex
 from johnson_p2c.graphs import MEMO_SIZE, mask_generic
 from johnson_p2c.verify import certify, host_of
 
@@ -179,15 +179,30 @@ class TestLargeGroundSet:
         assert p == [v ^ full for v in canonical]
 
 
+def test_a_small_graph_without_a_path_is_a_cover_error(monkeypatch):
+    # The search finds a path between any two vertices of a J(n,k) small
+    # enough for it; one that finds none is a typed error, not a crash.
+    monkeypatch.setattr(hamilton, "_search_masks", lambda *args: None)
+    clear_caches()
+    s, t = 0b110, 0b1010
+    with pytest.raises(CoverError, match="no Hamilton path"):
+        hamilton.hamilton_masks(JohnsonGraph(5, 2), s, t)
+
+
 def test_clear_caches_empties_every_memo():
     for g in (JohnsonGraph(6, 3), QJGraph(5, [1, 2, 3])):
         q = EndpointQuad(*list(g.vertices())[:4])
         sol = p2c_johnson(g, q) if isinstance(g, JohnsonGraph) else p2c_qj(g, q)
         assert check_p2c(g, q, sol).valid
-    memos = [hamilton._ham_path, p2c_johnson_module._oracle_cover, mask_generic]
+    memos = [
+        hamilton._ham_path,
+        p2c_johnson_module._oracle_cover,
+        hamilton._mask_search,
+        hamilton._sides,
+    ]
     assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0]
     # One bound for every memo, and a finite one.
     sizes = {memo.cache_info().maxsize for memo in memos}
     assert sizes == {MEMO_SIZE} and MEMO_SIZE > 0

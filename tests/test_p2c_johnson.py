@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import permutations
 
@@ -24,6 +25,8 @@ from johnson_p2c.errors import (
 )
 from johnson_p2c.hamilton import Path
 from johnson_p2c.p2c_johnson import _orient
+
+p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
 
 
 def es(elems, n):
@@ -217,6 +220,21 @@ class TestOrient:
             _orient([u, x], [v, y], u, v, x, y)
         with pytest.raises(InvariantViolated):
             _orient([u, v], [x, u], u, v, x, y)
+
+    def test_a_sub_solver_with_swapped_ends_is_caught(self, monkeypatch):
+        # The oracle's cover of J(5,2) with the last vertices of its two
+        # paths swapped: u runs to y and x to v.  _finish must refuse it.
+        oracle = p2c_johnson_module._solve_small
+
+        def swapped(*args):
+            p1, p2 = oracle(*args)
+            return p1[:-1] + p2[-1:], p2[:-1] + p1[-1:]
+
+        monkeypatch.setattr(p2c_johnson_module, "_solve_small", swapped)
+        g = JohnsonGraph(5, 2)
+        q = quad(5, [1, 2], [3, 4], [1, 3], [2, 5])
+        with pytest.raises(InvariantViolated, match="paired endpoints"):
+            p2c_johnson(g, q)
 
 
 class TestLargeGroundSet:

@@ -2,7 +2,7 @@ import concurrent.futures
 import gc
 import random
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,8 +23,8 @@ from johnson_p2c import (
     sweep,
 )
 from johnson_p2c.errors import SweepBudget, TooFewVertices, TooLargeForOracle
-from johnson_p2c.graphs import GenericGraph
-from johnson_p2c.hamilton import Path, _cover_search
+from johnson_p2c.graphs import GenericGraph, mask_generic
+from johnson_p2c.hamilton import Path, _cover_search, _search_tables
 
 
 def es(elems, n):
@@ -222,18 +222,76 @@ def _unpruned_cover(adj, pairs):
     return paths if grow(0) else None
 
 
+def _random_adjacency(rng, nv, mean_degree, pendants):
+    """Adjacency lists of a random graph on nv vertices: a core with about
+    the given mean degree, and ``pendants`` vertices of degree 1 hanging off
+    it, all shuffled over the indices."""
+    core = nv - pendants
+    p = min(1.0, mean_degree / (core - 1))
+    edges = [(a, b) for a in range(core) for b in range(a + 1, core) if rng.random() < p]
+    edges += [(rng.randrange(core), z) for z in range(core, nv)]
+    label = rng.sample(range(nv), nv)
+    return GenericGraph(nv, [(label[a], label[b]) for a, b in edges]).adjacency
+
+
+def _match_unpruned_search(sizes, seed, pair_count, quad_count):
+    """Compare the exact search with ``_unpruned_cover`` on graphs of each
+    size: every J(n,k) and QJ(n,A) with n <= 6, the graphs the oracle
+    searches, and random ones, a dense one (mean degree nv/2), a sparse one
+    (mean degree 4) and sparse ones with one or two pendant vertices.  Both
+    outcomes, a cover and None, must occur.  Pendants on a dense core would
+    leave the unpruned search too many dead ends to walk."""
+    rng = random.Random(seed)
+    graphs = [JohnsonGraph(n, k) for n in range(4, 7) for k in range(1, n)]
+    graphs += [
+        QJGraph(n, A)
+        for n in range(4, 7)
+        for r in range(1, n + 1)
+        for A in combinations(range(1, n + 1), r)
+    ]
+    adjacencies = [
+        mask_generic(g.n, tuple(g.levels))[0].adjacency
+        for g in graphs
+        if g.vertex_count in sizes
+    ]
+    for nv in sizes:
+        for mean_degree, pendants in ((nv / 2, 0), (4, 0), (4, 1), (3, 2)):
+            adjacencies.append(_random_adjacency(rng, nv, mean_degree, pendants))
+    outcomes = set()
+    for adj in adjacencies:
+        tables = _search_tables(adj)
+        pairs = list(permutations(range(len(adj)), 2))
+        quads = list(permutations(range(len(adj)), 4))
+        cases = [(p,) for p in rng.sample(pairs, min(pair_count, len(pairs)))]
+        cases += [(q[:2], q[2:]) for q in rng.sample(quads, min(quad_count, len(quads)))]
+        for case in cases:
+            found = _cover_search(tables, case)
+            assert found == _unpruned_cover(adj, case), (adj, case)
+            outcomes.add(found is None)
+    assert outcomes == {True, False}
+
+
 def test_exact_search_matches_unpruned_search():
     rng = random.Random(11)
     for _ in range(40):
         nv = rng.randint(4, 8)
         edges = [(a, b) for a in range(nv) for b in range(a + 1, nv) if rng.random() < 0.5]
         adj = GenericGraph(nv, edges).adjacency
+        tables = _search_tables(adj)
         for s, t in permutations(range(nv), 2):
-            assert _cover_search(adj, ((s, t),)) == _unpruned_cover(adj, ((s, t),))
+            assert _cover_search(tables, ((s, t),)) == _unpruned_cover(adj, ((s, t),))
         quads = list(permutations(range(nv), 4))
         for u, v, x, y in rng.sample(quads, min(30, len(quads))):
             pairs = ((u, v), (x, y))
-            assert _cover_search(adj, pairs) == _unpruned_cover(adj, pairs)
+            assert _cover_search(tables, pairs) == _unpruned_cover(adj, pairs)
+    # Up to 12 vertices: odd counts, two chunks of the search's tables.
+    _match_unpruned_search(range(4, 13), seed=12, pair_count=60, quad_count=30)
+
+
+@pytest.mark.slow
+def test_exact_search_matches_unpruned_search_to_20_vertices():
+    # Up to three chunks of the search's tables.
+    _match_unpruned_search(range(13, 21), seed=13, pair_count=20, quad_count=20)
 
 
 class TestSweep:
