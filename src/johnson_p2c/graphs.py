@@ -26,8 +26,9 @@ from .subsets import (
 # ``cache_info()`` gives its hits, misses and size.  It is above the largest
 # working sets measured, so nothing is evicted there: 11,232 Hamilton paths
 # (acceptance criterion 6), 10,440 oracle covers (the exhaustive J(6,3) and
-# QJ(5,A) sweeps) and 22 small explicit graphs.  Long sampled sweeps, which
-# grew the memos without end, stop growing at the bound.
+# QJ(5,A) sweeps), the search tables of 22 small graphs and one split pair
+# of sides per J(n,k).  Long sampled sweeps, which grew the memos without
+# end, stop growing at the bound.
 #
 # The Hamilton memo also bounds what one entry holds: it keeps the paths of
 # subgraphs with at most MEMO_VERTICES vertices, under their canonical key

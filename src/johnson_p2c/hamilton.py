@@ -14,7 +14,8 @@ The search reads each small graph through tables built once and kept in
 the memo ``_mask_search``, keyed by ``(n, levels)``: the vertex masks, a
 mask-to-index dict, the neighbor masks, and neighbor-union tables over
 chunks of ``SEARCH_CHUNK`` (8) vertices, 256 entries a chunk, so memory
-grows linearly with the graph.  It prunes by reachability alone (see
+grows linearly with the graph.  On these graphs it prunes by reachability
+alone; on an explicit graph it also applies a degree rule (see
 ``_cover_search``).
 
 Every path is read through ``_ham``, the memo's one reader.  The memo
@@ -169,7 +170,7 @@ def _chunk_table(lo: int, hi: int) -> list[str]:
 
 
 def hamilton_bruteforce(g: GenericGraph, s: int, t: int) -> Path | None:
-    """Exact Hamilton path search with connectivity pruning."""
+    """Exact Hamilton path search with connectivity and dead-end pruning."""
     if s == t:
         raise EqualEndpoints(f"endpoints coincide: {s}")
     if not (g.has_vertex(s) and g.has_vertex(t)):
@@ -184,23 +185,30 @@ SEARCH_CHUNK = 8
 _CHUNK_MASK = (1 << SEARCH_CHUNK) - 1
 
 
-def _search_tables(adj) -> tuple:
+def _search_tables(adj, degree_rule: bool = True) -> tuple:
     """The graph with adjacency lists ``adj`` as the exact search reads it:
-    (nbrs, chunks, full).  nbrs[v] is the neighbor mask of vertex v, bit z
-    for neighbor z.  chunks holds a pair (lo, table) for each run of
-    SEARCH_CHUNK indices from lo: table[b] is the union of the neighbor
+    (nbrs, chunks, full, degree).  nbrs[v] is the neighbor mask of vertex
+    v, bit z for neighbor z.  chunks holds a pair (lo, table) for each run
+    of SEARCH_CHUNK indices from lo: table[b] is the union of the neighbor
     masks of the vertices lo + i with bit i set in b.  full is the mask of
-    every vertex."""
+    every vertex.  degree is empty without the degree rule; with it, it
+    holds a triple (lo, table, twice) per chunk, where twice[b] is the set
+    of vertices adjacent to at least two of those vertices."""
     nbrs = tuple(sum(1 << z for z in a) for a in adj)
-    chunks = []
+    chunks, degree = [], []
     for lo in range(0, len(nbrs), SEARCH_CHUNK):
-        table = [0]
+        table, twice = [0], [0]
         for m in nbrs[lo : lo + SEARCH_CHUNK]:
             # The entries with this vertex's bit set are those without it,
-            # plus its neighbors.
+            # plus its neighbors; those of its neighbors that were adjacent
+            # to one of the chunk's vertices before are now adjacent to two.
+            twice += [w | u & m for u, w in zip(table, twice)]
             table += [u | m for u in table]
-        chunks.append((lo, tuple(table)))
-    return nbrs, tuple(chunks), (1 << len(nbrs)) - 1
+        table = tuple(table)
+        chunks.append((lo, table))
+        if degree_rule:
+            degree.append((lo, table, tuple(twice)))
+    return nbrs, tuple(chunks), (1 << len(nbrs)) - 1, tuple(degree)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -209,7 +217,8 @@ def _mask_search(n: int, levels: tuple):
     of the explicit copy of QJ(n,levels), J(n,k) being ``levels == (k,)``."""
     generic, verts = mask_generic(n, levels)
     index = {b: i for i, b in enumerate(verts)}
-    return verts, index, _search_tables(generic.adjacency)
+    # The degree rule never paid on these graphs (see ``_cover_search``).
+    return verts, index, _search_tables(generic.adjacency, degree_rule=False)
 
 
 def _search_masks(n: int, levels: tuple, pairs) -> list[list[int]] | None:
@@ -232,15 +241,18 @@ def _cover_search(tables, pairs) -> list[list[int]] | None:
     vertex.  Vertex sets are int bitmasks over the indices, bit i for vertex
     i.
 
-    The one pruning rule is reachability: every unvisited vertex must still
-    connect to a path end (the growing end or a later path's start) through
-    unvisited vertices.  The flood that tests it grows its frontier by one
-    table lookup per chunk of SEARCH_CHUNK vertices, not one per vertex.
-    A rule only cuts branches that hold no cover, so the search returns the
-    same first cover whichever rules it applies.  A degree rule (each
-    unvisited vertex keeps two usable neighbors, one if a pending terminal)
-    is not applied: on every graph measured, its per-vertex scan cost more
-    than the branches it cut.
+    Two rules prune branches.  Reachability: every unvisited vertex must
+    still connect to a path end (the growing end or a later path's start)
+    through unvisited vertices.  Degree, if the tables carry it: every
+    unvisited vertex keeps two usable neighbors (unvisited, or a path end),
+    one if it is a pending terminal.  Each test takes table lookups per
+    chunk of SEARCH_CHUNK vertices, not a step per vertex.  A rule only
+    cuts branches that hold no cover, so the search returns the same first
+    cover whichever rules it applies.  The tables of J(n,k) and QJ(n,A)
+    carry no degree rule: their vertices keep many usable neighbors, and on
+    every such graph measured the test cost more than it cut.  On sparse
+    graphs and graphs with pendant vertices, which explicit graphs may be,
+    it cuts whole subtrees that reachability leaves.
     """
     visited = 0
     for s, _ in pairs:
@@ -263,7 +275,7 @@ def _cover_search(tables, pairs) -> list[list[int]] | None:
 def _extend(tables, visited, paths, stages, i) -> bool:
     """Grow path i (and then the later ones) into a cover; on failure,
     undo every step taken."""
-    nbrs, chunks, full = tables
+    nbrs, chunks, full, degree = tables
     path = paths[i]
     cur = path[-1]
     t, starts, forbidden = stages[i]
@@ -272,9 +284,20 @@ def _extend(tables, visited, paths, stages, i) -> bool:
         if last:
             return visited == full
         return _extend(tables, visited, paths, stages, i + 1)
-    # Reachability: flood the unvisited vertices from the path ends.
     unvisited = full ^ visited
-    frontier, reached = starts | 1 << cur, 0
+    ends = starts | 1 << cur
+    if degree:
+        # The vertices with at least one usable neighbor, and with two.
+        usable = unvisited | ends
+        once = twice = 0
+        for lo, table, two in degree:
+            b = usable >> lo & _CHUNK_MASK
+            twice |= two[b] | once & table[b]
+            once |= table[b]
+        if unvisited & ~twice & ~(once & (1 << t | forbidden)):
+            return False
+    # Reachability: flood the unvisited vertices from the path ends.
+    frontier, reached = ends, 0
     while True:
         grown = 0
         for lo, table in chunks:

@@ -22,6 +22,7 @@ from johnson_p2c import (
     p2c_johnson,
     sweep,
 )
+from johnson_p2c import hamilton
 from johnson_p2c.errors import SweepBudget, TooFewVertices, TooLargeForOracle
 from johnson_p2c.graphs import GenericGraph, mask_generic
 from johnson_p2c.hamilton import Path, _cover_search, _search_tables
@@ -193,6 +194,25 @@ def test_exact_searches_leave_no_reference_cycles():
     assert freed == 0
 
 
+def test_explicit_graph_search_stops_at_a_dead_end(monkeypatch):
+    # K_8 with a pendant vertex hung off each of two core vertices: no
+    # Hamilton path joins two other core vertices.  The degree rule sees the
+    # pendants at the first node; reachability alone would walk the paths
+    # of the core (583 nodes).
+    edges = [(a, b) for a in range(8) for b in range(a + 1, 8)] + [(0, 8), (1, 9)]
+    g = GenericGraph(10, edges)
+    calls = []
+    extend = hamilton._extend
+
+    def counting(*args):
+        calls.append(args[-1])
+        return extend(*args)
+
+    monkeypatch.setattr(hamilton, "_extend", counting)
+    assert hamilton_bruteforce(g, 2, 3) is None
+    assert calls == [0]
+
+
 def _unpruned_cover(adj, pairs):
     """Reference for the exact search: the same depth-first order without
     pruning.  Pruning only cuts branches that hold no cover, so both must
@@ -259,14 +279,15 @@ def _match_unpruned_search(sizes, seed, pair_count, quad_count):
             adjacencies.append(_random_adjacency(rng, nv, mean_degree, pendants))
     outcomes = set()
     for adj in adjacencies:
-        tables = _search_tables(adj)
+        with_degree, without = _search_tables(adj), _search_tables(adj, False)
         pairs = list(permutations(range(len(adj)), 2))
         quads = list(permutations(range(len(adj)), 4))
         cases = [(p,) for p in rng.sample(pairs, min(pair_count, len(pairs)))]
         cases += [(q[:2], q[2:]) for q in rng.sample(quads, min(quad_count, len(quads)))]
         for case in cases:
-            found = _cover_search(tables, case)
-            assert found == _unpruned_cover(adj, case), (adj, case)
+            found = _unpruned_cover(adj, case)
+            assert _cover_search(with_degree, case) == found, (adj, case)
+            assert _cover_search(without, case) == found, (adj, case)
             outcomes.add(found is None)
     assert outcomes == {True, False}
 
@@ -277,13 +298,17 @@ def test_exact_search_matches_unpruned_search():
         nv = rng.randint(4, 8)
         edges = [(a, b) for a in range(nv) for b in range(a + 1, nv) if rng.random() < 0.5]
         adj = GenericGraph(nv, edges).adjacency
-        tables = _search_tables(adj)
+        with_degree, without = _search_tables(adj), _search_tables(adj, False)
         for s, t in permutations(range(nv), 2):
-            assert _cover_search(tables, ((s, t),)) == _unpruned_cover(adj, ((s, t),))
+            found = _unpruned_cover(adj, ((s, t),))
+            assert _cover_search(with_degree, ((s, t),)) == found
+            assert _cover_search(without, ((s, t),)) == found
         quads = list(permutations(range(nv), 4))
         for u, v, x, y in rng.sample(quads, min(30, len(quads))):
             pairs = ((u, v), (x, y))
-            assert _cover_search(tables, pairs) == _unpruned_cover(adj, pairs)
+            found = _unpruned_cover(adj, pairs)
+            assert _cover_search(with_degree, pairs) == found
+            assert _cover_search(without, pairs) == found
     # Up to 12 vertices: odd counts, two chunks of the search's tables.
     _match_unpruned_search(range(4, 13), seed=12, pair_count=60, quad_count=30)
 
