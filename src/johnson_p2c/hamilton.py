@@ -175,7 +175,7 @@ def hamilton_bruteforce(g: GenericGraph, s: int, t: int) -> Path | None:
         raise EqualEndpoints(f"endpoints coincide: {s}")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise NotAVertex(f"{s} or {t} not in graph")
-    found = _cover_search(_search_tables(g.adjacency), ((s, t),))
+    found = _cover_search(_explicit_search(g.adjacency), ((s, t),))
     return Path(tuple(found[0])) if found is not None else None
 
 
@@ -219,6 +219,13 @@ def _mask_search(n: int, levels: tuple):
     index = {b: i for i, b in enumerate(verts)}
     # The degree rule never paid on these graphs (see ``_cover_search``).
     return verts, index, _search_tables(generic.adjacency, degree_rule=False)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _explicit_search(adjacency: tuple) -> tuple:
+    """``_search_tables`` of an explicit graph, with the degree rule:
+    building a chunk's tables costs more than most searches on them."""
+    return _search_tables(adjacency)
 
 
 def _search_masks(n: int, levels: tuple, pairs) -> list[list[int]] | None:

@@ -40,6 +40,7 @@ from .hamilton import (
     BRUTE_FORCE_LIMIT,
     Path,
     _across,
+    _explicit_search,
     _ham_path,
     _mask_search,
     _search_masks,
@@ -55,6 +56,7 @@ def clear_caches() -> None:
     _ham_path.cache_clear()
     _oracle_cover.cache_clear()
     _mask_search.cache_clear()
+    _explicit_search.cache_clear()
     _sides.cache_clear()
 
 

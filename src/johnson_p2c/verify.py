@@ -39,7 +39,7 @@ from typing import NamedTuple
 from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
 from .graphs import GenericGraph, JohnsonGraph
-from .hamilton import Path, _cover_search, _search_masks, _search_tables, mask_path
+from .hamilton import Path, _cover_search, _explicit_search, _search_masks, mask_path
 from .subsets import k_masks, key_text, mask_elements, mask_keys
 
 DEFAULT_ORACLE_CAP = 20
@@ -291,7 +291,7 @@ def _oracle_paths(g, quad, cap: int):
     _check_oracle_cap(g, cap)
     u, v, x, y = quad
     if isinstance(g, GenericGraph):
-        return _cover_search(_search_tables(g.adjacency), ((u, v), (x, y)))
+        return _cover_search(_explicit_search(g.adjacency), ((u, v), (x, y)))
     return _search_masks(g.n, tuple(g.levels), ((u, v), (x, y)))
 
 

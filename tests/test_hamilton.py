@@ -194,15 +194,18 @@ def test_clear_caches_empties_every_memo():
         q = EndpointQuad(*list(g.vertices())[:4])
         sol = p2c_johnson(g, q) if isinstance(g, JohnsonGraph) else p2c_qj(g, q)
         assert check_p2c(g, q, sol).valid
+    fig1, _ = fig1_counterexample()
+    assert hamilton_bruteforce(fig1, 0, 7) is not None
     memos = [
         hamilton._ham_path,
         p2c_johnson_module._oracle_cover,
         hamilton._mask_search,
+        hamilton._explicit_search,
         hamilton._sides,
     ]
     assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0]
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0, 0]
     # One bound for every memo, and a finite one.
     sizes = {memo.cache_info().maxsize for memo in memos}
     assert sizes == {MEMO_SIZE} and MEMO_SIZE > 0
