@@ -221,7 +221,10 @@ def _mask_search(n: int, levels: tuple):
     return verts, index, _search_tables(generic.adjacency, degree_rule=False)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+# The one memo not bounded by MEMO_SIZE: explicit graphs are arbitrary, and
+# 16,384 of them at 16 vertices would hold about 700 MB of tables.  One
+# entry serves what repeats, a sweep or a CLI oracle on one graph.
+@lru_cache(maxsize=1)
 def _explicit_search(adjacency: tuple) -> tuple:
     """``_search_tables`` of an explicit graph, with the degree rule:
     building a chunk's tables costs more than most searches on them."""

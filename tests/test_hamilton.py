@@ -200,12 +200,14 @@ def test_clear_caches_empties_every_memo():
         hamilton._ham_path,
         p2c_johnson_module._oracle_cover,
         hamilton._mask_search,
-        hamilton._explicit_search,
         hamilton._sides,
     ]
-    assert all(memo.cache_info().currsize for memo in memos)
+    explicit = hamilton._explicit_search
+    assert all(memo.cache_info().currsize for memo in [*memos, explicit])
     clear_caches()
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0, 0]
-    # One bound for every memo, and a finite one.
+    assert [memo.cache_info().currsize for memo in [*memos, explicit]] == [0] * 5
+    # One bound for every memo, and a finite one; the tables of explicit
+    # graphs, which are arbitrary, keep one graph.
     sizes = {memo.cache_info().maxsize for memo in memos}
     assert sizes == {MEMO_SIZE} and MEMO_SIZE > 0
+    assert explicit.cache_info().maxsize == 1
