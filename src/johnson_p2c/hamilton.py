@@ -42,7 +42,7 @@ text without wrapping it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -432,11 +432,13 @@ class _Side(NamedTuple):
     """A half of J(n,k) split by the element n: X, the masks without n, a
     copy of J(n-1,k); or Y, the masks with n, a copy of J(n-1,k-1).  The
     embedding of J(n-1, self.k) into J(n,k) sets ``bit`` (0 on X, 1 << n on
-    Y) and its inverse clears it."""
+    Y) and its inverse clears it.  ``head`` holds the first ``SIDE_HEAD``
+    of ``vertices()``, enough to find one that is none of four endpoints."""
 
     n: int
     k: int
     bit: int
+    head: tuple[int, ...]
 
     def embed(self, vs: list[int]) -> list[int]:
         """Masks of J(n-1, self.k) as masks of J(n,k); X returns ``vs`` itself."""
@@ -454,10 +456,17 @@ class _Side(NamedTuple):
         return _ham(self.n - 1, (self.k,), s, t, self.bit, out)
 
 
+# Vertices of a side kept in its ``head``: one more than a quad's endpoints.
+SIDE_HEAD = 5
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _sides(n: int, k: int) -> tuple[_Side, _Side]:
     """(X, Y) of J(n,k); the side of a mask w is ``_sides(n, k)[w >> n & 1]``."""
-    return _Side(n, k, 0), _Side(n, k - 1, 1 << n)
+    return tuple(
+        _Side(n, j, bit, tuple(v | bit for v in islice(k_masks(n - 1, j), SIDE_HEAD)))
+        for j, bit in ((k, 0), (k - 1, 1 << n))
+    )
 
 
 def _swappable(a: int, n: int) -> int:
@@ -477,6 +486,21 @@ def _across(a: int, n: int) -> list[int]:
     return [flipped ^ (1 << e) for e in elements]
 
 
+def _first_across(a: int, n: int, avoid: int | None = None) -> int:
+    """``next(w for w in _across(a, n) if w != avoid)`` without the list: the
+    neighbor trading a's highest swappable element on X, its lowest on Y,
+    or the next one if that neighbor is ``avoid``.  The caller knows that a
+    has a neighbor across other than ``avoid``."""
+    on_y = a >> n & 1
+    flipped = a ^ (1 << n)
+    swap = (~a if on_y else a) & full_mask(n - 1)
+    pick = swap & -swap if on_y else 1 << swap.bit_length() - 1
+    if flipped ^ pick == avoid:
+        swap ^= pick
+        pick = swap & -swap if on_y else 1 << swap.bit_length() - 1
+    return flipped ^ pick
+
+
 def _ham_johnson_build(n, k, s, t, out):
     """A new Hamilton path of J(n,k) from s to t, with every vertex XORed
     with ``out``; s and t are masks of J(n,k) itself."""
@@ -494,9 +518,9 @@ def _ham_johnson_build(n, k, s, t, out):
         # first two path vertices.
         h = sides[i].path(s, t, out)
         a, b = h[0] ^ out, h[1] ^ out
-        ap = _across(a, n)[0]
+        ap = _first_across(a, n)
         # b has k >= 2 (X) or n-k >= 2 (Y) neighbors across, so one is not ap.
-        bp = next(w for w in _across(b, n) if w != ap)
+        bp = _first_across(b, n, ap)
         h[1:1] = sides[1 - i].path(ap, bp, out)
         return h
 
@@ -508,9 +532,10 @@ def _ham_johnson_build(n, k, s, t, out):
     # s in X, t in Y: end the X-path at an auxiliary vertex bridging into Y.
     x_side, y_side = sides
     # X is J(n-1,k) with n >= 6 and k >= 2 (10+ vertices), and a has k >= 2
-    # neighbors in Y: neither scan runs dry.
-    a = next(v for v in x_side.vertices() if v != s)
-    ap = next(w for w in _across(a, n) if w != t)
+    # neighbors in Y: neither pick runs dry.
+    first, second = x_side.head[:2]
+    a = second if first == s else first
+    ap = _first_across(a, n, t)
     h = x_side.path(s, a, out)
     h += y_side.path(ap, t, out)
     return h

@@ -41,6 +41,7 @@ from .hamilton import (
     Path,
     _across,
     _explicit_search,
+    _first_across,
     _ham_path,
     _mask_search,
     _search_masks,
@@ -48,7 +49,7 @@ from .hamilton import (
     _swappable,
 )
 from .subsets import ElementSet, full_mask, k_masks, mask_keys
-from .verify import certify, host_of
+from .verify import _vertex_keys, certify, host_of
 
 
 def clear_caches() -> None:
@@ -58,6 +59,7 @@ def clear_caches() -> None:
     _mask_search.cache_clear()
     _explicit_search.cache_clear()
     _sides.cache_clear()
+    _vertex_keys.cache_clear()
 
 
 def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
@@ -187,34 +189,33 @@ def _dispatch(n, k, u, v, x, y):
     sides = _sides(n, k)
     if cnt in (0, 4):
         side = cnt // 4
-        return _case_all_on_one_side(n, k, sides[side], sides[1 - side], quad)
+        return _case_all_on_one_side(n, sides[side], sides[1 - side], quad)
     if cnt in (1, 3):
-        # One endpoint apart from the other three: in Y if cnt is 1, else in X.
-        lone = quad[in_y.index(cnt == 1)]
-        side = cnt // 3
-        return _case_one_apart(n, sides[side], sides[1 - side], quad, lone)
+        # One endpoint, quad[i], apart from the other three: in Y if cnt is
+        # 1, else in X.
+        side, i = cnt // 3, in_y.index(cnt == 1)
+        return _case_one_apart(n, sides[side], sides[1 - side], quad, i)
     return _case_two_in_y(n, k, quad, in_y, sides)
 
 
 def _solve_on(side, quad):
     """Oriented cover of one side of the split, on masks of J(n,k)."""
     keep = ~side.bit
-    p1, p2 = _solve(side.n - 1, side.k, *(w & keep for w in quad))
+    u, v, x, y = quad
+    p1, p2 = _solve(side.n - 1, side.k, u & keep, v & keep, x & keep, y & keep)
     return side.embed(p1), side.embed(p2)
 
 
-def _case_all_on_one_side(n, k, side, other, quad):
+def _case_all_on_one_side(n, side, other, quad):
     # Cover the side, then detour through the other side at the first edge
     # of the u-v path, whose ends trade a common element for n: adjacent
     # vertices share k-1 >= 1 elements on X and both lack n-k-1 >= 1 of
-    # [n-1] on Y, as k >= 2 and n >= 2k here.
+    # [n-1] on Y, as k >= 2 and n >= 2k here, so ``common`` is never 0.
     nbit = 1 << n
     paths = _solve_on(side, quad)
     p = paths[0]
     a, b = p[0], p[1]
     common = _swappable(a, n) & _swappable(b, n)
-    if not common:
-        raise InvariantViolated(f"edge {a:#x}-{b:#x} of J({n},{k}) trades nothing")
     e = common & -common
     p[1:1] = other.path(a ^ nbit ^ e, b ^ nbit ^ e)
     return paths
@@ -224,18 +225,18 @@ def _pairing(u, v, x, y):
     return {u: v, v: u, x: y, y: x}
 
 
-def _case_one_apart(n, side, other, quad, lone):
+def _case_one_apart(n, side, other, quad, i):
     # Three endpoints on this side: cover it from a bridge vertex a, its first
-    # vertex that is no endpoint, in place of the lone endpoint, which
-    # reaches a through the other side.
-    partner = _pairing(*quad)[lone]
-    q1, q2 = [z for z in quad if z not in (lone, partner)]
+    # vertex that is no endpoint, in place of the lone endpoint quad[i], which
+    # reaches a through the other side; quad[i ^ 1] is its partner.
+    lone, partner = quad[i], quad[i ^ 1]
+    q1, q2 = quad[2:] if i < 2 else quad[:2]
     # With n >= 6 and k >= 2 each side has 5+ vertices, 3 of them endpoints,
-    # and a has k >= 2 (X) or n-k >= 2 (Y) neighbors across: neither scan
+    # and a has k >= 2 (X) or n-k >= 2 (Y) neighbors across: neither pick
     # runs dry.
-    a = next(z for z in side.vertices() if z not in quad)
+    a = next(z for z in side.head if z not in quad)
     s1, s2 = _solve_on(side, (a, partner, q1, q2))
-    b = next(z for z in _across(a, n) if z != lone)
+    b = _first_across(a, n, lone)
     p = other.path(lone, b)
     p += s1
     return p, s2
@@ -280,21 +281,26 @@ def _case_two_in_y(n, k, quad, in_y, sides):
 
 def _pick_bridges(y_side, w1, w2, p1_, p2_):
     """First (a, a', b, b') in scan order: a,b in Y distinct and not w1/w2,
-    a',b' their X-neighbors, distinct and not p1_/p2_."""
+    a',b' their X-neighbors, distinct and not p1_/p2_.
+
+    The scan never runs dry.  Here n = 2k >= 6, so Y is J(n-1,k-1) with 10+
+    vertices, each with n-k >= 3 neighbors in X.  The first a that is not
+    w1/w2 has a neighbor a' other than the two partners.  A b whose
+    neighbors across all lie in {p1_, p2_, a'} has exactly those n-k = 3,
+    and those neighbors fix b (the elements of [n-1] they all hold are
+    b's), so at most one of the 7+ candidates for b fails."""
     n = y_side.n
-    y_vertices = list(y_side.vertices())
     partners = {p1_, p2_}
-    for a in y_vertices:
+    for a in y_side.vertices():
         if a == w1 or a == w2:
             continue
         for ap in _across(a, n):
             if ap in partners:
                 continue
-            for b in y_vertices:
+            for b in y_side.vertices():
                 if b == w1 or b == w2 or b == a:
                     continue
                 for bp in _across(b, n):
                     if bp in partners or bp == ap:
                         continue
                     return a, ap, b, bp
-    raise SelectionExhausted(f"no bridge pair found in J({n},{y_side.k + 1})")

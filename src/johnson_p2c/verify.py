@@ -4,14 +4,18 @@
 a ``JohnsonGraph``, a ``QJGraph`` or a ``GenericGraph``.  Each unwraps its
 paths once into int vertex keys, the masks of J(n,k) and QJ(n,A) or the
 indices of an explicit graph, and hands them to one certification core,
-``certify``.  The core walks each path once, checking membership and steps
-with bit arithmetic (``holds``) and checks the endpoints.  On a graph of
-more than ``SORTED_ABOVE`` vertices it checks repeats, disjointness and
-coverage on one sorted list of every vertex key, 8 B a vertex: the keys of
-a valid cover are ``count`` distinct ones.  Only a cover that fails there,
-or one of a smaller graph, is checked with a set per path, and only a path
-that fails is walked again, in order, to find the vertex or step to name;
-a violation's text is formatted only then.  A vertex that is not one of
+``certify``.  The core checks the endpoints, and then whether the paths
+cover the graph exactly, along edges.  On a graph of at most
+``SORTED_ABOVE`` vertices the paths hold as many keys as the graph has
+vertices and their union is its key set (``_vertex_keys``, kept for one
+graph): then each vertex is on them once, and only their steps are walked,
+with bit arithmetic on masks (``steps``).  On a larger graph the core walks
+each path once, checking membership and steps (``holds``), and checks
+repeats, disjointness and coverage on one sorted list of every vertex key,
+8 B a vertex: the keys of a valid cover are ``count`` distinct ones.  Only
+a cover that fails either test is checked with a set per path, and only a
+path that fails there is walked again, in order, to find the vertex or
+step to name; a violation's text is formatted only then.  A vertex that is not one of
 the graph's kind (an ``ElementSet`` over another ground set, an object of
 another type) becomes a 1-tuple around itself: it fails membership and
 compares equal to what it equalled before.  The constructors' debug
@@ -30,10 +34,10 @@ vertex.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, permutations
 from math import perm
-from operator import lt
+from operator import contains, lt
 from typing import NamedTuple
 
 from .covers import EndpointQuad, P2CSolution
@@ -46,7 +50,8 @@ DEFAULT_ORACLE_CAP = 20
 DEFAULT_SWEEP_BUDGET = 2_000_000
 # A cover of a graph with more vertices is certified on one sorted list of
 # its keys first, 8 B a vertex.  A smaller one, as sweeps certify by the
-# thousand, goes straight to a set per path, which takes it less time.
+# thousand, is compared with the graph's key set, which a memo holds for
+# one graph at a time.
 SORTED_ABOVE = 1000
 # A sweep summary lists this many failure records, the first by
 # ``_failure_key``; a sweep cuts its records back to as many whenever it
@@ -113,28 +118,39 @@ class _Masks:
         """Every vertex mask, in the order of the graph's ``vertices()``."""
         return [b for a in self.levels for b in k_masks(self.n, a)]
 
-    def holds(self, p) -> bool:
-        """Whether every vertex of p is a member and every step an edge:
+    def keys(self) -> frozenset:
+        return _vertex_keys(self.n, self.levels)
+
+    def steps(self, p) -> bool:
+        """Whether every step of p, a path of vertex masks, is an edge:
         |a ^ b| is 2 inside a level and the gap between consecutive levels."""
-        levels, outside, gaps = self.levels, self.outside, self.gaps
-        if not p:
+        it = iter(p)
+        a = next(it, 0)
+        if len(self.levels) == 1:
+            for b in it:
+                if (a ^ b).bit_count() != 2:
+                    return False
+                a = b
             return True
-        try:
-            a = p[0]
-            ca = a.bit_count()
-            if ca not in levels or a & outside:
+        gaps, ca = self.gaps, a.bit_count()
+        for b in it:
+            cb = b.bit_count()
+            if (a ^ b).bit_count() != (2 if ca == cb else gaps.get((ca, cb))):
                 return False
-            for b in p[1:]:
-                cb = b.bit_count()
-                if cb not in levels or b & outside:
+            a, ca = b, cb
+        return True
+
+    def holds(self, p) -> bool:
+        """Whether every vertex of p is a member and every step an edge."""
+        levels, outside = self.levels, self.outside
+        try:
+            for b in p:
+                if b.bit_count() not in levels or b & outside:
                     return False
-                if (a ^ b).bit_count() != (2 if ca == cb else gaps.get((ca, cb))):
-                    return False
-                a, ca = b, cb
         except AttributeError:
             # A key that is no int.
             return False
-        return True
+        return self.steps(p)
 
     show = staticmethod(key_text)
 
@@ -161,17 +177,18 @@ class _Indices:
     def vertices(self) -> list[int]:
         return list(range(self.count))
 
+    def keys(self) -> frozenset:
+        return frozenset(range(self.count))
+
+    def steps(self, p) -> bool:
+        """Whether every step of p, a path of vertex indices, is an edge."""
+        heads = map(self.adjacency.__getitem__, p)
+        return all(map(contains, heads, islice(p, 1, None)))
+
     def holds(self, p) -> bool:
         """Whether every vertex of p is an index and every step an edge."""
-        count, adjacency = self.count, self.adjacency
-        a = None
-        for b in p:
-            if not (isinstance(b, int) and 0 <= b < count):
-                return False
-            if a is not None and b not in adjacency[a]:
-                return False
-            a = b
-        return True
+        count = self.count
+        return all(isinstance(b, int) and 0 <= b < count for b in p) and self.steps(p)
 
     def show(self, v) -> str:
         return str(v[0]) if type(v) is tuple else str(v)
@@ -185,6 +202,13 @@ def host_of(g):
     return _Indices(g) if isinstance(g, GenericGraph) else _Masks(g)
 
 
+# One graph's keys serve a sweep, or a loop of ``check_p2c`` calls on it.
+@lru_cache(maxsize=1)
+def _vertex_keys(n: int, levels: tuple) -> frozenset:
+    """The vertex masks of QJ(n,levels), J(n,k) being ``levels == (k,)``."""
+    return frozenset(b for a in levels for b in k_masks(n, a))
+
+
 def certify(host, paths, ends) -> CheckReport:
     """Certify paths of vertex keys on the graph ``host`` sees.
 
@@ -192,11 +216,13 @@ def certify(host, paths, ends) -> CheckReport:
     ``ends[0][1]``; two paths are a paired cover, each joining its pair of
     ``ends`` either way.  The paths, lists of keys, must be vertex-disjoint,
     step along edges and together cover the graph exactly once.  On a graph
-    above ``SORTED_ABOVE`` vertices, repeats, disjointness and coverage are
-    checked on one sorted list of every key; only a cover that fails there,
-    or one of a smaller graph, is checked with a set per path, which names
-    the violation.  A path with no repeated vertex that passes
-    ``host.holds`` is not walked again.
+    of at most ``SORTED_ABOVE`` vertices a cover is exact when its lengths
+    sum to ``host.count`` and its keys make up ``host.keys()``; then only
+    ``host.steps`` walks it.  On a larger graph every path must pass
+    ``host.holds``, and repeats, disjointness and coverage are checked on
+    one sorted list of every key.  Only a cover that fails either test is
+    checked with a set per path, which names the violation; a path with no
+    repeated vertex that passes ``host.holds`` there is not walked again.
     """
     report = CheckReport()
     show = host.show
@@ -210,13 +236,21 @@ def certify(host, paths, ends) -> CheckReport:
                 report.add(
                     "BadEndpoint", f"{name} endpoints are not {{{show(a)},{show(b)}}}"
                 )
-    if host.count > SORTED_ABOVE and all(map(host.holds, paths)):
-        # Members joined by edges: the cover is exact iff its keys, sorted,
-        # are host.count distinct ones.
-        keys = paths[0] + paths[1] if len(paths) == 2 else list(paths[0])
-        keys.sort()
-        if len(keys) == host.count and all(map(lt, keys, islice(keys, 1, None))):
-            return report
+    if host.count > SORTED_ABOVE:
+        if all(map(host.holds, paths)):
+            # Members joined by edges: the cover is exact iff its keys,
+            # sorted, are host.count distinct ones.
+            keys = paths[0] + paths[1] if len(paths) == 2 else list(paths[0])
+            keys.sort()
+            if len(keys) == host.count and all(map(lt, keys, islice(keys, 1, None))):
+                return report
+    elif (
+        # host.count keys whose union is the vertex set: each vertex once.
+        sum(map(len, paths)) == host.count
+        and host.keys() == set().union(*paths)
+        and all(map(host.steps, paths))
+    ):
+        return report
     seen = []
     for p in paths:
         vs = set(p)

@@ -331,6 +331,66 @@ def test_silent_corpus_reaches_repeats_and_shared_vertices():
     assert codes == {"revisit": {"RepeatedVertex"}, "borrow": {"PathsIntersect"}}
 
 
+@pytest.mark.parametrize("g", GRAPHS, ids=_graph_id)
+def test_silent_corpus_matches_frozen_checker_on_the_key_set(g):
+    # At the default SORTED_ABOVE these covers, as long as g and stepping
+    # along edges only, are judged by their union against g's key set.
+    assert g.vertex_count <= verify_module.SORTED_ABOVE
+    for name, q, sol in _silent_corpus(g):
+        want = frozen_check_p2c(g, q, sol).violations
+        assert want and check_p2c(g, q, sol).violations == want, name
+
+
+@pytest.mark.parametrize(
+    "g", [JohnsonGraph(6, 3), QJGraph(5, (1, 2, 3)), fig1_counterexample()[0]],
+    ids=_graph_id,
+)
+def test_key_set_check_names_a_foreign_key_and_an_empty_path(g):
+    verts = list(g.vertices())
+    q = EndpointQuad(*verts[:4])
+    p1, p2 = (list(p) for p in _build(g, q))
+    longer, other = (p1, p2) if len(p1) > len(p2) else (p2, p1)
+    # As many vertices as g, one of them foreign: the key sets differ.
+    for foreign in _foreign(g, longer[1]):
+        mutant = [longer[0], foreign, *longer[2:]]
+        cover = (mutant, other) if longer is p1 else (other, mutant)
+        sol = P2CSolution(*(Path(tuple(p)) for p in cover))
+        want = frozen_check_p2c(g, q, sol).violations
+        assert [code for code, _ in want] == ["ForeignVertex"], foreign
+        assert check_p2c(g, q, sol).violations == want, foreign
+    # An empty path beside the Hamilton path of the other pair, which covers
+    # g alone, and beside the other path of a valid cover.
+    whole = list(_hamilton(g, q.x, q.y))
+    for cover in (([], whole), ([], p2)):
+        sol = P2CSolution(*(Path(tuple(p)) for p in cover))
+        want = frozen_check_p2c(g, q, sol).violations
+        assert want[0][0] == "BadEndpoint"
+        assert check_p2c(g, q, sol).violations == want, len(cover[1])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [JohnsonGraph(6, 3), QJGraph(7, (2, 3, 4)), fig1_counterexample()[0]],
+    ids=_graph_id,
+)
+def test_valid_small_covers_are_certified_by_the_key_set(g, monkeypatch):
+    # No walk with membership tests, and no per-path set code, for a valid
+    # cover of a graph at or below SORTED_ABOVE.
+    def refuse(*args):
+        raise RuntimeError("a valid small cover took the slow path")
+
+    for host_class in (verify_module._Masks, verify_module._Indices):
+        monkeypatch.setattr(host_class, "holds", refuse)
+    monkeypatch.setattr(verify_module, "_check_steps", refuse)
+    summary = sweep(g, mode="sampled", seed=2, count=200)
+    # fig1 is the counterexample: the oracle proves some quads uncoverable.
+    assert summary.total == 200 and summary.valid > 150
+    assert {f.get("error") for f in summary.failures} <= {"NoSolution"}
+    for q in _quads(g, 3, 8):
+        sol = _build(g, q)
+        assert sol is None or check_p2c(g, q, sol).valid
+
+
 def test_non_vertex_objects_are_foreign():
     # The object-level checker asked a J(n,k) for ``v.n`` and raised
     # AttributeError on anything but an ElementSet; the core names it.

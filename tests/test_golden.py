@@ -41,6 +41,7 @@ from johnson_p2c import (
     p2c_qj,
 )
 from johnson_p2c.cli import run
+from johnson_p2c.verify import builder_of, host_of
 
 # (graph, (u, v, x, y) as element lists, sha256 of the cover's JSON)
 GOLDEN = [
@@ -111,6 +112,206 @@ def test_cover_is_byte_identical(graph, endpoints, digest):
     sol = construct(g, q)
     assert check_p2c(g, q, sol).valid
     assert hashlib.sha256(json.dumps(sol.to_json()).encode()).hexdigest() == digest
+
+
+# One sha256 per graph over ``repr`` of the mask paths that the graph's own
+# constructor (``builder_of``) returns for 200 quads, each drawn by
+# ``random.Random(11).sample`` from the vertex masks in ``vertices()`` order.
+# Recorded while the Johnson split still found its bridge vertices by
+# scanning generators.  Keys: (n, k) of J(n,k) with 4 <= n <= 10, and the
+# level sets A of QJ(7,A) with at least 4 vertices.
+SWEEP_JOHNSON_DIGESTS = {
+    (4, 1): "c616c4c18bf97395e1484849c046e2c33e877615102318ccd9943911e1f9be92",
+    (4, 2): "bf8920ddf62d3646c4d3e4cd8f8ebd8483c0ad4445b60025ded5e0830b6b241d",
+    (4, 3): "f2de32778241d92b8f23e31f428525430b9f3d8c5d5d36f32d39e6582ade64b5",
+    (5, 1): "ce0478e43fe704a0f4f25b39e1a862b5488583ef71742490f3053eac80b1bbb2",
+    (5, 2): "f9a349cfdfb9a04763e4ecf7efcf30da9d2497a4f33e6dad8e866001c960a1c7",
+    (5, 3): "12d0f519049ae4a6bfd7da96e69fa4d2abbe8633cd0eee9a87423cfb33fdcca7",
+    (5, 4): "0f5b3d1df1844c0a2db650af882b724cc41b8eb49a8c5c8bffb43943785fc120",
+    (6, 1): "c332b1d9b37ffc8887acddb9a50803d8b5bb641aecd5dc6e022a105f80e3889d",
+    (6, 2): "faf676a4c3347e1dd2dc666e6307f6e59d28bc91f92e69d1fa0424b0d9ab713c",
+    (6, 3): "7cb7b63abb311abcc079d01f225c90b5b6b0a187d856ca081fe3d1242e9247e5",
+    (6, 4): "d1795453b255efcd32be42239d4dd8e82b59506c6c1e097dae04f8aab47a941b",
+    (6, 5): "2fbe42907382a196c17184d5f8fa6bbe6efa5ca1ea105e58767b88c75c0dcb00",
+    (7, 1): "d4d71fca60a46dec4701a109a655e140d58c0528a08ccda24b62541ce083440a",
+    (7, 2): "5ece0ab1a6dcf15b968b9e859a2ab065f97a883fb1be901b4feddf557f4997ef",
+    (7, 3): "24ca7612e366830459fc9fde6573df14cb8aa9ddaad8b1c0d10e935ce82a4123",
+    (7, 4): "d4e9e3b3b29177c54d0a964eb1d259eaa1adf8c2ec8b43b6bccfc4c268f64149",
+    (7, 5): "23ba7411f4ab706129b5df658b1c6b0f31072cab97e901cb216e42b18981304d",
+    (7, 6): "7d8854f155441732fce18eb7b1f8fedc992f4accd4a95dda26230a812c0c6daf",
+    (8, 1): "5fa62718d627e06dbf0c2891dfca94fa58dbb97b19b298bf38be1acc1d18e5fd",
+    (8, 2): "470c58791af6297da4029370b734e8d2a2683f628443a273a1dfda495cbbf982",
+    (8, 3): "2e2c4289c5d6c7cd1620ca92a656751beb20721cfe4c218e06b8537bbaedd2a4",
+    (8, 4): "0fb3c0f2d6ce39a791a65caa0f533227cb8098aaaf278dcc6567fe0c1556e909",
+    (8, 5): "b4264c5bd26876ba755de96cec2ed70fad350ac5051ab29f438069b52ec98f1a",
+    (8, 6): "446584fd273c93b2b3c15618ff85a130b5e227e6bec77dbe7b1dbd08e815a007",
+    (8, 7): "0429c02721bfed2c8e1ec675619f2dbf6d0fb37f05c4e6933ada64a5ee26ebdf",
+    (9, 1): "d105e6c9b6da59bb365d97917cb887dea83cb5e453a266c868e309447fe4ca17",
+    (9, 2): "1ccd0ad80eb126b503518f298b6ef527c8a4bd907bc2ba8b4ef9c28d15d6985e",
+    (9, 3): "414cc65b886a15ee744499a8b2f564d6017d7ffbee9d284ac86420e762fc5321",
+    (9, 4): "e5c569c07de228553d9a6c04c671c882fa7dc678ffa735fa8930cd87d42f2757",
+    (9, 5): "4a6a86fe991a8bf1e84803e59ec58d1e3e6317d4d5538590281acb637f5faefd",
+    (9, 6): "0d9124bd9ec84be1ecc54c58619d36072938a509fda3a581ced27a43600a08f4",
+    (9, 7): "229ae86e75482317c2546ca42951454f5824cf3fa88e400d98826825642faab8",
+    (9, 8): "a970030a55428ca32a50eb99a871064eaa126cf4be9f7d73c6011f9b8b313593",
+    (10, 1): "f9e096e340b2a1287d596cefa2687fd2bc0bf5da05eefd1b716d4d48369b6d86",
+    (10, 2): "fe4f43f46a1d23a91d968b7dd6abf9dd6d0bb4e4bff8639dce1cc7b664c0e412",
+    (10, 3): "88e9690569834c22d3eeeffd7612837100c1e0bc0ac1c59f3a2f22992f08a5a1",
+    (10, 4): "a84fa84cd5129be71c1f2dce357925982bdcf2d2b71ef6799b84f131c347252c",
+    (10, 5): "35496fd468f9c0d2e0cdca57752b6c552615104fa0875573617e8d1872701f58",
+    (10, 6): "e1b828af13442bd8f808d5669ad4fb8f3cb2873e33be2c9bf1872991c85cb4f0",
+    (10, 7): "e8651a03a380014f40a59f9cf5149b20e9c445b7fa8bc8dfd33d08306e8dbef0",
+    (10, 8): "c6cbfaed49344db0bf85ebe1612c9ea6232b833d1ca39e7c8952fed84d83ae71",
+    (10, 9): "067c024a56dcf70be4f8e9d1235ec80378abf82bf5fc3843ad73923b7752521b",
+}
+SWEEP_QJ7_DIGESTS = {
+    (1,): "d4d71fca60a46dec4701a109a655e140d58c0528a08ccda24b62541ce083440a",
+    (2,): "5ece0ab1a6dcf15b968b9e859a2ab065f97a883fb1be901b4feddf557f4997ef",
+    (3,): "24ca7612e366830459fc9fde6573df14cb8aa9ddaad8b1c0d10e935ce82a4123",
+    (4,): "d4e9e3b3b29177c54d0a964eb1d259eaa1adf8c2ec8b43b6bccfc4c268f64149",
+    (5,): "23ba7411f4ab706129b5df658b1c6b0f31072cab97e901cb216e42b18981304d",
+    (6,): "7d8854f155441732fce18eb7b1f8fedc992f4accd4a95dda26230a812c0c6daf",
+    (1, 2): "0cd4e25ee7ef7f9285c699f53ee3ea8b42f619572888fdf55a079fdf202c696a",
+    (1, 3): "e5186bd90322295a1da7cf9e8cb5f71e442235f46c94006b17f088a63ad0c97b",
+    (1, 4): "f060abfcec080e737a4ed1c2e639a2645747390a1b90038950e67dd46b6551c1",
+    (1, 5): "2851388927fc63ac5f43a11c8dbf19932bc68b29d447e260205ce20a464d3b92",
+    (1, 6): "e0bb63a1cfad73701a37aa51da423cde9d943be5240aa140ab93a629addcfc68",
+    (1, 7): "148082eb25231de296704fd2c44bc011dcdb89fee1d9c25df4da9532bccb7a0e",
+    (2, 3): "79a8e7f615be0037ea3470f3f30e7fe68e166db3834004d29726c5c19e37e8a8",
+    (2, 4): "88a1d4bc4887a2637a00d0c726862436fce94a889c4e77a4f48109687ad63184",
+    (2, 5): "493f9c4a003a16c4768eb354cbf94a8ae5357162373303db7d5639bb44957858",
+    (2, 6): "dfe9b88daff5a653cbaf3fe167475d3874b6c47a4f7b4f400f5b304c85b59e43",
+    (2, 7): "b9eadd9ce302a3ca3b711a24bbce1f249fe3dc0b474596c20cbcd8e5590621ec",
+    (3, 4): "b72fe365116f2f3f1bae6820e17d7901b7c0b7aed33213a4ddea7e2a79828994",
+    (3, 5): "ff8b00a70673fd7dd8510cc278abf797f57fef4edea596c29fd1c50970fcf1c6",
+    (3, 6): "e3c9dc0a0f733913e06aeeca86245a7aedaedd5ed4a6c37612668baf0d922eef",
+    (3, 7): "8decab78c1905233c1c757b2360e55371c5e5eb2bd7ce0955e8f7776b2e053b6",
+    (4, 5): "967e8353897354e7a8454561c12ca4c07345ccd33a86edc1d872a8594d2b889b",
+    (4, 6): "8db6092cc80802a999a2fd6b25fba6bbecf1557d8c8fa0b0b86affdb236fca3c",
+    (4, 7): "7372ad42ff2436c45591b25ab27a35696256c2ca439302b2659c76f2e9aea86d",
+    (5, 6): "d89e630a561a4bdc00bc8ff4ca18ebd8b326dec64c99a6297c8653e64f60e549",
+    (5, 7): "7892922ac16e8bde9f6355267dbd884d0fbcd1930432631ffd37195f432a5963",
+    (6, 7): "8e3cf3020e5ba2562b375949c6d38c65e8820e6db3ac130670bbf56295a4a0b6",
+    (1, 2, 3): "a4aaaa986e6ae4d1da6f3c1ad3fa9a0d2bedcf442d522400b3f77fe87d7cc6b9",
+    (1, 2, 4): "ed5ac2360c9d7250489d83e7086404dd13d30f377026066c2dc50d8e446258aa",
+    (1, 2, 5): "1e907c24aef1a46aabb22c299bdb231282f10cd638c0ece56f8199f423dcef47",
+    (1, 2, 6): "a2a6ce870d604aef3dab84d9b225e2e2a77b1ae4a5a7f244119aafe8a5d840a1",
+    (1, 2, 7): "52eab6bc69edce3b215b4f3e4449317da82e0600191c28273af7af0996eaac5c",
+    (1, 3, 4): "543d32b9c2ccbe1dd0853b56bc26fa8865b1d159007f332e6f2ebbce45ec9d7e",
+    (1, 3, 5): "16a8b635af1ec691e67d692bfa6385728ddadbd3cb70da1eb9a316e41a52fc3c",
+    (1, 3, 6): "34b6a20451143fdc77b1cd379c47eda73b7bb702d5b50c46090d6db63d248685",
+    (1, 3, 7): "83eddb24586b9f6eedd178266f71b99c0a6b001c5e10a5eb953b3f610583bdf4",
+    (1, 4, 5): "85ce26862618b1457fe8645a18bcd0a91fd62b305662d14566c97e971fa71909",
+    (1, 4, 6): "8fb3888c6f628a4e4dad29d2ed1b9048c2bbe8eea6deb90e63d0abb9abc13642",
+    (1, 4, 7): "f0efbc1f74b74946374f54ca6bebc813771af06aa85fa0e506711f3d87b64214",
+    (1, 5, 6): "70b5fb759a41aa00f080dba79e9c753a7ca34b01c0c4a674893de56a63386b92",
+    (1, 5, 7): "07e998ab6282e695e98e2ec659aa6f7d4022235d99510c57556fbd39f414f87e",
+    (1, 6, 7): "ac4d25392f661c9ecd8d9719e68576f8cd936aa0f72a072d4011ce1abb82ee20",
+    (2, 3, 4): "470b047bbb0fe3c12a33727c76434cc9e7a0b72c9df52b943ba5291ad2ec69ad",
+    (2, 3, 5): "77a1c21f59b8161f43ad5c168f2fb5de1aac2ee5ba907ec03941a67154da2ba1",
+    (2, 3, 6): "e0835dd32e6b78f4b236b6d1b8579fd16afb9721d965f4c3e8f33aabad7f9950",
+    (2, 3, 7): "d75eedff5e83db038fe9d654f6bf6b2b4eddcf83b4373f4c9dfd207875042754",
+    (2, 4, 5): "1abb7b6e6428824a835fafbcd005e3320975915267c103e0414fddffdd8d7cb6",
+    (2, 4, 6): "e2a068223971ea0c5d609cb28e1e5fe667c682bfe0a3171dede913735af51a46",
+    (2, 4, 7): "5deeb5c678d39981013c4133f08f430d47266208721bc385adf3fb5982e8ff10",
+    (2, 5, 6): "21b05b729c1b432f16f487a1d07b824f595262865462efa4d30fc5191533ce79",
+    (2, 5, 7): "f1e7ed998ff8d16cd864a269cb53ce3cb404c8cdadd16f7cafba0c05127c95a3",
+    (2, 6, 7): "c92d9c380eefab616f98fab8559780590c68ec03fec7842a638eddcb311936ff",
+    (3, 4, 5): "4637f6ec46b9befa99389b5164ef67ee12895f8e51d0536bf24b7eddda670706",
+    (3, 4, 6): "8c9ac1387e601d838169ae8b7cbc19db5fd5e3958c3b5e5c77a26b9832739fa0",
+    (3, 4, 7): "934cc76db8b77913f2b586a008c4f699953cb543c45d99e73fd079280f4609ef",
+    (3, 5, 6): "fd95c0fb3b53b86c409c74d36c0eae11d73329deb8ed960e100001920a7cfc30",
+    (3, 5, 7): "8a2d1fb1cbb4ae5c8369fb73c9893f61559570987bdc0c3346ccd4c2ea55b623",
+    (3, 6, 7): "c119c642e94c0dffa52be181fe71ebcd6632e1911f07477405c6a6545af34f26",
+    (4, 5, 6): "5ce9d38730fdb598632b8d604f77fe34a493758ff5603d792aa8820ede16f35a",
+    (4, 5, 7): "609541468711c88f76088b8f629987695f458b633b6dc6efc8369114de781272",
+    (4, 6, 7): "a9b49a03aebf6392992c9cd20c9dcdafe237bf4b2ba8847d37188c851d57c6ba",
+    (5, 6, 7): "fd681274a67d5ee46865672b2151273ff2c1aafc52722b3b3930e463b860161d",
+    (1, 2, 3, 4): "47d0818cb18c7df637800603fcd620dcfb46025d644d9d8ffca858d06bab482f",
+    (1, 2, 3, 5): "221fae1d0464d92a21967354b729833d430dfcf8d1e79b17f1ee259747c0ed84",
+    (1, 2, 3, 6): "a555135b9eba0e7a68bacb32ffb67a6838f973859a3b3327f8d93b92d0ca19f5",
+    (1, 2, 3, 7): "d7a5e3317c25a59506e4d3a03e4220525f82b275477229cee40d347762288d45",
+    (1, 2, 4, 5): "ba560d2b451e4a9bdea448fa89117b538a0f4172d26bd94f5ff12e2b863f5fab",
+    (1, 2, 4, 6): "705da0aa92b203e73db6542009142499bb8c4201d809c99c76b691edd514aac3",
+    (1, 2, 4, 7): "e61f6195f76113a67cf504796dbf3d2b7ab2fd36820155eb3fa55b207c8aafdb",
+    (1, 2, 5, 6): "9fa82064a1bcb18587d2a6e27fc18754dccd7cbe08ed72d4ca715efd14abd7b6",
+    (1, 2, 5, 7): "43249e2289f6a2e6300fc9ef446ff779cbfb5e7542b9d5cef2aa423822b4d8af",
+    (1, 2, 6, 7): "1b1b889d1ac837ffcf413a7eca01bd75248000059641d13547daf43457c94152",
+    (1, 3, 4, 5): "2a9ca64758555641bc3970ce350fabda63265848714b14f5cea521128dc476b5",
+    (1, 3, 4, 6): "39544384b7e144954aa3597586ffe1c1fec815b854fbe0704ee545040d607b2c",
+    (1, 3, 4, 7): "0ef784660f2ae46b37637ae56e0b765220b848ecac65eba0cd35809acfffbfe7",
+    (1, 3, 5, 6): "15fd0aab2aa94fd637788b3a9b893f010231fc10a4fa30ac48f9ee63c043b88f",
+    (1, 3, 5, 7): "3a6d2def414aea26112429eb5f90829d391be7a1d94a32da3e9d3f67792e20d5",
+    (1, 3, 6, 7): "29d619ab3c8809425372e4316923e4e5f1cf9be4ea6ac93958e9f86eb469f260",
+    (1, 4, 5, 6): "5a267d02516e1f3536d50a0c36c39bcedb44d1ab4a797e926b1104b4720c2e1c",
+    (1, 4, 5, 7): "b377f2dda8a80fcfdfa2f7d0a2bf570527a68b83c43643544f7cf5a937155a55",
+    (1, 4, 6, 7): "5dea793b57e829fc2b21c9c0a0a266a8c99f6fc33f955cb845385d549abdd88b",
+    (1, 5, 6, 7): "38e438e8290a88f19bda6b01cfc868801bb3a098ad1bbeda42b1a459c34f9fd2",
+    (2, 3, 4, 5): "4414a9a1dbba14f114022beefa023d2f48cb35d5fd08ff7f8c7dde67986a6559",
+    (2, 3, 4, 6): "e7363dc730caee0a4593ecaacc7cc088b4c42c24af75e2eaaae1d3dd096a56de",
+    (2, 3, 4, 7): "b65de00c79358676ade9db8e355044fd0de325642273d0ca087e63ef9fefe4a8",
+    (2, 3, 5, 6): "1fa4231ddbd1ae45177bc32a05348872b0428de86354f58e8ba91cbf5ec55edf",
+    (2, 3, 5, 7): "d94f299a92b886508040faaa31f64d8b22576eab2e8363c19e26a7e3eddf30ab",
+    (2, 3, 6, 7): "d9e053974cad23cce28bb4b0d4c429d087ddc454152f307b007e44f8f0408699",
+    (2, 4, 5, 6): "984cef6e38b501f0e4e6ccebc821bf156421a34302d673d026fc9bb4b728ec4c",
+    (2, 4, 5, 7): "e5681a9117b7590aa9af432e3b76180c3fb74e07d7ae40f2fd3677396e89ded1",
+    (2, 4, 6, 7): "6f3e77664b81001fc5efff0d525e29d085bc2175d651fcea748d0778e2ca6698",
+    (2, 5, 6, 7): "0df07b54bfbdd54e973499e6902d7284e5a978a11eba4d221cb31ba0f71250f4",
+    (3, 4, 5, 6): "a46c1d6b430d904b674e6807d16c67c1ca03868a4c229bd64cd3953957a5fb7d",
+    (3, 4, 5, 7): "4bef905dc790b4f54489d7893a9e78b8edabf5ebf3b1fc1ef2617534984f2623",
+    (3, 4, 6, 7): "57e55afd275a40bdafd9ec739cd74f2a290c1b60bfc7ad6554f13af127fbcd8b",
+    (3, 5, 6, 7): "fae26644639b7920af32b9352e871a008eea638ffe412f44ee5b6eacaef5d1e7",
+    (4, 5, 6, 7): "494de39f34706f817e3ebeda1da2f360e28ea37b7e68de65932120e9a614b70e",
+    (1, 2, 3, 4, 5): "979cc94c8af31f2e162dab6c991e9c562b382e76c0823b494f63e87bab3ecd02",
+    (1, 2, 3, 4, 6): "e6a6ea2aea9b85fb6b7e61394c85b178876e4a51c9b0fa8f0b74c231bb6cae19",
+    (1, 2, 3, 4, 7): "807f6e8a88340454f04ad90559da3d4d4484d471883ed4e320a785f86e5c4f0d",
+    (1, 2, 3, 5, 6): "0b3d6602c992f3e6be9844518168a5c7b47267dbd0daa9b2d15dd7038bb502b6",
+    (1, 2, 3, 5, 7): "17a117d7cc720a7d8fbf1b83d8db6790ffcf515ddab2dda37a18fdeae9f1e748",
+    (1, 2, 3, 6, 7): "80259e47e9cb04ee1ad807a299713887527348bb75a7e570f29efe312c4824ee",
+    (1, 2, 4, 5, 6): "2b7b988ba99c270c664eaca7cf056b1e9a8d5dc6c9b45331928efa799bbeb02b",
+    (1, 2, 4, 5, 7): "d32aebbfcac94bafc0a32287974037c4205804626089bb88edbf12a1af8943b4",
+    (1, 2, 4, 6, 7): "3f0ebd362bd0fce82fbad6f62a9a6ac7b1a11a02ad973500a22f319bcb208e90",
+    (1, 2, 5, 6, 7): "e0658f2766ab848c87e45f806d25d3cb9f8f24f9e61dd1d54c443a13f7103ba8",
+    (1, 3, 4, 5, 6): "3e58089a6dc72083ca34045c222fa0fe7df593e33013a2ab04482a8d7bf68b48",
+    (1, 3, 4, 5, 7): "8ecf7b43546dbabb0a84aa735b94bcc7a373ebbc55a6472ab424b112871dfbea",
+    (1, 3, 4, 6, 7): "582233b25bc1080dc2852f746de3b8e66134e4ccec502caa83ca46858e440cb3",
+    (1, 3, 5, 6, 7): "3cf65d3daec0b9ebf9a2083fedd0a3bdd8b202f4ce1d9f469b405ff68dda93bd",
+    (1, 4, 5, 6, 7): "e5895be4409403024c200ee2d2fc05301be72994ed95ec0de2f0c9ab34da539e",
+    (2, 3, 4, 5, 6): "519de915602cd113b724c22f6aa4af0ac36965a631b4bd59d1742da04d2b8ec3",
+    (2, 3, 4, 5, 7): "f9907247fd298bace6978372e835b3a413d52a41e7ed6817742f7779511d3294",
+    (2, 3, 4, 6, 7): "b0868af6be543a74bc8490b50fef132a4460b13dffb985655968b4bd0b017a52",
+    (2, 3, 5, 6, 7): "c32793469b5bcce81a65ce850db6cfa98052f065e41d5acfa530a3365697c09e",
+    (2, 4, 5, 6, 7): "e9ca1ae730b9af4f9cd887cfe67210dc93bc3eea72caf4f29b46c7a64039f37d",
+    (3, 4, 5, 6, 7): "8f6354dc88e07c1aeaeddae2d0e64f448e7c9a4bccc0cb8bc28d716c8e302ad9",
+    (1, 2, 3, 4, 5, 6): "e40c7bdfb0cabf26798b812b70c87b0d009d6842669c2899c221cfda550ca4d3",
+    (1, 2, 3, 4, 5, 7): "e5e13b82864596aec553f345954d201ea1f21b68f2a28c9f55cc49a1124246a9",
+    (1, 2, 3, 4, 6, 7): "39c660cec04bdb4bbf399bbc97b7aac433f829bb3db7e4199ce4b821ebafa37d",
+    (1, 2, 3, 5, 6, 7): "7793ed4ff7213e6d0c3ea5b2e5aa74d121c524aab8bede665c5cb4def02c6101",
+    (1, 2, 4, 5, 6, 7): "4631a1e9eafb2c3213aa3515dc26161df1ae7a6629b37a6b964b4c265a0844c3",
+    (1, 3, 4, 5, 6, 7): "57d60bf23778d17a40ac8c2cbd1ac048d7c6439358958523cb76a28ef74252dd",
+    (2, 3, 4, 5, 6, 7): "8f75d32ce3309bcb674ae998dd155112cc67f27f39a080a24f3dd8557d63beb5",
+    (1, 2, 3, 4, 5, 6, 7): "c92f78cd66432ded9740a6c0959328e79b03f7c486f22c55ddc68af8d2961f21",
+}
+
+
+def _sweep_digest(g) -> str:
+    build = builder_of(g)
+    verts = host_of(g).vertices()
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        digest.update(repr(build(g, tuple(rng.sample(verts, 4)))).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n, k", list(SWEEP_JOHNSON_DIGESTS))
+def test_sweep_covers_of_johnson_graphs_are_pinned(n, k):
+    assert _sweep_digest(JohnsonGraph(n, k)) == SWEEP_JOHNSON_DIGESTS[n, k]
+
+
+@pytest.mark.parametrize("levels", list(SWEEP_QJ7_DIGESTS), ids=repr)
+def test_sweep_covers_of_qj7_graphs_are_pinned(levels):
+    assert _sweep_digest(QJGraph(7, levels)) == SWEEP_QJ7_DIGESTS[levels]
 
 
 def _digest(obj) -> str:

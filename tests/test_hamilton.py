@@ -1,6 +1,6 @@
 import importlib
 import math
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -25,10 +25,12 @@ from johnson_p2c import (
 from johnson_p2c import hamilton
 from johnson_p2c.errors import CoverError, EqualEndpoints, NotAVertex
 from johnson_p2c.graphs import MEMO_SIZE, mask_generic
+from johnson_p2c.subsets import k_masks
 from johnson_p2c.verify import certify, host_of
 
 # The package attribute ``p2c_johnson`` is the function of that name.
 p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
+verify_module = importlib.import_module("johnson_p2c.verify")
 
 
 def es(elems, n):
@@ -202,12 +204,34 @@ def test_clear_caches_empties_every_memo():
         hamilton._mask_search,
         hamilton._sides,
     ]
-    explicit = hamilton._explicit_search
-    assert all(memo.cache_info().currsize for memo in [*memos, explicit])
+    one_graph = [hamilton._explicit_search, verify_module._vertex_keys]
+    assert all(memo.cache_info().currsize for memo in [*memos, *one_graph])
     clear_caches()
-    assert [memo.cache_info().currsize for memo in [*memos, explicit]] == [0] * 5
+    assert [memo.cache_info().currsize for memo in [*memos, *one_graph]] == [0] * 6
     # One bound for every memo, and a finite one; the tables of explicit
-    # graphs, which are arbitrary, keep one graph.
+    # graphs, which are arbitrary, and the vertex keys the checker compares
+    # a cover with keep one graph.
     sizes = {memo.cache_info().maxsize for memo in memos}
     assert sizes == {MEMO_SIZE} and MEMO_SIZE > 0
-    assert explicit.cache_info().maxsize == 1
+    assert [memo.cache_info().maxsize for memo in one_graph] == [1, 1]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_first_across_is_the_first_listed_neighbor_across(n):
+    for k in range(1, n):
+        for a in k_masks(n, k):
+            across = hamilton._across(a, n)
+            assert hamilton._first_across(a, n) == across[0]
+            # Each neighbor across, and a vertex that is none (a itself).
+            for avoid in [*across, a]:
+                want = next((w for w in across if w != avoid), None)
+                if want is not None:
+                    assert hamilton._first_across(a, n, avoid) == want, (k, a, avoid)
+
+
+def test_side_heads_are_the_first_side_vertices():
+    for n in range(2, 12):
+        for k in range(1, n):
+            for side in hamilton._sides(n, k):
+                want = tuple(islice(side.vertices(), hamilton.SIDE_HEAD))
+                assert side.head == want, (n, k, side.bit)
