@@ -25,10 +25,6 @@ class OutOfTheoremRange(CoverError):
     pass
 
 
-class LemmaPreconditionViolated(CoverError):
-    pass
-
-
 class SelectionExhausted(CoverError):
     pass
 

@@ -22,7 +22,9 @@ from .subsets import (
     up_masks,
 )
 
-# The bound of every memo in the package, each a functools LRU cache whose
+# The bound of every memo in the package but the tables of explicit graphs
+# (``hamilton._explicit_search``) and the checker's key sets
+# (``verify._vertex_keys``), each a functools LRU cache whose
 # ``cache_info()`` gives its hits, misses and size.  It is above the largest
 # working sets measured, so nothing is evicted there: 11,232 Hamilton paths
 # (acceptance criterion 6), 10,440 oracle covers (the exhaustive J(6,3) and

@@ -221,9 +221,10 @@ def _mask_search(n: int, levels: tuple):
     return verts, index, _search_tables(generic.adjacency, degree_rule=False)
 
 
-# The one memo not bounded by MEMO_SIZE: explicit graphs are arbitrary, and
-# 16,384 of them at 16 vertices would hold about 700 MB of tables.  One
-# entry serves what repeats, a sweep or a CLI oracle on one graph.
+# Bounded apart from MEMO_SIZE, like ``verify._vertex_keys``: explicit
+# graphs are arbitrary, and 16,384 of them at 16 vertices would hold about
+# 700 MB of tables.  One entry serves what repeats, a sweep or a CLI oracle
+# on one graph.
 @lru_cache(maxsize=1)
 def _explicit_search(adjacency: tuple) -> tuple:
     """``_search_tables`` of an explicit graph, with the degree rule:

@@ -221,10 +221,6 @@ def _case_all_on_one_side(n, side, other, quad):
     return paths
 
 
-def _pairing(u, v, x, y):
-    return {u: v, v: u, x: y, y: x}
-
-
 def _case_one_apart(n, side, other, quad, i):
     # Three endpoints on this side: cover it from a bridge vertex a, its first
     # vertex that is no endpoint, in place of the lone endpoint quad[i], which

@@ -7,18 +7,19 @@ indices of an explicit graph, and hands them to one certification core,
 ``certify``.  The core checks the endpoints, and then whether the paths
 cover the graph exactly, along edges.  On a graph of at most
 ``SORTED_ABOVE`` vertices the paths hold as many keys as the graph has
-vertices and their union is its key set (``_vertex_keys``, kept for one
-graph): then each vertex is on them once, and only their steps are walked,
-with bit arithmetic on masks (``steps``).  On a larger graph the core walks
-each path once, checking membership and steps (``holds``), and checks
-repeats, disjointness and coverage on one sorted list of every vertex key,
-8 B a vertex: the keys of a valid cover are ``count`` distinct ones.  Only
-a cover that fails either test is checked with a set per path, and only a
-path that fails there is walked again, in order, to find the vertex or
-step to name; a violation's text is formatted only then.  A vertex that is not one of
-the graph's kind (an ``ElementSet`` over another ground set, an object of
-another type) becomes a 1-tuple around itself: it fails membership and
-compares equal to what it equalled before.  The constructors' debug
+vertices and their union is its key set (``_vertex_keys``, kept for
+``KEY_SETS`` graphs): then each vertex is on them once, and only their
+steps are walked, with bit arithmetic on masks (``steps``).  On a larger
+graph the core walks each path once, checking membership and steps
+(``holds``), and checks repeats, disjointness and coverage on one sorted
+list of every vertex key, 8 B a vertex: the keys of a valid cover are
+``count`` distinct ones.  Only a cover that fails either test is checked
+with a set per path, and only a path that fails there is walked again, in
+order, to find the vertex or step to name; a violation's text is formatted
+only then.  A vertex that is not one of the graph's kind (an
+``ElementSet`` over another ground set, an object of another type)
+becomes a 1-tuple around itself: it fails membership and compares equal
+to what it equalled before.  The constructors' debug
 check, ``sweep`` and the CLI's ``p2c`` and ``hamilton`` hand their mask
 lists to the core directly.  The core shares no code with the
 constructors.
@@ -51,8 +52,12 @@ DEFAULT_SWEEP_BUDGET = 2_000_000
 # A cover of a graph with more vertices is certified on one sorted list of
 # its keys first, 8 B a vertex.  A smaller one, as sweeps certify by the
 # thousand, is compared with the graph's key set, which a memo holds for
-# one graph at a time.
+# ``KEY_SETS`` graphs.
 SORTED_ABOVE = 1000
+# A sweep or a loop of ``check_p2c`` calls needs one graph's key set; a debug
+# build certifies every subgraph it solves, 12 to 23 distinct ones over 150
+# quads of J(10,5), J(12,6), J(13,4), QJ(7,{2,3,4}) or QJ(8,{2,3,4,5}).
+KEY_SETS = 32
 # A sweep summary lists this many failure records, the first by
 # ``_failure_key``; a sweep cuts its records back to as many whenever it
 # holds more than twice as many.
@@ -202,8 +207,7 @@ def host_of(g):
     return _Indices(g) if isinstance(g, GenericGraph) else _Masks(g)
 
 
-# One graph's keys serve a sweep, or a loop of ``check_p2c`` calls on it.
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=KEY_SETS)
 def _vertex_keys(n: int, levels: tuple) -> frozenset:
     """The vertex masks of QJ(n,levels), J(n,k) being ``levels == (k,)``."""
     return frozenset(b for a in levels for b in k_masks(n, a))

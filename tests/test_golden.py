@@ -294,6 +294,118 @@ SWEEP_QJ7_DIGESTS = {
 }
 
 
+# Every QJ(n,A) with n in 4..6 and 4+ vertices, level sets in [n]; recorded
+# while each QJ local case still worked out the endpoints' levels itself.
+SWEEP_QJ_SMALL_DIGESTS = {
+    (4, (1,)): "c616c4c18bf97395e1484849c046e2c33e877615102318ccd9943911e1f9be92",
+    (4, (2,)): "bf8920ddf62d3646c4d3e4cd8f8ebd8483c0ad4445b60025ded5e0830b6b241d",
+    (4, (3,)): "f2de32778241d92b8f23e31f428525430b9f3d8c5d5d36f32d39e6582ade64b5",
+    (4, (1, 2)): "1fe43d1e6c8b797e456c178be813656c8ff6d183371dc85bff215ea946e94824",
+    (4, (1, 3)): "fea3703c13d76899de676e93506b57839ff2f32c290f50e89ebdebe365bf88ee",
+    (4, (1, 4)): "d6222924c829bac39a4f0bf0618989b4abfb957a19a66c597691ecb25aeec9b2",
+    (4, (2, 3)): "fac9d62d5c8d491cdc0085f979892321a6b7c068052cac8b1efb5f9aefef20b7",
+    (4, (2, 4)): "a7bb631e7d4cf33520d48841d1d01d713239eee128e9c121499e394e154e2f3c",
+    (4, (3, 4)): "e7490bfdbc2a6749a0acd516848a773030cb5cdbeee3564d17b37d1966477319",
+    (4, (1, 2, 3)): "5d166d33f6f5227be439d8b2df0f48776ec260f54b09bc4625c3ec59feafbdc2",
+    (4, (1, 2, 4)): "1e8eb3f9fc256aa65a6a48cc7101da119d020c3d2bb00a3e069ba00dbde70a43",
+    (4, (1, 3, 4)): "fd65bfcf51943c040ba1324964f012730ecea4fa23fecdb6c05bc47cbef79f06",
+    (4, (2, 3, 4)): "bb1595c26a14edf782a2de8598b8d27c6d0748f191b85f442d7746a1f62e9bbd",
+    (4, (1, 2, 3, 4)): "6759459d0525dd4a3e62717251eba3e57c82788d8005092bc59add020b739a3c",
+    (5, (1,)): "ce0478e43fe704a0f4f25b39e1a862b5488583ef71742490f3053eac80b1bbb2",
+    (5, (2,)): "f9a349cfdfb9a04763e4ecf7efcf30da9d2497a4f33e6dad8e866001c960a1c7",
+    (5, (3,)): "12d0f519049ae4a6bfd7da96e69fa4d2abbe8633cd0eee9a87423cfb33fdcca7",
+    (5, (4,)): "0f5b3d1df1844c0a2db650af882b724cc41b8eb49a8c5c8bffb43943785fc120",
+    (5, (1, 2)): "fefbe059a953a2fd752a99de3c68b980ae3f56a61169e69577b2183e895b730e",
+    (5, (1, 3)): "cf115293028f28f5eaa93881806a5b0d52767dd46e0d6fb367c82a37edbb8574",
+    (5, (1, 4)): "fbfc958e8f527a670a4bad4da6b33a28fc31f3213b5a5142c15070ab194572f5",
+    (5, (1, 5)): "c0702896e17ffb6f2b5739cf1f638abc2e879820f67e33cec6e277d8cb1f748b",
+    (5, (2, 3)): "b094ea35c691bc0fc1ab97b7ae30e0e48e5ead7ec61b4ba7bba120787af082a4",
+    (5, (2, 4)): "9fae4d6343690c1aaad3d6783bb17235c9031024060e48a88b3e1359b8755aac",
+    (5, (2, 5)): "088a44656a87397c07e64efd3816ea2214646fc09d9ff209fc8fe6735faa09a2",
+    (5, (3, 4)): "b55936de07c9165e2366c71b8857156557b24f56e024008bd799a398382bdf2b",
+    (5, (3, 5)): "642d564105629c6c821189bf0f181bdfa5a145f690707ca5cc378deae4a2d771",
+    (5, (4, 5)): "2dbe6797c5fca6f4917298446ff4f52733822d4999aa2c29b77ff6cc47115737",
+    (5, (1, 2, 3)): "c2aa4b5f96e33392e0ff93ff866b40ec9a1e28ffc2ae51def72d363ed4025baa",
+    (5, (1, 2, 4)): "40394320cb6a0ff2014991374e1c2d9951c79dad4e123733c225beaf3e18c084",
+    (5, (1, 2, 5)): "9d0ac67fc63579b1e1282eaf55078be3bfd7c90d12b3147838b72e0aa3938fde",
+    (5, (1, 3, 4)): "3cb1165b9f653ceb18a56cf00c13e3012423bb1013f0d9633e2dc4af58f4f975",
+    (5, (1, 3, 5)): "0d50c17184c70aa7fb11c5128a6d2be37bd6d2043be46213a37ade87acb25ebb",
+    (5, (1, 4, 5)): "ea6c1a9c73e35bd71be471799c0e4fb4e0a7ce1d3f92d6af4880978c88f7116c",
+    (5, (2, 3, 4)): "fb78213775664909d9c64715fe5633780e48e23a54d68c049e596a217d8e0d03",
+    (5, (2, 3, 5)): "77eb8bdc5e55fa8584db8af48679c1f8447aa337b65704efbb4f42ef19f0bd42",
+    (5, (2, 4, 5)): "5cd060afe6314b5a81ab70d0cc7d9300f080a68dd29beaadbe30f72629857d4d",
+    (5, (3, 4, 5)): "41d10102f093ef2f99d11392956da4b2149003f2ac4351bb0e25fb6da54b18d4",
+    (5, (1, 2, 3, 4)): "0421724fc7f122165f43d5d248dff81bd6a7bd1f3672324039c5d73bf700d1a5",
+    (5, (1, 2, 3, 5)): "389a0441bf21b0eed7540c71bec3e2f68a771c8c70a42c874d4d316d9d6ee653",
+    (5, (1, 2, 4, 5)): "a0b7c2a0c6721ef0dc36d7b9edf4cb750bd2343b6aef1e6b39e74f67e8e6aa67",
+    (5, (1, 3, 4, 5)): "c8a950d1cb7182701c40d805c30450b900d079f6a8084b03f47a64ef42c2fe45",
+    (5, (2, 3, 4, 5)): "80e6c819abf1fc0d65020742702f1a6232747063679ef9f794a0aed9c86e4fd2",
+    (5, (1, 2, 3, 4, 5)): "180e05cad4ba280191986a0206e334a22b3dfc8b14801feda70ee1a699606c6e",
+    (6, (1,)): "c332b1d9b37ffc8887acddb9a50803d8b5bb641aecd5dc6e022a105f80e3889d",
+    (6, (2,)): "faf676a4c3347e1dd2dc666e6307f6e59d28bc91f92e69d1fa0424b0d9ab713c",
+    (6, (3,)): "7cb7b63abb311abcc079d01f225c90b5b6b0a187d856ca081fe3d1242e9247e5",
+    (6, (4,)): "d1795453b255efcd32be42239d4dd8e82b59506c6c1e097dae04f8aab47a941b",
+    (6, (5,)): "2fbe42907382a196c17184d5f8fa6bbe6efa5ca1ea105e58767b88c75c0dcb00",
+    (6, (1, 2)): "5a6e732b832fa55befce118fcde8d7ca54f2ebefa395f8a605bd87c48da14a19",
+    (6, (1, 3)): "a103d803daf294448420a117e7b1db3747ce0cb2ba4df62a021878962e5df5d8",
+    (6, (1, 4)): "ce1ec41c984703956a403e666924b45f1015a0c41d4b83064b7487e81ceede5e",
+    (6, (1, 5)): "379874c7a0f33b68f4cc7c5d8602afbc7a9451580a8e3c849e49dd6635a834e0",
+    (6, (1, 6)): "7f2d956f838b6041f511309449e7968c67802e49d7469902a77b9ca4380e6535",
+    (6, (2, 3)): "93040cfcf4e48509702a6fd4b5d0af95560f4e40282087a9a896a9af1fae91cb",
+    (6, (2, 4)): "3b9d73d04fcd9234741307612577c3d3932dc658cf6daca44104ab0c9c5b6d09",
+    (6, (2, 5)): "dee0cfb250b44b21be244bda05c39ff5d4455acad5b4faeaa8f93805905564d2",
+    (6, (2, 6)): "8b98c12d27ea16f0b398d731399b1c4a758cefef0556e3da0e877926e6af2b66",
+    (6, (3, 4)): "d8ae7fdb9a7fbe94d6fd20c1673a15f732f543f23af741b6231846bb60cfb58b",
+    (6, (3, 5)): "827e53664167466c5289a59ad97aaf50275811fcf91086328c658eab50dbb7dd",
+    (6, (3, 6)): "afd179d48c47ef4edddd329078108deb705c8347c9996d3fbee32bf17dc0f9bd",
+    (6, (4, 5)): "76057f8b6daf6e6e9055b98fe3c5b4fb4f65faa99f6f485c1cff5fa944af43d6",
+    (6, (4, 6)): "6d85411b520c8447430119a2b99fcd5224de3e0a6c4d270678730a580b14a79e",
+    (6, (5, 6)): "1ce07ee2ddc864bae99136cdb73d6f6805c25fd6d9386f786adaf55fed6cfb0a",
+    (6, (1, 2, 3)): "9726bcc5e7b76fecda0062e90fa676969c70ca2b4da3e7828a32f74a971a59e0",
+    (6, (1, 2, 4)): "4b6bdec64e45ccd8c957f6e1d6afd50dba91036d2185edef8c447ca1a9085078",
+    (6, (1, 2, 5)): "98b5f54c86f7a4ef5a6893fa513834ebc6ac3880482ba8b1e8ac1d13765329fd",
+    (6, (1, 2, 6)): "f31b266da39f8c0a5c78ea89f45a8ebe7e8f56140e9c1f281cf35a1129b56557",
+    (6, (1, 3, 4)): "1ad635eee278e069d116826e7a68733715766b8859eb34d7267fb6525a488393",
+    (6, (1, 3, 5)): "38a49cb33f087e40ac74cebbe4f6fa5c189a4bd9a188e2e8a7c049d408695414",
+    (6, (1, 3, 6)): "fc2cd3459d814050f9cde21092abd31388cf06257b9b560f6629d48313a1afbf",
+    (6, (1, 4, 5)): "35a3e486204b9a7b9589acfa837326ac941f362d0ee3c50a08a42b9f16a0f3d5",
+    (6, (1, 4, 6)): "eda0bf9e2a15f3c5524ec6278120e0fd8618160c530af2afdf38567ea1c49ffc",
+    (6, (1, 5, 6)): "bd0315c94fa61770e72497389d7716238de24c139f84cf939d7c2a8739306794",
+    (6, (2, 3, 4)): "1f1cdca7faddf8b590cd48ecfc911af4c5e6ebf0ee66c8c85bc3c97461a695fe",
+    (6, (2, 3, 5)): "2bf197b7ad65b6d5fbe28c850d1e6b12eb9abd29e6f2ac7a259551622733f19a",
+    (6, (2, 3, 6)): "a8309c64320f1f6bf8a709d5c1ef0036f1b96eb02dfd1c276a8cab9a1a61d541",
+    (6, (2, 4, 5)): "bbedf0ad783abd2264c20c8794f08859777a35aaf912dbdc3e73536423d32212",
+    (6, (2, 4, 6)): "3515ec818eb44b2fc6537937fc2c51a7627fb8665b12405b680ffe39198d3614",
+    (6, (2, 5, 6)): "e5b4c530aaed82bda0f097df712b5ea598a2fa1333e01a3c3cee46ad0eb6b110",
+    (6, (3, 4, 5)): "6dea2828d08301e3f3d208e2025786d62d1f91b6cac24af51feaf8f2297c4a8a",
+    (6, (3, 4, 6)): "e72a25df0adaadaade704b422a65b45b07a3374fa47928d76b1c10f4e212c7bd",
+    (6, (3, 5, 6)): "7e50ef3a39c7b39a780bf1a4a05b51c85abe1c9f6ddfd483f08c5f8a1edf4c17",
+    (6, (4, 5, 6)): "3e201dcb88f2e26322fe6546d98d171d484d48c998a475ff1ae14606f45eaf8a",
+    (6, (1, 2, 3, 4)): "806606423df72fb3ac8fe7b10f4343d3896c63c3934811cc986503d7fd7ea5a6",
+    (6, (1, 2, 3, 5)): "3a8c3b82df334cdea480e9b271328ca351f359ec2cd7a062aa115d35c02cdb6a",
+    (6, (1, 2, 3, 6)): "e83743b63c06ba1ad5a5f82d1dd7548c0511e368d746bc3ea7b7f354f67c3bc8",
+    (6, (1, 2, 4, 5)): "50879c5b591bf7f86bf68a18d25409c658c9f68645899320d282d113b3230763",
+    (6, (1, 2, 4, 6)): "e823625102205f854e272b49d60fbd27b36f33f7094909d9e033c2a581f9c0a9",
+    (6, (1, 2, 5, 6)): "ad3a7053b708602b0b63e6557d6441f748cb99709ba0e4bf465062debfafcc3d",
+    (6, (1, 3, 4, 5)): "ad04cda28561c5b3688ea1b75034f8115ab8236f4ca2c5d35650ac38f8dfe03a",
+    (6, (1, 3, 4, 6)): "a8c574283837f802618e94c892ae2515861d5222bec7017ded690b3c33b0132b",
+    (6, (1, 3, 5, 6)): "92ea671750de9b754da97e55bc1db51d4b574945cf7022012c53f7ff09978fd3",
+    (6, (1, 4, 5, 6)): "f1b1d7eceb61a7198c9523a5a093fd28346c1814237ab4750dc39af3a663b8a2",
+    (6, (2, 3, 4, 5)): "e3fa4231e9a1ec8325e5459fe3f5d009703d3ac39a3a4702ae7111e98a1e79e0",
+    (6, (2, 3, 4, 6)): "2a702425e8b7084ea06009928de7407862ef90a13e6cb84581ff246035962f00",
+    (6, (2, 3, 5, 6)): "b97c91123f609e7325e4b93dcf5c819e9ba907f194d65d77c4a743d3fc94764b",
+    (6, (2, 4, 5, 6)): "f085429885c6c73f59b5045826dd390695833a936d0f5cfe5fca018ee522fc4c",
+    (6, (3, 4, 5, 6)): "e028f51ee24a98d556d644c1b504832bc4850da57361aeefa7e86c79a56ddfba",
+    (6, (1, 2, 3, 4, 5)): "b261d55bb94eef2f47f83cb32ea15338c2864522f65615af699f40c863db395a",
+    (6, (1, 2, 3, 4, 6)): "eeed7d5f6fed507561203e4c70687ff60cb383c4ada9c60a20f0960311db2bb6",
+    (6, (1, 2, 3, 5, 6)): "5bf5c46c2d5d04afcae3d4cf00c75c58f2d12bb9579f8b61685bfd305ccc0a29",
+    (6, (1, 2, 4, 5, 6)): "db4ed94b34788764334537a8f14204e41ae6e4e297a4b8cfe440e74ddf6c64f3",
+    (6, (1, 3, 4, 5, 6)): "a556b14977c0e25eeaca0ad97a75c77806571d5eca489f7636115138bd40de17",
+    (6, (2, 3, 4, 5, 6)): "22391535ff735c5c681226c6c76113229bc87468b8a6ac2f93151a9cd71e7b1c",
+    (6, (1, 2, 3, 4, 5, 6)): "0298f885c7f6381edbbc0a57e5a30522990aa3b6c5bda627ecd266bc4ca75694",
+}
+
+
 def _sweep_digest(g) -> str:
     build = builder_of(g)
     verts = host_of(g).vertices()
@@ -312,6 +424,11 @@ def test_sweep_covers_of_johnson_graphs_are_pinned(n, k):
 @pytest.mark.parametrize("levels", list(SWEEP_QJ7_DIGESTS), ids=repr)
 def test_sweep_covers_of_qj7_graphs_are_pinned(levels):
     assert _sweep_digest(QJGraph(7, levels)) == SWEEP_QJ7_DIGESTS[levels]
+
+
+@pytest.mark.parametrize("n, levels", list(SWEEP_QJ_SMALL_DIGESTS), ids=repr)
+def test_sweep_covers_of_small_qj_graphs_are_pinned(n, levels):
+    assert _sweep_digest(QJGraph(n, levels)) == SWEEP_QJ_SMALL_DIGESTS[n, levels]
 
 
 def _digest(obj) -> str:

@@ -26,7 +26,7 @@ from johnson_p2c import hamilton
 from johnson_p2c.errors import CoverError, EqualEndpoints, NotAVertex
 from johnson_p2c.graphs import MEMO_SIZE, mask_generic
 from johnson_p2c.subsets import k_masks
-from johnson_p2c.verify import certify, host_of
+from johnson_p2c.verify import KEY_SETS, certify, host_of
 
 # The package attribute ``p2c_johnson`` is the function of that name.
 p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
@@ -204,16 +204,17 @@ def test_clear_caches_empties_every_memo():
         hamilton._mask_search,
         hamilton._sides,
     ]
-    one_graph = [hamilton._explicit_search, verify_module._vertex_keys]
-    assert all(memo.cache_info().currsize for memo in [*memos, *one_graph])
+    own_bound = [hamilton._explicit_search, verify_module._vertex_keys]
+    assert all(memo.cache_info().currsize for memo in [*memos, *own_bound])
     clear_caches()
-    assert [memo.cache_info().currsize for memo in [*memos, *one_graph]] == [0] * 6
+    assert [memo.cache_info().currsize for memo in [*memos, *own_bound]] == [0] * 6
     # One bound for every memo, and a finite one; the tables of explicit
-    # graphs, which are arbitrary, and the vertex keys the checker compares
-    # a cover with keep one graph.
+    # graphs, which are arbitrary, keep one graph, and the vertex keys the
+    # checker compares a cover with keep a few dozen.
     sizes = {memo.cache_info().maxsize for memo in memos}
     assert sizes == {MEMO_SIZE} and MEMO_SIZE > 0
-    assert [memo.cache_info().maxsize for memo in one_graph] == [1, 1]
+    assert [memo.cache_info().maxsize for memo in own_bound] == [1, KEY_SETS]
+    assert 16 <= KEY_SETS <= 64
 
 
 @pytest.mark.parametrize("n", range(4, 10))

@@ -21,6 +21,7 @@ from johnson_p2c.errors import (
     BadQuad,
     InvariantViolated,
     OutOfTheoremRange,
+    SelectionExhausted,
     TooFewVertices,
 )
 from johnson_p2c.hamilton import Path
@@ -235,6 +236,18 @@ class TestOrient:
         q = quad(5, [1, 2], [3, 4], [1, 3], [2, 5])
         with pytest.raises(InvariantViolated, match="paired endpoints"):
             p2c_johnson(g, q)
+
+
+def test_an_oracle_search_that_finds_nothing_is_typed(monkeypatch):
+    # Every quad of a small J(n,k) has a cover, so the search the oracle
+    # runs always finds one; a search that finds none is a typed error,
+    # not a crash.  _search_masks is patched where _oracle_cover reads it.
+    monkeypatch.setattr(p2c_johnson_module, "_search_masks", lambda *args: None)
+    p2c_johnson_module.clear_caches()
+    q = quad(5, [1, 2], [3, 4], [1, 3], [2, 5])
+    no_cover = r"^oracle found no cover of J\(5,2\)$"
+    with pytest.raises(SelectionExhausted, match=no_cover):
+        p2c_johnson(JohnsonGraph(5, 2), q)
 
 
 class TestLargeGroundSet:

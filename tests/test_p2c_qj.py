@@ -10,19 +10,10 @@ from johnson_p2c import (
     check_p2c,
     p2c_qj,
 )
-from johnson_p2c.errors import (
-    BadQuad,
-    LemmaPreconditionViolated,
-    OutOfTheoremRange,
-    SelectionExhausted,
-)
+from johnson_p2c.errors import BadQuad, OutOfTheoremRange, SpliceEdgeNotFound
 from johnson_p2c.p2c_johnson import _solve as _solve_johnson
-from johnson_p2c.p2c_qj import (
-    _first_vertex,
-    ep2c_expand,
-    pick_one_avoiding,
-    pick_two_avoiding,
-)
+from johnson_p2c.p2c_qj import ep2c_expand, pick_one_avoiding, pick_two_avoiding
+from johnson_p2c.subsets import cross_masks, k_masks
 
 
 def es(elems, n):
@@ -40,26 +31,37 @@ def quad(n, *pairs):
 # The lemma functions work on bitmasks (bit e = element e).
 class TestPickOne:
     def test_down_to_singletons(self):
-        got = pick_one_avoiding(4, 3, 1, mask([1, 2, 3], 4), {mask([2], 4)})
+        got = pick_one_avoiding(4, 1, mask([1, 2, 3], 4), mask([2], 4))
         assert got == mask([1], 4)
 
     def test_up_scan_order(self):
-        got = pick_one_avoiding(5, 1, 2, mask([1], 5), {mask([1, 2], 5)})
+        got = pick_one_avoiding(5, 2, mask([1], 5), mask([1, 2], 5))
         assert got == mask([1, 3], 5)
 
     def test_only_two_supersets(self):
-        got = pick_one_avoiding(4, 2, 3, mask([1, 2], 4), {mask([1, 2, 3], 4)})
+        got = pick_one_avoiding(4, 3, mask([1, 2], 4), mask([1, 2, 3], 4))
         assert got == mask([1, 2, 4], 4)
 
-    def test_precondition(self):
-        with pytest.raises(LemmaPreconditionViolated):
-            pick_one_avoiding(4, 2, 2, mask([1, 2], 4), set())
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_never_runs_dry(self, n):
+        # Between two levels in 1..n-1 a vertex has two or more neighbors,
+        # so one is left whatever single vertex is avoided.
+        for c in range(1, n):
+            for d in range(1, n):
+                if c == d:
+                    continue
+                for a in k_masks(n, c):
+                    ws = cross_masks(a, n, d)
+                    for avoid in (*ws, a):
+                        assert pick_one_avoiding(n, d, a, avoid) == next(
+                            w for w in ws if w != avoid
+                        )
 
 
 class TestPickTwo:
     def test_distinct_up(self):
         ap, bp = pick_two_avoiding(
-            5, 1, 2, mask([1], 5), mask([2], 5), {mask([1, 2], 5), mask([1, 3], 5)}
+            5, 2, mask([1], 5), mask([2], 5), {mask([1, 2], 5), mask([1, 3], 5)}
         )
         assert ap != bp
         assert ap not in {mask([1, 2], 5), mask([1, 3], 5)}
@@ -68,18 +70,32 @@ class TestPickTwo:
     def test_special_two_level_case(self):
         # A = {1, n-1}: distinct level-(n-1) neighbors exist avoiding any two
         avoid = {mask([1, 2, 3], 4), mask([1, 2, 4], 4)}
-        ap, bp = pick_two_avoiding(4, 1, 3, mask([1], 4), mask([2], 4), avoid)
+        ap, bp = pick_two_avoiding(4, 3, mask([1], 4), mask([2], 4), avoid)
         assert ap != bp and not {ap, bp} & avoid
 
     def test_disjoint_down(self):
-        ap, bp = pick_two_avoiding(
-            6, 3, 2, mask([1, 2, 3], 6), mask([4, 5, 6], 6), set()
-        )
+        ap, bp = pick_two_avoiding(6, 2, mask([1, 2, 3], 6), mask([4, 5, 6], 6), ())
         assert ap == mask([1, 2], 6) and bp == mask([4, 5], 6)
 
-    def test_equal_inputs_rejected(self):
-        with pytest.raises(LemmaPreconditionViolated):
-            pick_two_avoiding(5, 2, 3, mask([1, 2], 5), mask([1, 2], 5), set())
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_never_runs_dry(self, n):
+        # The ends of an edge of level c, with nothing to avoid going to
+        # any other level, or avoiding two vertices going up to a level
+        # d <= n-2 or down from level n-1, as the interleaved cover does.
+        for c in range(1, n):
+            for d in range(1, n):
+                if c == d:
+                    continue
+                for a in k_masks(n, c):
+                    for b in k_masks(n, c):
+                        if (a ^ b).bit_count() != 2:
+                            continue
+                        avoids = [()]
+                        if d < c == n - 1 or c < d <= n - 2:
+                            avoids += combinations(k_masks(n, d), 2)
+                        for avoid in avoids:
+                            got = pick_two_avoiding(n, d, a, b, avoid)
+                            assert got is not None, (c, d, a, b, avoid)
 
 
 class TestEP2CExpand:
@@ -87,8 +103,17 @@ class TestEP2CExpand:
         p1, p2 = _solve_johnson(
             4, 2, mask([1, 2], 4), mask([1, 3], 4), mask([2, 3], 4), mask([2, 4], 4)
         )
-        out = ep2c_expand([p1, p2], 4, (2,), 0, 0)
-        assert out == [list(p1), list(p2)]
+        paths = [list(p1), list(p2)]
+        ep2c_expand(paths, 4, (2,), 0, 0)
+        assert paths == [p1, p2]
+
+    def test_no_edge_to_splice_at_is_typed(self):
+        # A local cover with no edge inside its lowest level has nowhere to
+        # splice the levels below: a typed error, not a crash.
+        paths = [[mask([1, 2], 4), mask([1, 2, 3], 4)], [mask([3, 4], 4)]]
+        no_edge = "^no within-level edge at cardinality 2 on either path$"
+        with pytest.raises(SpliceEdgeNotFound, match=no_edge):
+            ep2c_expand(paths, 4, (1, 2, 3), 1, 2)
 
     def test_downward_splice(self):
         # local cover of levels {2,3} inside QJ(4,{1,2,3})
@@ -131,17 +156,13 @@ class TestAbsorbApex:
 
     def test_apex_pick_that_runs_dry_is_typed(self):
         # The three other endpoints fill level 2 of QJ(3,{2,3}), so no level-2
-        # vertex is left to stand in for the apex.  The apex construction is
-        # reached only through p2c_qj, which refuses n < 4 first; the pick
-        # itself, on an exhausted level, raises a CoverError that sweep
-        # catches, not a StopIteration.
+        # vertex is left to stand in for the apex.  p2c_qj, the one way into
+        # the apex construction, refuses n < 4 first with a CoverError that
+        # sweep catches; from n = 4 on a level below n has 4+ vertices.
         g = QJGraph(3, [2, 3])
         q = quad(3, [1, 2, 3], [1, 2], [1, 3], [2, 3])
         with pytest.raises(OutOfTheoremRange, match=r"^QJ\(3,\{2,3\}\) has n < 4$"):
             p2c_qj(g, q)
-        level = {mask(p, 3) for p in ([1, 2], [1, 3], [2, 3])}
-        with pytest.raises(SelectionExhausted, match="^level 2 exhausted"):
-            _first_vertex(3, 2, level)
 
 
 class TestP2CQJ:
