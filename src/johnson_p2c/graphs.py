@@ -181,10 +181,15 @@ class GenericGraph:
     __slots__ = ("vertex_count", "adjacency")
 
     def __init__(self, vertex_count: int, edges):
-        adjacency = [set() for _ in range(vertex_count)]
+        if vertex_count < 0:
+            raise ValueError(f"negative vertex count {vertex_count}")
+        vertices = range(vertex_count)
+        adjacency = [set() for _ in vertices]
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at {a}")
+            if a not in vertices or b not in vertices:
+                raise ValueError(f"edge ({a}, {b}) leaves 0..{vertex_count - 1}")
             adjacency[a].add(b)
             adjacency[b].add(a)
         object.__setattr__(self, "vertex_count", vertex_count)

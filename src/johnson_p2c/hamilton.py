@@ -4,11 +4,14 @@ The Johnson builder recursively splits J(n,k) by the element n into
 X (vertices without n, isomorphic to J(n-1,k)) and Y (vertices with n,
 isomorphic to J(n-1,k-1)), splicing the smaller side's Hamilton path into
 an edge of the larger side's path.  The QJ builder peels the top level of
-the stack.  J(n,k) is the one-level stack QJ(n,{k}), so both builders share
-one memo, ``_ham_path``, keyed by ``(n, levels, s, t)``.  Recursion bottoms
-out in ``_search_masks``, an exact backtracking search on any host graph
-with at most ``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two
-terminal pairs, is the P2C oracle and the Johnson constructor's base case.
+the stack and splices the other part in through the EP2C expansion
+(``ep2c_expand``) that ``p2c_qj`` runs on its local covers; that splice and
+its vertex picks live here, below both users.  J(n,k) is the one-level
+stack QJ(n,{k}), so both builders share one memo, ``_ham_path``, keyed by
+``(n, levels, s, t)``.  Recursion bottoms out in ``_search_masks``, an
+exact backtracking search on any host graph with at most
+``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two terminal
+pairs, is the P2C oracle and the Johnson constructor's base case.
 
 The search reads each small graph through tables built once and kept in
 the memo ``_mask_search``, keyed by ``(n, levels)``: the vertex masks, a
@@ -23,12 +26,12 @@ holds small canonical paths only: a one-level key with 2k > n is stored as
 J(n,n-k), whose vertices are the complements, and a subgraph above
 ``MEMO_VERTICES`` vertices (``graphs``) is not stored at all but built
 straight into the caller's list.  A read copies the memo's tuple once and
-applies, in that copy, the complement and a ``_Side``'s bit as one XOR.
-A large graph that is complemented or embedded is built in its caller's
-masks: ``_ham`` hands that XOR down the build as ``out``, and only the
-leaves apply it (memo reads and the k = 1 list), which copy anyway.  The
-builders splice the paths they get in place, so a cold build holds about
-its output, not every half it made on the way.
+applies, in that copy, the complement and the caller's ``out`` (say a
+``_Side``'s bit) as one XOR.  A large graph that is complemented or
+embedded is built in its caller's masks: ``_ham`` hands that XOR down the
+build, and only the leaves apply it (memo reads and the k = 1 list), which
+copy anyway.  The builders splice the paths they get in place, so a cold
+build holds about its output, not every half it made on the way.
 
 The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
 half of the split with its embedding into J(n,k), the identity on X and
@@ -64,7 +67,6 @@ from .subsets import (
     key_text,
     mask_elements,
     mask_keys,
-    up_masks,
     vertex_json,
 )
 
@@ -375,28 +377,25 @@ def hamilton_masks(g, s, t) -> list[int]:
     return _ham(g.n, g.levels, s, t)
 
 
-def _ham(
-    n: int, levels: tuple, s: int, t: int, bit: int = 0, out: int = 0
-) -> list[int]:
+def _ham(n: int, levels: tuple, s: int, t: int, out: int = 0) -> list[int]:
     """Hamilton path of QJ(n,levels) from s to t, J(n,k) being ``levels ==
-    (k,)``, with ``bit`` set on every vertex: 0, or a bit above n that
-    embeds the graph in a larger one (``_Side``).  Every vertex is then
-    XORed with ``out``: 0, or, inside a large build that is complemented or
-    embedded, the XOR from that build's masks to its caller's.  The caller
-    owns the returned list.
+    (k,)``, with every vertex XORed with ``out``: 0, a bit above n that
+    embeds the graph in a larger one (``_Side``), or, inside a large build
+    that is complemented or embedded, the XOR from that build's masks to
+    its caller's.  The caller owns the returned list.
 
     The one reader of the memo ``_ham_path``.  A one-level key with 2k > n
     is read as J(n,n-k), whose vertices are the complements; the
-    complement, ``bit`` and ``out`` are one XOR, applied in the copy that a
-    read makes anyway.  A graph above ``MEMO_VERTICES`` vertices is built
+    complement and ``out`` are one XOR, applied in the copy that a read
+    makes anyway.  A graph above ``MEMO_VERTICES`` vertices is built
     straight into the returned list, in its final masks: the XOR goes down
     to the leaves of the build, which copy anyway."""
-    flip = bit
+    flip = 0
     if len(levels) == 1 and 2 * levels[0] > n:
-        flip |= full_mask(n)
+        flip = full_mask(n)
         levels = (n - levels[0],)
-    s ^= flip
-    t ^= flip
+        s ^= flip
+        t ^= flip
     flip ^= out
     # QJ(n,levels) has at most 2^n vertices: count them only above the bound.
     if 1 << n > MEMO_VERTICES and sum(comb(n, a) for a in levels) > MEMO_VERTICES:
@@ -454,7 +453,8 @@ class _Side(NamedTuple):
     def path(self, s: int, t: int, out: int = 0) -> list[int]:
         """Hamilton path of the side between two of its vertices, as a new
         list of masks of J(n,k), each XORed with ``out``."""
-        return _ham(self.n - 1, (self.k,), s, t, self.bit, out)
+        bit = self.bit
+        return _ham(self.n - 1, (self.k,), s ^ bit, t ^ bit, out ^ bit)
 
 
 # Vertices of a side kept in its ``head``: one more than a quad's endpoints.
@@ -547,24 +547,14 @@ def _ham_qj_build(n, levels, s, t):
         return _ham_small(n, levels, s, t)
 
     top = levels[-1]
-    lower = levels[:-1]
     s_top = s.bit_count() == top
     if s_top == (t.bit_count() == top):
-        # Both ends in one part, the top level or the levels below it: detour
-        # through the other part at the first edge on the part's boundary
-        # level, between distinct cross neighbors (or through the apex).
-        part, other = ((top,), lower) if s_top else (lower, (top,))
-        h = _ham(n, part, s, t)
-        i = _find_level_edge(h, part[-1])
-        if top == n:
-            detour = [full_mask(n)]
-        else:
-            # Levels are >= 1 and the top is below n here, so a vertex has
-            # at least 2 neighbors on the adjacent level: one is not ap.
-            ap = cross_masks(h[i], n, other[-1])[0]
-            bp = next(w for w in cross_masks(h[i + 1], n, other[-1]) if w != ap)
-            detour = _ham(n, other, ap, bp)
-        h[i + 1 : i + 1] = detour
+        # Both ends in one part, the top level or the levels below it: the
+        # other part is spliced in through the part's boundary level.
+        last = len(levels) - 1
+        lo, hi = (last, last) if s_top else (0, last - 1)
+        h = _ham(n, levels[lo : hi + 1], s, t)
+        ep2c_expand([h], n, levels, lo, hi)
         return h
 
     if s_top:
@@ -573,28 +563,96 @@ def _ham_qj_build(n, levels, s, t):
         return h
 
     # s below, t in the top level: bridge through a cross edge.
-    # A level 1 <= l < n holds n >= 2 vertices, and below a top level under
-    # n a vertex has at least 2 up-neighbors: neither scan runs dry.
-    a = next(v for v in k_masks(n, levels[-2]) if v != s)
-    h = _ham(n, lower, s, a)
+    a = next(_free(n, levels[-2], (s,)))
+    h = _ham(n, levels[:-1], s, a)
     if top == n:
         h.append(t)
     else:
-        ap = next(w for w in up_masks(a, n, top) if w != t)
-        h += _ham(n, (top,), ap, t)
+        h += _ham(n, (top,), pick_one_avoiding(n, top, a, t), t)
     return h
 
 
-def _find_level_edge(path, card: int, forbidden=()) -> int:
-    """Index of the first path edge whose endpoints both have the given
-    cardinality and avoid the forbidden vertices."""
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        if (
-            a.bit_count() == card
-            and b.bit_count() == card
-            and a not in forbidden
-            and b not in forbidden
-        ):
-            return i
-    raise SpliceEdgeNotFound(f"no usable within-level edge at cardinality {card}")
+# ---------------------------------------------------------------------------
+# The level stack, shared by ``_ham_qj_build`` and ``p2c_qj``.  The picks
+# run between levels in 1..n-1 with n >= 4: the apex level n is spliced as
+# itself, ``p2c_qj_masks`` refuses n < 4, and a stack that ``_ham_qj_build``
+# splices has 13+ vertices, so n >= 4.  So each pick finds what it looks
+# for; its docstring says why.
+
+
+def _free(n, card, quad):
+    """The vertices of level card that are no endpoint, in bit-vector order.
+    A level 1..n-1 has at least n >= 4 vertices, and no caller takes more
+    of them than its endpoints there leave: one beside one or three, two
+    beside two."""
+    return (w for w in k_masks(n, card) if w not in quad)
+
+
+def pick_one_avoiding(n, card_to, a, avoid) -> int:
+    """First neighbor of the mask a at level card_to, in bit-vector order,
+    other than the mask ``avoid``.  Between two levels c and d in 1..n-1,
+    a has C(n-c, d-c) or C(c, c-d) neighbors, at least two."""
+    ws = cross_masks(a, n, card_to)
+    return ws[ws[0] == avoid]
+
+
+def pick_two_avoiding(n, card_to, a, b, avoid) -> tuple[int, int]:
+    """First pair (a', b') in scan order of distinct neighbors of the masks
+    a and b at level card_to, both outside `avoid`.
+
+    a and b, the ends of a path edge, are distinct, and each has more
+    neighbors there than `avoid` holds: two or more with nothing to avoid,
+    and C(m, r) >= m >= 3 with 1 <= r <= m-2 for the two endpoints the
+    interleaved cover avoids going up to a level d <= n-2 (m = n-c) or
+    down from level n-1 (m = n-1).  So the scan fails only if a and b
+    each keep one candidate, the same w, and have the same neighbors
+    there; but those fix a vertex, as their intersection going up and
+    their union going down."""
+    cand_b = [w for w in cross_masks(b, n, card_to) if w not in avoid]
+    for ap in cross_masks(a, n, card_to):
+        if ap not in avoid:
+            for bp in cand_b:
+                if bp != ap:
+                    return ap, bp
+
+
+def _level_edge(paths, card, forbidden=()) -> tuple[int, int]:
+    """(i, t) of the first edge paths[i][t], paths[i][t + 1], in path
+    order, whose ends both lie on level card and avoid ``forbidden``."""
+    for i, p in enumerate(paths):
+        for t in range(len(p) - 1):
+            a, b = p[t], p[t + 1]
+            if a.bit_count() == card == b.bit_count() and {a, b}.isdisjoint(forbidden):
+                return i, t
+    raise SpliceEdgeNotFound(
+        f"no within-level edge at cardinality {card} on either path"
+    )
+
+
+def ep2c_expand(paths, n, A, lo, hi) -> None:
+    """Expand a Hamilton path or a cover of levels A[lo..hi] to all of
+    QJ(n,A), on masks, in place (the EP2C expansion): a Hamilton path of
+    the levels below detours through the first edge on level A[lo], one of
+    the levels above through the first edge on level A[hi] apart from that
+    one, each between distinct neighbors of the edge's ends.  The apex
+    level J(n,n) above is a detour of its one vertex, which is adjacent to
+    both ends."""
+    splices = []
+    down_edge = ()
+    if lo > 0:
+        pi, t = _level_edge(paths, A[lo])
+        down_edge = paths[pi][t : t + 2]
+        splices.append((t, pi, A[lo - 1], A[:lo]))
+    if hi < len(A) - 1:
+        pi, t = _level_edge(paths, A[hi], down_edge)
+        splices.append((t, pi, A[hi + 1], A[hi + 1 :]))
+    # The later index first: the two edges are disjoint, so the earlier one
+    # keeps its index.
+    for t, pi, card_to, others in sorted(splices, reverse=True):
+        p = paths[pi]
+        if card_to == n:
+            detour = [full_mask(n)]
+        else:
+            ap, bp = pick_two_avoiding(n, card_to, p[t], p[t + 1], ())
+            detour = _ham(n, others, ap, bp)
+        p[t + 1 : t + 1] = detour

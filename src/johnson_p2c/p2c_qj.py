@@ -8,18 +8,19 @@ boundary-level edges (the EP2C expansion, ``ep2c_expand``, in place).
 endpoints by level once and picks the local cover by how they sit on one to
 four levels; each case finds an endpoint's partner as ``quad[e ^ 1]``.  An
 apex level J(n,n) is absorbed separately (``_absorb_apex``): its single
-vertex is either inserted into a top-level edge or attached by a pendant
-cross edge.
+vertex is either spliced into a top-level edge by the same expansion or
+attached by a pendant cross edge.
 
 Vertices are int bitmasks throughout, as in the Johnson constructor.  The
 auxiliary vertices of the lemmas come from two picks on masks: the first
 vertices of a level that are no endpoint (``_free``), and a first neighbor
 on another level (``pick_one_avoiding``, and ``pick_two_avoiding`` for the
-ends of an edge).  ``p2c_qj_masks`` takes the quad as four masks and
-returns the two paths as mask lists; it is the one way into both the
-stacked and the apex construction.  ``p2c_qj`` is its wrapper, which takes
-an ``EndpointQuad`` of ``ElementSet``s and returns wrapped paths that end
-at the quad's own objects.
+ends of an edge).  The picks and the expansion live in ``hamilton``, whose
+QJ Hamilton builder splices levels the same way.  ``p2c_qj_masks`` takes
+the quad as four masks and returns the two paths as mask lists; it is the
+one way into both the stacked and the apex construction.  ``p2c_qj`` is
+its wrapper, which takes an ``EndpointQuad`` of ``ElementSet``s and returns
+wrapped paths that end at the quad's own objects.
 """
 
 from __future__ import annotations
@@ -27,95 +28,23 @@ from __future__ import annotations
 from itertools import islice
 
 from .covers import EndpointQuad, P2CSolution, check_quad
-from .errors import OutOfTheoremRange, SpliceEdgeNotFound
+from .errors import OutOfTheoremRange
 from .graphs import QJGraph
-from .hamilton import _find_level_edge, _ham
+from .hamilton import (
+    _free,
+    _ham,
+    _level_edge,
+    ep2c_expand,
+    pick_one_avoiding,
+    pick_two_avoiding,
+)
 from .p2c_johnson import (
     _finish,
     _solve as _solve_johnson,
     _with_debug,
     _wrap_cover,
 )
-from .subsets import cross_masks, full_mask, k_masks, mask_keys
-
-
-# ---------------------------------------------------------------------------
-# Vertex picks.  Their levels are in 1..n-1 with n >= 4: ``p2c_qj_masks``
-# refuses n < 4, and the A of ``_solve_qj`` excludes n.  So each pick finds
-# what it looks for; its docstring says why.
-
-
-def _free(n, card, quad):
-    """The vertices of level card that are no endpoint, in bit-vector order.
-    A level 1..n-1 has at least n >= 4 vertices, and no local cover takes
-    more of them than its endpoints there leave: one beside three, two
-    beside two."""
-    return (w for w in k_masks(n, card) if w not in quad)
-
-
-def pick_one_avoiding(n, card_to, a, avoid) -> int:
-    """First neighbor of the mask a at level card_to, in bit-vector order,
-    other than the mask ``avoid``.  Between two levels c and d in 1..n-1,
-    a has C(n-c, d-c) or C(c, c-d) neighbors, at least two."""
-    ws = cross_masks(a, n, card_to)
-    return ws[ws[0] == avoid]
-
-
-def pick_two_avoiding(n, card_to, a, b, avoid) -> tuple[int, int]:
-    """First pair (a', b') in scan order of distinct neighbors of the masks
-    a and b at level card_to, both outside `avoid`.
-
-    a and b, the ends of a path edge, are distinct, and each has more
-    neighbors there than `avoid` holds: two or more with nothing to avoid,
-    and C(m, r) >= m >= 3 with 1 <= r <= m-2 for the two endpoints the
-    interleaved cover avoids going up to a level d <= n-2 (m = n-c) or
-    down from level n-1 (m = n-1).  So the scan fails only if a and b
-    each keep one candidate, the same w, and have the same neighbors
-    there; but those fix a vertex, as their intersection going up and
-    their union going down."""
-    cand_b = [w for w in cross_masks(b, n, card_to) if w not in avoid]
-    for ap in cross_masks(a, n, card_to):
-        if ap not in avoid:
-            for bp in cand_b:
-                if bp != ap:
-                    return ap, bp
-
-
-# ---------------------------------------------------------------------------
-# EP2C expansion.
-
-
-def _locate_level_edge(paths, card, forbidden=()):
-    for pi, p in enumerate(paths):
-        try:
-            return pi, _find_level_edge(p, card, forbidden)
-        except SpliceEdgeNotFound:
-            continue
-    raise SpliceEdgeNotFound(
-        f"no within-level edge at cardinality {card} on either path"
-    )
-
-
-def ep2c_expand(paths, n, A, lo, hi) -> None:
-    """Expand a local cover of levels A[lo..hi] to all of QJ(n,A), on masks,
-    in place: a Hamilton path of the levels below detours through the first
-    edge on level A[lo], one of the levels above through the first edge on
-    level A[hi] apart from that one."""
-    splices = []
-    down_edge = ()
-    if lo > 0:
-        pi, t = _locate_level_edge(paths, A[lo])
-        down_edge = paths[pi][t : t + 2]
-        splices.append((t, pi, A[lo - 1], A[:lo]))
-    if hi < len(A) - 1:
-        pi, t = _locate_level_edge(paths, A[hi], down_edge)
-        splices.append((t, pi, A[hi + 1], A[hi + 1 :]))
-    # The later index first: the two edges are disjoint, so the earlier one
-    # keeps its index.
-    for t, pi, card_to, others in sorted(splices, reverse=True):
-        p = paths[pi]
-        ap, bp = pick_two_avoiding(n, card_to, p[t], p[t + 1], ())
-        p[t + 1 : t + 1] = _ham(n, others, ap, bp)
+from .subsets import full_mask, mask_keys
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +54,18 @@ def ep2c_expand(paths, n, A, lo, hi) -> None:
 def _absorb_apex(n, A, u, v, x, y):
     """Oriented (u-to-v, x-to-y) cover of QJ(n,A) on masks, via the cover of
     QJ(n, A-{n}); A ends in n and holds another level."""
-    sub_levels = A[:-1]
     apex = full_mask(n)
-    top = sub_levels[-1]
     quad = (u, v, x, y)
-
     if apex not in quad:
-        p1, p2 = _solve_qj(n, sub_levels, u, v, x, y)
-        pi, t = _locate_level_edge([p1, p2], top)
-        (p1, p2)[pi].insert(t + 1, apex)
+        p1, p2 = _solve_qj(n, A[:-1], u, v, x, y)
+        ep2c_expand([p1, p2], n, A, 0, len(A) - 2)
     else:
         # The apex is quad[e]: a level-top vertex that is no endpoint stands
         # in for it and reaches it by a pendant edge.
         e = quad.index(apex)
         q1, q2 = quad[2:] if e < 2 else quad[:2]
-        cp = next(_free(n, top, quad))
-        p1, p2 = _solve_qj(n, sub_levels, cp, quad[e ^ 1], q1, q2)
+        cp = next(_free(n, A[-2], quad))
+        p1, p2 = _solve_qj(n, A[:-1], cp, quad[e ^ 1], q1, q2)
         p1.insert(0, apex)
     return _finish(n, A, quad, p1, p2)
 
@@ -239,7 +164,7 @@ def _local_interleaved(n, A, quad, order, s):
     i, l = s[0], s[3]
     if A[l] < n - 1:
         p1 = _ham(n, A[i:l], u, x)
-        t = _find_level_edge(p1, A[l - 1])
+        _, t = _level_edge([p1], A[l - 1])
         a, b = p1[t], p1[t + 1]
         ap, bp = pick_two_avoiding(n, A[l], a, b, {v, y})
         s1, s2 = _solve_johnson(n, A[l], ap, v, bp, y)

@@ -166,6 +166,8 @@ class Relabeling:
 
     @classmethod
     def swap(cls, i: int, j: int, n: int) -> "Relabeling":
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"swap of {i} and {j} leaves [{n}]")
         perm = list(range(1, n + 1))
         perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
         return cls(perm)

@@ -41,6 +41,7 @@ from johnson_p2c import (
     p2c_qj,
 )
 from johnson_p2c.cli import run
+from johnson_p2c.hamilton import hamilton_masks
 from johnson_p2c.verify import builder_of, host_of
 
 # (graph, (u, v, x, y) as element lists, sha256 of the cover's JSON)
@@ -538,6 +539,224 @@ def test_sampled_hamilton_qj_paths_above_the_memo_are_byte_identical():
     assert _digest(paths) == (
         "fbec1e440f866b526c7dc76018a9da0eefdf438e87316500ca5ffa00866e3fad"
     )
+
+
+# One sha256 per graph over ``repr`` of the mask paths that
+# ``hamilton_masks`` returns for 40 endpoint pairs, each drawn by
+# ``random.Random(3).sample`` from the vertex masks in ``vertices()`` order.
+# Keys: every QJ(n,A) with 4 <= n <= 7, at least two levels and more than
+# BRUTE_FORCE_LIMIT vertices, the graphs whose paths ``_ham_qj_build``
+# splices rather than searches; 101 of the 194 hold the apex J(n,n).
+# Recorded while that builder still had its own level-edge search, bridge
+# scans and apex detour.
+HAMILTON_QJ_SAMPLED_DIGESTS = {
+    (4, (1, 2, 3)): "adc5f7678fbd6d280d21e8cf22fe3d89b6b3442dbe6650648312d093f325cc7e",
+    (4, (1, 2, 3, 4)): "337589a6cfaf36489c1ab31025b395103b17fe693c114164efd0bbe0087d2bbf",
+    (5, (1, 2)): "27ee900e6e1652c91b6353b042dca0c4f3b1ba19642a2385e9baa61ebce2c97f",
+    (5, (1, 3)): "1a051b875eac2b36905af3420af4628d2f8152dab52bdd2b668708216b2af880",
+    (5, (2, 3)): "803c082c7c3359b48aba8a581afc9bf4324397dd012777b6eac048db05ca62db",
+    (5, (2, 4)): "c425b32fcf244f3da14788d67056fdeea1ce17a2297d7be8cf001af1d6777b1e",
+    (5, (3, 4)): "014a279e85f3b740008114443203d15fb3132c491c7b6a70108e3d54f3b06829",
+    (5, (1, 2, 3)): "f3f56859ec58525b198b14411f066c5faa3ad5078545e54fcd373698201e751f",
+    (5, (1, 2, 4)): "7c11a3bd5f2cdc01ecb3ac92434139dcfde8d23c99b719252a24db4aae814e8f",
+    (5, (1, 2, 5)): "c476233c59a298e3e4f7d3eb02c4b134c873a4b70bcd80321535c83659398b08",
+    (5, (1, 3, 4)): "8dac14f5810a50560737505cb386dd2a1a5fcc4e3cd208fafcf84cc0db242973",
+    (5, (1, 3, 5)): "66d2b0cdc3084d4db5c8c11b3723ecc52ffb9abc342b807d2a364c9119765aaf",
+    (5, (2, 3, 4)): "1bcb80492420d3b80d8016cfa3dc0d0e0249c97f9fe2936c3ab00ded08960bc6",
+    (5, (2, 3, 5)): "c1e60409aaa0264ea2193ce4df0c45947a532897611e42ead098325c4a28d6b4",
+    (5, (2, 4, 5)): "af533fc17a330bd695dbacd37c561bc38a0f44ce6385329ba796617471d814fb",
+    (5, (3, 4, 5)): "e3222d025614137cc2739628e50b8e4b19ba70eafebd477c1330e123ff1a45d4",
+    (5, (1, 2, 3, 4)): "d0bb71b21e304c61ef623e1a861a1e2c97fba118916dccaff2b4478cb8c67097",
+    (5, (1, 2, 3, 5)): "1a42efb6ccef0852def170cd539be4094ca27d3f1fc693f6e17c8eb32c911fcc",
+    (5, (1, 2, 4, 5)): "92e5c65d2d83b9557777d62feb2eedacc4a628401e4f1d9a2e324fd59ec4ee03",
+    (5, (1, 3, 4, 5)): "41d9215d8e2f2e1631b95e9e440e8b755d4a98d281fc1bc698d0b654705dd792",
+    (5, (2, 3, 4, 5)): "932a37ab15b8ad82025ac8dfd938a3903e2f76be16b702f9d01139694f527c35",
+    (5, (1, 2, 3, 4, 5)): "40d9267de915ce1718632bdbbc1cece8b7b5193c7a8a8abc2e908fbe9193c164",
+    (6, (1, 2)): "60c9c6b026dc72ee3463ae1f4ff2b96873c28b92310b9b04163645a046c96023",
+    (6, (1, 3)): "0e8b44667ba5127f50920ed270cb1665e86ff15ba822a9c962e6b5de0f249136",
+    (6, (1, 4)): "1a1f0662eb56d163c8718e93ccfb641cb163073bc687c5ae554869355445324b",
+    (6, (2, 3)): "7db2b8d65829927339d20f67992455019d0fa8adfc7a7fd319611def18ff308f",
+    (6, (2, 4)): "6bc3ba7b5791cd77be87161562ad6c46ebf5dc83aee7ef3247901596a18cd2ea",
+    (6, (2, 5)): "00b0d3a8ca493f5127eaacf0a2991e363c8a60e212c7d3374130fc2c6b86dc03",
+    (6, (2, 6)): "4e632fdfd5d6567b2e19f82728c644ade7038aa3ece51711a37d61d8d42c9082",
+    (6, (3, 4)): "9c9f30a811e348200b155d5f3610d8b9da033c115b9298425a9c6a2deb9f6727",
+    (6, (3, 5)): "f72add5a1d239421d339bf025b11e7121c200bfc7c1efd0983e467db220f5d85",
+    (6, (3, 6)): "bec17215594e1fe0612743300930d6ebeef069e0eeeccf4332089d1c37c90b1b",
+    (6, (4, 5)): "003dd469f1b6c2512c6b1f45225b33ec5b21fe20dca4a64bf6d458b37db56dfa",
+    (6, (4, 6)): "c291ed06ff64554969ef1b3c4df016400eed2cb2a82f00e27549c55cac8ab84a",
+    (6, (1, 2, 3)): "ee7519ac49e7762a85362a50f49ba416180d1af7f8f0daad140681bbede8eaa5",
+    (6, (1, 2, 4)): "d338a6d4779d4205fdc74734141a954b6c6a19072e08be55bb5ae972bcd18967",
+    (6, (1, 2, 5)): "51f765868c37411212c60e8e511e90e45c1f8fd47a8affad1a8815de9b27fa3e",
+    (6, (1, 2, 6)): "43f0821b152d580a62be9db382a3320f8905ecaebae65519ab25fd25bdcb89e2",
+    (6, (1, 3, 4)): "33a468e5597457447fe46e305b556fab3b3fe88673fbd24792384fecee0ab957",
+    (6, (1, 3, 5)): "1129fd97726d2bc4e4146a5b6dc52bff7f3cac9bad698d01200a14326a203e32",
+    (6, (1, 3, 6)): "ff5734b21e02850b1b2a66a684446f6c277756424e02687b4e9477774c8ab1d9",
+    (6, (1, 4, 5)): "274004ea4ce7a62e07e31a392a775b247c85926d6a3d2a6e166c08066168caa0",
+    (6, (1, 4, 6)): "609aa93f58ac837ce2cc1db307509e3147b60c90e6c8514ff3e844ee844379c5",
+    (6, (1, 5, 6)): "4684c51dd12cd0f36145515f5b6c45e3936f23381f91fdd8816eeb0bf4100133",
+    (6, (2, 3, 4)): "c099067e8c78f33fac95db77b3920048c543d231e4f4a5482c29db78cb651c0f",
+    (6, (2, 3, 5)): "db978e827d26e64c42adb943923e176e8128e643ec611c93be7cad651d2ccdf5",
+    (6, (2, 3, 6)): "c7c1cc640ba3197bae6faa807e1d5aed4032d56642c2eae8ab957b310191680d",
+    (6, (2, 4, 5)): "b4b0f75abf97dd113d3f149b9e8c5c8a86f29c963fe842497f5bc5531ec473a6",
+    (6, (2, 4, 6)): "9b74f314dc82202dd9b1c4c0a8c787343b9c4910b31d6fcbac84d626eb25cb48",
+    (6, (2, 5, 6)): "adb85f8e46ea85df748ea27baca4d34b60385ab1380d227b66069dcce6e1a5a3",
+    (6, (3, 4, 5)): "48946ba78d95437d49c9ef2d8ee5186bb7b7807eef02ece9cb96f3b315af3020",
+    (6, (3, 4, 6)): "18fb1ab8633f43c399faeff4f781c0442083f1e0c4bbcb702a552826f82b44f0",
+    (6, (3, 5, 6)): "d3a06cde9aae2f367bd4df290dc4ebcb64c01b75a1076752c42fc8ceef7f8c72",
+    (6, (4, 5, 6)): "2ef15781f39b3e3398a046731f80b5e6855c63ff02be5603d95d5c70669b5130",
+    (6, (1, 2, 3, 4)): "e455a5eb5342223c00fdaf59dcecfff14fdcc4409bfe5ebe1b181699dac20a24",
+    (6, (1, 2, 3, 5)): "31dceab8faf7b4f76e606adc665cbe4fa143e4bb4f8002e647bada0ff324927f",
+    (6, (1, 2, 3, 6)): "7374ed6edb01ab064252f1eccfcc9889d3d46a593406e619be269cd418401692",
+    (6, (1, 2, 4, 5)): "9e8051546da800fd565aff252050061c6ae7e07c9709538ae720065743ff50c7",
+    (6, (1, 2, 4, 6)): "c4d51d292c13878bb41979e025b84ba10ac5e487a0cd11891b7aff49145ccab9",
+    (6, (1, 2, 5, 6)): "158181b224352f6caf3ba03b120965c5783c386df30abe1ec71d82c661bae7c1",
+    (6, (1, 3, 4, 5)): "c08fd19ad7a13edbaf83c5627d524c7b5fed031929f47bc1731ec3c557541f64",
+    (6, (1, 3, 4, 6)): "16396c36ff0fa31f8f720c6d560bcc5a128d89011e549eb0d3f686b5002e64d2",
+    (6, (1, 3, 5, 6)): "00572ea68ed1a79d5af5a80bda4c01abcfa7b09c5c0a443854f13edb88eb5cc8",
+    (6, (1, 4, 5, 6)): "664e1164d7615ba3913ecc1cc23b364c65b4b9013d9f50841d74cdb145772453",
+    (6, (2, 3, 4, 5)): "c23b6fb8031b2ea627ee0382c212dc7b361640c7127ec7b44a1c10e94999fedb",
+    (6, (2, 3, 4, 6)): "9e5c687cc28c2c7d19ea3f4ecb12e25f6f6db0fddb4ee7a24ebdbf36e12c7f1f",
+    (6, (2, 3, 5, 6)): "14afbe82e6c0b16ec915bccf7d0a557aaae3b07f10670d386e4f6cdb39dccbca",
+    (6, (2, 4, 5, 6)): "c763f943cd5e4c00ed845afaf9a767a10caaa796d1d6d7649e09d15efb97a666",
+    (6, (3, 4, 5, 6)): "42b72866e8ef42d1dc1200f6769e4cf8411d1e9578a24b5c1af24472951dcffc",
+    (6, (1, 2, 3, 4, 5)): "480e4236f28e29f38e35c7737a3fb295337a6a4a510993687a3401ff36f8ad4b",
+    (6, (1, 2, 3, 4, 6)): "d046d2647cdd306cdb4e0c78334fd387479135581eb233a86158a93cfd549037",
+    (6, (1, 2, 3, 5, 6)): "0fafaf0f6a3a8c62c6f97f186de1827ccd1e934058d8d1e22569f503ac3ecae8",
+    (6, (1, 2, 4, 5, 6)): "85d0e1504a2d53b3a31b481d4315e78575a88fbb8b655bb3dd71d9419f70f864",
+    (6, (1, 3, 4, 5, 6)): "43e53663fc358956034719ad46203d0c13be374ad9548d584c40a4e8b5a03264",
+    (6, (2, 3, 4, 5, 6)): "bd4b0f0d633b07bf93c9c4a2d6a6c1a071c32b775331a49075a7c8a168f467ed",
+    (6, (1, 2, 3, 4, 5, 6)): "0f801351a6c3d4a1b6421db4dd63adb95f9d3a3a936ae1885c2324fd95c6badb",
+    (7, (1, 2)): "d6b670797518ea692b0533bcc8c668472b752dad39651374943d4f540b6d3fc9",
+    (7, (1, 3)): "b8969c181cb10997010fadf04765af463d5cbf97a4973d6452cc8a1e386893a9",
+    (7, (1, 4)): "094b685d9a17124de9f61dbbc5be43e8061e77cef70d3ee36b2a4f0cf7f7b9f4",
+    (7, (1, 5)): "e43b5ea957ccd1532f45d42dbb041f6739a7a13b5afdd7f626e83df79653842c",
+    (7, (1, 6)): "4be11543827a89d77326b5dd6edffb7ff1cfea97af9f6f7196be5db1fce8c542",
+    (7, (2, 3)): "76a19bfb264419ef5dd050b42c1be2d09c58186d4e7c1f13b79a922e3b3fbdc6",
+    (7, (2, 4)): "061c319c9bac7227b36558647702c5d652d213b5dc136c60787309ca1d8fbeb2",
+    (7, (2, 5)): "64bd2bbf455c0dffede5cd98a644b3c02b30d5ed8fa0dcbb14fd7b101613fd27",
+    (7, (2, 6)): "be0a3df21831f51be582fff1c80a9f5333503e07331f05a21120f7efb4e9abef",
+    (7, (2, 7)): "c3cc87c36d0b9738e63e32776095fb81cdbe5136a826560b5d05a915ecd11283",
+    (7, (3, 4)): "323f584df6934f0c2168048d98642994c2c39666173e310e515e864532634c7a",
+    (7, (3, 5)): "f3c5b9dd9087c73c11e2ac6c7f40069cfe70237526165eaf106d1ae7ae058e54",
+    (7, (3, 6)): "bf7d916c9293d1c0e7f71576c3300c9275a76de5bf1147456065daa4dd5fb3af",
+    (7, (3, 7)): "baf45738a1d20bc3b32e8247b621dc600f094c0f69dfd972a4d304b7dd36f5a3",
+    (7, (4, 5)): "542961ca793f5e8a9ad0c8c569b5d775b0ff25ac351945df1dd141bc135794b6",
+    (7, (4, 6)): "051630a19637ea745922230095015d9d9d7f1bdc978a9b38873f6b001a04146d",
+    (7, (4, 7)): "0b57c30551e20cdf225ee959b9d7f62334c2ef60c5aa4c03505f2bf082a47777",
+    (7, (5, 6)): "dc780a5a4a62a94c4f0deeb9d58f8a2bbda9339b1a2f5f99c0cab2b13165bcc4",
+    (7, (5, 7)): "eab6a230e62ef34aff69402f1bc790dab0a2d1ab5efd6ca07932d6a4aa826a32",
+    (7, (1, 2, 3)): "8c8a67cd9c4f93950ea7fb31425a2c905542954e29e4f36df5ede31929936fa0",
+    (7, (1, 2, 4)): "51602edc04115080979cb811d7caa5a5a71844ecc5eb4bf0bf70eb1e44292f6a",
+    (7, (1, 2, 5)): "11bf09ee5c5b465fd1af8149eb95c87217a2f32af20ba6cddad159d5cc804cbe",
+    (7, (1, 2, 6)): "eb26457967682ac03f25fc2a779c4f96e632f2082834d0530c42cd86fa0d9fe1",
+    (7, (1, 2, 7)): "505f08be509e63d9415315060cfa5145a206e9ae508632e27c5fb9acaf1bb230",
+    (7, (1, 3, 4)): "61e523ed12cf087101aad290b8bb91b8366167c63fb3fc4105ce9dffe979d72f",
+    (7, (1, 3, 5)): "50b36ab98734c1d2c5c98b80849deade5945eb33e46013091ada60324f44839e",
+    (7, (1, 3, 6)): "c8afb372db050c02eb6b5eb84842fca130a6e31b82f24f0e4527a049543d0e82",
+    (7, (1, 3, 7)): "1e65b0dc7c3338563bfe4fab175737d59e916d8c57894c708577e08788a6e76c",
+    (7, (1, 4, 5)): "a6abfe32a3abb8bb8adc6fbaf742ba888aa3d74c9fb94e85283d8181767330a0",
+    (7, (1, 4, 6)): "5c8d119708d6cee0d80739e304fe771e8f6ce6e8994a6abe61b3bbbb18223893",
+    (7, (1, 4, 7)): "b792908c15f2bbf3eb06478159a04f973e8c0bb9a7d58c1d1b3e8dcc913afa34",
+    (7, (1, 5, 6)): "089729d2cb18b64c2874b4c6b8a86bf8ff20f617ab9120689e881b6178a30143",
+    (7, (1, 5, 7)): "9ad179b0ab641478835fa11686c878659aac574d2a99207395cb3c48407bc36a",
+    (7, (1, 6, 7)): "e95a001b8791732508aad4f68c2d2b25e4f38e5e5207b2b4daba83b0d8dd51b2",
+    (7, (2, 3, 4)): "59cc1294f40f512d19cfc8e15ad9dcf959c729bb8983c1a2befd198f10183da1",
+    (7, (2, 3, 5)): "8b8e51813fd7c6d6f09e9c18c8c1da437bd974cf49898fdf810cae1b4fccfa06",
+    (7, (2, 3, 6)): "62097ae77c95c315fea8c7ee9d4c78cb6f1ec32fc7eade650bdaf560339f84c9",
+    (7, (2, 3, 7)): "63b307e29f00f0d2b9242deab6c7720536c2a6281f56c7efbba4a9b42b54ed1b",
+    (7, (2, 4, 5)): "db118b9ba75f677a19f26f6d8673a99eb3f4c3752e82b1b5c6136c82287fa1f9",
+    (7, (2, 4, 6)): "b9e5831bd3060bf8686bf467d7260f9f1ac078dfbe12a05b7eea39f7e06adc79",
+    (7, (2, 4, 7)): "42b9b109aabd82f816d5b365d0657e9eb0631bd40ba4aec6dec0e35aea8bbfd9",
+    (7, (2, 5, 6)): "6424ca179c07850c50eb121b2ef14d16a754dacde154b3c2d181d6a3e4326028",
+    (7, (2, 5, 7)): "5b75f037451ab920ea84e9bb3e5608f54ede77e174d5d619dda11015877547a2",
+    (7, (2, 6, 7)): "603a5242dc2fc46ce21c6e3ff3e855635a0c2140b2fc2ec3afeb8715e6dbab57",
+    (7, (3, 4, 5)): "7b526df91ca6a5691f6cdb443892ab752f76b9ebdee02fd9e3f65959cfd90d08",
+    (7, (3, 4, 6)): "9ca6bdde18b63508fd1d94f909fbac43c752515b2bb277a9d99664188d2763eb",
+    (7, (3, 4, 7)): "c96bdf1989a5218b9bf87c537379663a959659679e03fdc7676214df6e6ad01c",
+    (7, (3, 5, 6)): "8699ba00a68900d356afa2835f6ae25183d12ae2dbac4dec9e06e3410b94d762",
+    (7, (3, 5, 7)): "6b4b1689e7ac4fa96327ddf06473cca5e1b383770ea9812055a3946105229b1c",
+    (7, (3, 6, 7)): "3cb9d8e6db3d4a1b0328cd4dc3bc5f642dc75361a1c5cf912dc973e58571c5db",
+    (7, (4, 5, 6)): "40b29ef1e38b00cba5c71d5d05ad9682e830f693bf0fdc2f81bb90e066a9c22e",
+    (7, (4, 5, 7)): "2b091b3c23cff671561c8c3d869c4b8774576f6a47cf9cbc7eff718b21928fc2",
+    (7, (4, 6, 7)): "4452133eae1ecbca45419d3e0af0f8b21024daca9e3cdee9a71105894e1ccfec",
+    (7, (5, 6, 7)): "d06c26557bdad2baa2618a35bd4d58977e2c92d865f66308a3eeb9552ac06e81",
+    (7, (1, 2, 3, 4)): "0bfb76e8d5146f9f9f8ac1e2af5b391858e58d319dd6fb17564c382ee60e5a20",
+    (7, (1, 2, 3, 5)): "9664b82cfde30a53fc12a92428b11cb8cda7e2e30c7983972e9a8cbdd4ec6c11",
+    (7, (1, 2, 3, 6)): "f18178e88f548304b3fd1e3f40a33e63a0521a1a99cda8f0d050d78cb09fd7ed",
+    (7, (1, 2, 3, 7)): "36350a5d6d8ee29c764c40048afb7c0d4b65a40cd24b4d236e6a0aef66447fdb",
+    (7, (1, 2, 4, 5)): "367f0a7b61684037ba16161a72319f3231ca8291eb84849fcc55a292de5347fb",
+    (7, (1, 2, 4, 6)): "ae69353fcf82df0f0bbc318d8fdc4d569e03a2c4c5bb5b2d101ddfd24584333c",
+    (7, (1, 2, 4, 7)): "faf120566c6e4d8fe87a8771479398865c602ac8f59b4d901a4ac05c0668fed4",
+    (7, (1, 2, 5, 6)): "b9870465d73cc5921f7df2f9c31f4527e79b27fec7a7140e1ce5222d300b7946",
+    (7, (1, 2, 5, 7)): "9f11e880f08731c6ce1b9114f01919874a4eebc763eac56d1e3660889fd7328a",
+    (7, (1, 2, 6, 7)): "9550b9d7851b57ca8abd86d5d72a72a5e197b60a6bf97e81c8706b5a16f078d0",
+    (7, (1, 3, 4, 5)): "d1a086b82785acbc3d246665e0dcc6e29ec7084c2d35349942a65a4dde5b5990",
+    (7, (1, 3, 4, 6)): "37861f72b439c0e565cfe2c8a90b9eb45ec6394019af56e744e1946847bdf9f9",
+    (7, (1, 3, 4, 7)): "49e647d5f99e33681478e4ddaa82598a344d8041cf30519a7bfa8cd96ca81dfc",
+    (7, (1, 3, 5, 6)): "abf725e12ede07d04ba8010425ce67e5362eb415d57a9f16b4bfd495cd8f831f",
+    (7, (1, 3, 5, 7)): "9d2a2a09254ce32f605430cf0b509ef9baa59e86c239e2fbe4ef4924920e1af2",
+    (7, (1, 3, 6, 7)): "0f26d556f862eb8abd399c35218e12801eff9827565628b8cd286ba76832b3b3",
+    (7, (1, 4, 5, 6)): "d9919ab12fe0a928872042cb7d65415dfeaf9134474ef0cfcc2f664cc64e830c",
+    (7, (1, 4, 5, 7)): "72831bd6019c71d5262b8b7fa7f7e6117568d051baac2b9af44a052a80eb82b1",
+    (7, (1, 4, 6, 7)): "c9b441fec27a1e9370a0a52d5ec0aa84cdd10daaa125eb4e369f620f34e93445",
+    (7, (1, 5, 6, 7)): "a4eeed72b11c09b4866d698bcf4cee01fd4b8b4a8e277983e42fc92a9a70f98c",
+    (7, (2, 3, 4, 5)): "4202056ea8f85d6844be3583d73956535227bffc3481bddee37d535eac0cbce4",
+    (7, (2, 3, 4, 6)): "a3a6e0be1a84a9aec533cd6b0c0515dfa4ccf1880016cdecbf2b8c6f6e3a9941",
+    (7, (2, 3, 4, 7)): "3ab21cbc7f1924ba0abac9bea28b0e2a8165916ccef10ad136004a27f6316aa7",
+    (7, (2, 3, 5, 6)): "7c9c3fbd63ee2a0e49be64d5b498fc7886bf226b004fd3cc2317a69aaca62b9e",
+    (7, (2, 3, 5, 7)): "48a675353cde597f16eef56b5738fe22a71cb83695820679f377b1322bcb7056",
+    (7, (2, 3, 6, 7)): "22e9705de421306e930f5c3bd7cc4a1de98546e555cbd174e5b0ad17f7800802",
+    (7, (2, 4, 5, 6)): "508b31923e7691064521b6468b735b75a1f2bc9c31c220d326c34c91f312f624",
+    (7, (2, 4, 5, 7)): "f70ee9543ea6a679ef3900f9e5736aecbc9451288b19ff3e6cad298d6b493361",
+    (7, (2, 4, 6, 7)): "f1636cff45ef2a5b7009ce2b40353fa340143c9a08ff16b9a5b998c19bdb4469",
+    (7, (2, 5, 6, 7)): "35d1d34c7fa91258c8c5b3215601d7b90fb6cdc263566c8f16d82e2cee47d178",
+    (7, (3, 4, 5, 6)): "ba4213c67d687579ccdf977b48babb19d247c390b45d7c12b5859abd1cc37f6c",
+    (7, (3, 4, 5, 7)): "585f9711cc92fadbbafcfa4c697a0312ef18d8301bfe678c90a26d9b52053ff8",
+    (7, (3, 4, 6, 7)): "fd59eef181cfaf6cba5f35f5f039156e806d64e87736890f039ba0c5c5e4e581",
+    (7, (3, 5, 6, 7)): "6c3f4a63a5b6a71921a2c8af9f6fea4cee403d854755c003df5633e72bb51e15",
+    (7, (4, 5, 6, 7)): "dd78962ced7177cd1ab0c45d2ca6df384a70472cb0915ce7eb14e902f304e03f",
+    (7, (1, 2, 3, 4, 5)): "5388be0d3ca953561fa3ebccf1268c097a5ef661d9e215b9e60c4e0e4191c01f",
+    (7, (1, 2, 3, 4, 6)): "13e6cf4c3e30fe6fd9a0baced34e1d8a0cce8d8b2425829235ce990327f41f22",
+    (7, (1, 2, 3, 4, 7)): "15591adceedd35a711176e41f0bd4f275d68b6e7b0d003deb33e0a6619fbfbcd",
+    (7, (1, 2, 3, 5, 6)): "c41a537863d5c9fe623ffcf3b3f1c7aa8e8d0d8073bf316d06982683ae7f5e02",
+    (7, (1, 2, 3, 5, 7)): "321872ba9c7aa0b845cc7754a6c7fad5db6e374c57778d7ae422df789426bf33",
+    (7, (1, 2, 3, 6, 7)): "e7b3606f9be8a5fced8f7c750a021aa492078115aa60305f8694fc87b4a5302f",
+    (7, (1, 2, 4, 5, 6)): "a166713b2af663fe7be9e4e9ad73d7473f4fd21d10cb7ec62de9924fa5d4baf7",
+    (7, (1, 2, 4, 5, 7)): "9a64b07ef5f345c9d419984060f127acf9b70218e1037cf3b30a699ef19a0ee3",
+    (7, (1, 2, 4, 6, 7)): "f0552004bd26b70f3cfd285aa1f7737231526570e3e2512d32d5f85a11bf6ee4",
+    (7, (1, 2, 5, 6, 7)): "51c630cde6520fcc86423b54c530ecdf2ca38f119c3d4596b97b99c4672bd5b6",
+    (7, (1, 3, 4, 5, 6)): "7988a5d21539774d0a89fbad978f0e5b6bdd03c297866128439004c4bb91e58a",
+    (7, (1, 3, 4, 5, 7)): "36cf3a4cbb8fe5447b34a78d329c845870daae567945631d638844a189236253",
+    (7, (1, 3, 4, 6, 7)): "1a389bd0cc1f55a13e96ece7fa672e5b18511769246c7c60e9c11821da0a3ae4",
+    (7, (1, 3, 5, 6, 7)): "5ce41b30dcce7cfa1550452487fd9c4eb138165d3d44c3bd7f444dd2f7a3017d",
+    (7, (1, 4, 5, 6, 7)): "49fd6dfaa187186c9e608e5beb3d2e9504c69041e3a5c69c6552117671ba980c",
+    (7, (2, 3, 4, 5, 6)): "786bb0e8824ddc896d80c90e68cb48741c5c5ebfc543b76b6a054a946a4c396c",
+    (7, (2, 3, 4, 5, 7)): "dc36f153591423ac609be44224ed1d85caa5b7f5dfa7729252bcce588578c976",
+    (7, (2, 3, 4, 6, 7)): "54f57fb3edb2017014d574c9260c998662878c2b38ad46404bbe79b66371daa9",
+    (7, (2, 3, 5, 6, 7)): "ffb3609e79177fbdf2d20c5bdd2cce5ed8f8e33a69377c45dbec5fe45a3221a5",
+    (7, (2, 4, 5, 6, 7)): "6dc4df54cca27439e92dacb9f7edc0c4efb6c83fb9ce1c0cdb8f0be8bd1f0f00",
+    (7, (3, 4, 5, 6, 7)): "53caf3d54a44e73ea00ecb05aa959f77492d341a1297e2fb7cd4c3bc34bda56f",
+    (7, (1, 2, 3, 4, 5, 6)): "bfda5c9e8ff5ce2e74124a1136d2a8dd98255a3720666b9e6c81795837c5e41c",
+    (7, (1, 2, 3, 4, 5, 7)): "44e9fb2b8f4e4254f1908794be55565108604d198881aff80e0c4018d1aa0fb7",
+    (7, (1, 2, 3, 4, 6, 7)): "30e5aa8017fc13a200714aac73eaedd48c990f9b880555ac9069d1f3bf37b88c",
+    (7, (1, 2, 3, 5, 6, 7)): "d610af3cf82b477955a2aa1e3e5d8f623e2b84d0c618c214dba45174abc12704",
+    (7, (1, 2, 4, 5, 6, 7)): "a2936c6ee3c113932387ea8d5f0373fda33034dd1c9bbb331a5de9aebe9ebbe7",
+    (7, (1, 3, 4, 5, 6, 7)): "27810d0a0c5f94c777cb9e0d5109703eaa0fd97ce135ade753c7677a6c1e12ea",
+    (7, (2, 3, 4, 5, 6, 7)): "d3c8e83f265cc0e6ecb2e02ccc62b7dd1f94fcd1827c577cfcb1a6baedc14252",
+    (7, (1, 2, 3, 4, 5, 6, 7)): "21bb5cc18d637a41c9271336e97097097a370d7854dd74d5df0928ecaf28554d",
+}
+
+
+@pytest.mark.parametrize("n, levels", list(HAMILTON_QJ_SAMPLED_DIGESTS), ids=repr)
+def test_sampled_hamilton_qj_paths_are_pinned(n, levels):
+    g = QJGraph(n, levels)
+    verts = host_of(g).vertices()
+    rng = random.Random(3)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        s, t = rng.sample(verts, 2)
+        digest.update(repr(hamilton_masks(g, s, t)).encode())
+    assert digest.hexdigest() == HAMILTON_QJ_SAMPLED_DIGESTS[n, levels]
 
 
 # (gen arguments, sha256 of the stdout of ``johnson-p2c gen``).

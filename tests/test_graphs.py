@@ -175,6 +175,20 @@ class TestGenericGraph:
         assert not g.adjacent(0, 2)
         assert g.edge_count == 2
 
+    @pytest.mark.parametrize("count, edges, message", [
+        # Once the one-sided adjacency ((-1,), (2,), (0, 1)), in which 2 saw
+        # 0 but 0 did not see 2.
+        (3, [(0, -1), (1, 2)], r"^edge \(0, -1\) leaves 0\.\.2$"),
+        # Once an IndexError.
+        (3, [(0, 5)], r"^edge \(0, 5\) leaves 0\.\.2$"),
+        # Once a TypeError from the list index.
+        (3, [(0, 1.5)], r"^edge \(0, 1\.5\) leaves 0\.\.2$"),
+        (-1, [], r"^negative vertex count -1$"),
+    ])
+    def test_edges_outside_the_vertices_are_refused(self, count, edges, message):
+        with pytest.raises(ValueError, match=message):
+            GenericGraph(count, edges)
+
     def test_fig1(self):
         g, (u, v, x, y) = fig1_counterexample()
         assert g.vertex_count == 8

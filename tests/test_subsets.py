@@ -166,6 +166,13 @@ class TestRelabeling:
         with pytest.raises(ValueError):
             Relabeling([1, 1, 3])
 
+    @pytest.mark.parametrize("i, j, n", [(0, 2, 3), (2, 4, 3), (1, -1, 3), (1, 1, 0)])
+    def test_swap_outside_the_ground_set(self, i, j, n):
+        # (0, 2, 3) once swapped 3 and 2 through index -1; (2, 4, 3) raised
+        # an IndexError.
+        with pytest.raises(ValueError, match=rf"^swap of {i} and {j} leaves \[{n}\]$"):
+            Relabeling.swap(i, j, n)
+
     @pytest.mark.parametrize("r, s", [
         (Relabeling.identity(3), es([4, 5], 5)),
         (Relabeling.identity(5), es([1, 2], 3)),
