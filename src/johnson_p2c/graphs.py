@@ -2,9 +2,11 @@
 
 Johnson and QJ graphs never store adjacency: the vertex currency is
 ``ElementSet``, every adjacency query is O(1) bit arithmetic, and neighbor
-lists are the mask helpers of ``subsets`` wrapped once.
-``GenericGraph`` is an explicit structure used only by the brute-force
-oracles and the built-in fixtures.
+lists are the mask helpers of ``subsets`` wrapped once.  The exact search
+reads the same neighbor masks (``_neighbor_masks``) straight into its own
+tables (``hamilton._mask_search``), so no J(n,k) or QJ(n,A) is copied into
+a ``GenericGraph``: that explicit structure holds only the built-in
+fixtures and graphs given by their edges, for the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .errors import NotAVertex
 from .subsets import (
     ElementSet,
     down_masks,
-    k_masks,
     k_subsets,
     same_level_masks,
     up_masks,
@@ -62,8 +63,12 @@ class _LevelGraph:
         for a in self.levels:
             yield from k_subsets(self.n, a)
 
-    def has_vertex(self, s: ElementSet) -> bool:
-        return s.n == self.n and s.bits.bit_count() in self.levels
+    def has_vertex(self, s) -> bool:
+        return (
+            isinstance(s, ElementSet)
+            and s.n == self.n
+            and s.bits.bit_count() in self.levels
+        )
 
     def adjacent(self, a: ElementSet, b: ElementSet) -> bool:
         ca, cb = a.bits.bit_count(), b.bits.bit_count()
@@ -104,13 +109,15 @@ def _neighbor_masks(bits: int, n: int, levels) -> list[int]:
 
 
 class JohnsonGraph(_LevelGraph):
-    """The Johnson graph J(n,k) on all k-subsets of [n], the one level
-    ``levels == (k,)``.  It admits k = 0, which no ``LevelSpec`` does, so it
-    is no ``QJGraph``."""
+    """The Johnson graph J(n,k) on all k-subsets of [n], n >= 1, the one
+    level ``levels == (k,)``.  It admits k = 0, which no ``LevelSpec``
+    does, so it is no ``QJGraph``."""
 
     __slots__ = ("k",)
 
     def __init__(self, n: int, k: int):
+        if n < 1:
+            raise ValueError(f"ground set size {n} below 1")
         if not 0 <= k <= n:
             raise ValueError(f"k={k} outside [0, {n}]")
         object.__setattr__(self, "k", k)
@@ -237,22 +244,6 @@ def fig1_counterexample() -> tuple[GenericGraph, tuple[int, int, int, int]]:
     edges = [(i, i ^ (1 << d)) for i in range(8) for d in range(3) if i < i ^ (1 << d)]
     edges += [(0b000, 0b011), (0b100, 0b111)]
     return GenericGraph(8, edges), (0b000, 0b101, 0b100, 0b001)
-
-
-def mask_generic(n: int, levels: tuple) -> tuple[GenericGraph, tuple[int, ...]]:
-    """Materialize J(n,k) (``levels == (k,)``) or QJ(n,levels) on int masks;
-    returns (graph, index->mask tuple).  The exact search keeps what it
-    reads of it in its own memo (``hamilton._mask_search``).
-
-    Vertices are numbered level by level, each level in bit-vector order,
-    as the graph's ``vertices()`` lists them.
-    """
-    verts = tuple(b for a in levels for b in k_masks(n, a))
-    index = {b: i for i, b in enumerate(verts)}
-    edges = [
-        (i, index[b]) for i, a in enumerate(verts) for b in _neighbor_masks(a, n, levels)
-    ]
-    return GenericGraph(len(verts), edges), verts
 
 
 def to_dot(g, highlight=None) -> str:

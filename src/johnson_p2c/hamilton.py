@@ -13,7 +13,8 @@ exact backtracking search on any host graph with at most
 ``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two terminal
 pairs, is the P2C oracle and the Johnson constructor's base case.
 
-The search reads each small graph through tables built once and kept in
+The search reads each small graph through tables built once, straight
+from the graph's neighbor masks (``graphs._neighbor_masks``), and kept in
 the memo ``_mask_search``, keyed by ``(n, levels)``: the vertex masks, a
 mask-to-index dict, the neighbor masks, and neighbor-union tables over
 chunks of ``SEARCH_CHUNK`` (8) vertices, 256 entries a chunk, so memory
@@ -34,8 +35,10 @@ copy anyway.  The builders splice the paths they get in place, so a cold
 build holds about its output, not every half it made on the way.
 
 The builders work on int bitmasks (see ``subsets``).  A ``_Side`` is one
-half of the split with its embedding into J(n,k), the identity on X and
-setting bit n on Y, so each mirrored X/Y case is written once.
+half of the split with its embedding into J(n,k), an XOR with its ``bit``:
+0 on X, bit n on Y.  So each mirrored X/Y case is written once, and
+``_first_across`` is the one pick of a neighbor on the other side, for the
+builder here and for the Johnson P2C constructor.
 ``hamilton_masks`` takes and returns masks; the public ``hamilton_johnson``
 and ``hamilton_qj`` unwrap their ``ElementSet`` endpoints for it and wrap
 the finished path.  ``path_json_parts`` writes a path of masks as JSON
@@ -56,7 +59,7 @@ from .graphs import (
     GenericGraph,
     JohnsonGraph,
     QJGraph,
-    mask_generic,
+    _neighbor_masks,
 )
 from .subsets import (
     ElementSet,
@@ -65,7 +68,6 @@ from .subsets import (
     foreign_key,
     k_masks,
     key_text,
-    mask_elements,
     mask_keys,
     vertex_json,
 )
@@ -216,11 +218,14 @@ def _search_tables(adj, degree_rule: bool = True) -> tuple:
 @lru_cache(maxsize=MEMO_SIZE)
 def _mask_search(n: int, levels: tuple):
     """(vertex masks in index order, mask->index dict, ``_search_tables``)
-    of the explicit copy of QJ(n,levels), J(n,k) being ``levels == (k,)``."""
-    generic, verts = mask_generic(n, levels)
+    of QJ(n,levels), J(n,k) being ``levels == (k,)``.  The vertices are
+    numbered level by level, each level in bit-vector order, as the graph's
+    ``vertices()`` lists them."""
+    verts = tuple(b for a in levels for b in k_masks(n, a))
     index = {b: i for i, b in enumerate(verts)}
+    adj = [[index[b] for b in _neighbor_masks(a, n, levels)] for a in verts]
     # The degree rule never paid on these graphs (see ``_cover_search``).
-    return verts, index, _search_tables(generic.adjacency, degree_rule=False)
+    return verts, index, _search_tables(adj, degree_rule=False)
 
 
 # Bounded apart from MEMO_SIZE, like ``verify._vertex_keys``: explicit
@@ -431,24 +436,15 @@ def _ham_small(n: int, levels: tuple, s: int, t: int) -> list[int]:
 class _Side(NamedTuple):
     """A half of J(n,k) split by the element n: X, the masks without n, a
     copy of J(n-1,k); or Y, the masks with n, a copy of J(n-1,k-1).  The
-    embedding of J(n-1, self.k) into J(n,k) sets ``bit`` (0 on X, 1 << n on
-    Y) and its inverse clears it.  ``head`` holds the first ``SIDE_HEAD``
-    of ``vertices()``, enough to find one that is none of four endpoints."""
+    embedding of J(n-1, self.k) into J(n,k) XORs in ``bit`` (0 on X, 1 << n
+    on Y), and so does its inverse.  ``head`` holds the side's first
+    ``SIDE_HEAD`` vertices in bit-vector order, as masks of J(n,k): enough
+    to find one that is none of four endpoints."""
 
     n: int
     k: int
     bit: int
     head: tuple[int, ...]
-
-    def embed(self, vs: list[int]) -> list[int]:
-        """Masks of J(n-1, self.k) as masks of J(n,k); X returns ``vs`` itself."""
-        bit = self.bit
-        return [v | bit for v in vs] if bit else vs
-
-    def vertices(self):
-        """The side's vertices as masks of J(n,k), in bit-vector order."""
-        bit = self.bit
-        return (v | bit for v in k_masks(self.n - 1, self.k))
 
     def path(self, s: int, t: int, out: int = 0) -> list[int]:
         """Hamilton path of the side between two of its vertices, as a new
@@ -476,30 +472,21 @@ def _swappable(a: int, n: int) -> int:
     return (~a if a >> n & 1 else a) & full_mask(n - 1)
 
 
-def _across(a: int, n: int) -> list[int]:
-    """Neighbors of a on the other side of the split by n, in bit-vector
-    order: trading a larger element gives a smaller mask from X and a larger
-    one from Y, so the traded elements run descending on X, ascending on Y."""
-    flipped = a ^ (1 << n)
-    elements = mask_elements(_swappable(a, n))
-    if not a >> n & 1:
-        elements.reverse()
-    return [flipped ^ (1 << e) for e in elements]
-
-
-def _first_across(a: int, n: int, avoid: int | None = None) -> int:
-    """``next(w for w in _across(a, n) if w != avoid)`` without the list: the
-    neighbor trading a's highest swappable element on X, its lowest on Y,
-    or the next one if that neighbor is ``avoid``.  The caller knows that a
-    has a neighbor across other than ``avoid``."""
+def _first_across(a: int, n: int, avoid=()) -> int | None:
+    """The first neighbor of a on the other side of the split by n, in
+    bit-vector order, that is not in ``avoid``; None if every one is.
+    Trading a larger element gives a smaller mask from X and a larger one
+    from Y, so the traded element runs down from a's highest swappable
+    element on X and up from its lowest on Y."""
     on_y = a >> n & 1
     flipped = a ^ (1 << n)
-    swap = (~a if on_y else a) & full_mask(n - 1)
-    pick = swap & -swap if on_y else 1 << swap.bit_length() - 1
-    if flipped ^ pick == avoid:
-        swap ^= pick
+    swap = _swappable(a, n)
+    while swap:
         pick = swap & -swap if on_y else 1 << swap.bit_length() - 1
-    return flipped ^ pick
+        if flipped ^ pick not in avoid:
+            return flipped ^ pick
+        swap ^= pick
+    return None
 
 
 def _ham_johnson_build(n, k, s, t, out):
@@ -521,7 +508,7 @@ def _ham_johnson_build(n, k, s, t, out):
         a, b = h[0] ^ out, h[1] ^ out
         ap = _first_across(a, n)
         # b has k >= 2 (X) or n-k >= 2 (Y) neighbors across, so one is not ap.
-        bp = _first_across(b, n, ap)
+        bp = _first_across(b, n, (ap,))
         h[1:1] = sides[1 - i].path(ap, bp, out)
         return h
 
@@ -536,7 +523,7 @@ def _ham_johnson_build(n, k, s, t, out):
     # neighbors in Y: neither pick runs dry.
     first, second = x_side.head[:2]
     a = second if first == s else first
-    ap = _first_across(a, n, t)
+    ap = _first_across(a, n, (t,))
     h = x_side.path(s, a, out)
     h += y_side.path(ap, t, out)
     return h

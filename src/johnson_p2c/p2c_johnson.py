@@ -8,8 +8,11 @@ on at most 12 vertices, the J(4,2) base case among them, are answered by
 the exact search ``hamilton._search_masks``.
 
 The induction runs on int bitmasks: each mirrored X/Y case is written once
-on a ``_Side`` (``hamilton``), whose embedding is the identity on X and
-sets bit n on Y; complementation is an XOR with the full mask.
+on a ``_Side`` (``hamilton``), whose embedding is an XOR with 0 on X and
+with bit n on Y; complementation is an XOR with the full mask.  Both, and
+the complement flip of ``p2c_qj``, solve in other masks through one
+helper, ``_solve_xor``, which XORs the quad in and both paths back.  The
+neighbors across the split come from one pick, ``hamilton._first_across``.
 ``p2c_johnson_masks`` takes the quad as masks, validates it and returns
 the two paths as mask lists; ``p2c_johnson`` unwraps the ``ElementSet``
 endpoints once and wraps the finished paths once.
@@ -39,7 +42,6 @@ from .graphs import MEMO_SIZE, JohnsonGraph, QJGraph
 from .hamilton import (
     BRUTE_FORCE_LIMIT,
     Path,
-    _across,
     _explicit_search,
     _first_across,
     _ham_path,
@@ -179,9 +181,7 @@ def _dispatch(n, k, u, v, x, y):
     if comb(n, k) <= BRUTE_FORCE_LIMIT:
         return _solve_small(n, k, u, v, x, y)
     if 2 * k > n:
-        full = full_mask(n)
-        p1, p2 = _solve(n, n - k, full ^ u, full ^ v, full ^ x, full ^ y)
-        return [full ^ w for w in p1], [full ^ w for w in p2]
+        return _solve_xor(_solve, n, n - k, (u, v, x, y), full_mask(n))
 
     quad = (u, v, x, y)
     in_y = [w >> n & 1 for w in quad]
@@ -198,12 +198,21 @@ def _dispatch(n, k, u, v, x, y):
     return _case_two_in_y(n, k, quad, in_y, sides)
 
 
+def _solve_xor(solve, n, level, quad, mask):
+    """``solve(n, level, ...)`` on the quad XORed with ``mask``, both paths
+    XORed back: a cover in masks that differ from the caller's by one XOR."""
+    # List comprehensions: [*map(mask.__xor__, p)] takes nearly twice as
+    # long on a half of J(18,9).
+    p1, p2 = solve(n, level, *[w ^ mask for w in quad])
+    return [w ^ mask for w in p1], [w ^ mask for w in p2]
+
+
 def _solve_on(side, quad):
-    """Oriented cover of one side of the split, on masks of J(n,k)."""
-    keep = ~side.bit
-    u, v, x, y = quad
-    p1, p2 = _solve(side.n - 1, side.k, u & keep, v & keep, x & keep, y & keep)
-    return side.embed(p1), side.embed(p2)
+    """Oriented cover of one side of the split, on masks of J(n,k); on X,
+    whose embedding is the identity, the quad goes in as it is."""
+    if side.bit:
+        return _solve_xor(_solve, side.n - 1, side.k, quad, side.bit)
+    return _solve(side.n - 1, side.k, *quad)
 
 
 def _case_all_on_one_side(n, side, other, quad):
@@ -232,7 +241,7 @@ def _case_one_apart(n, side, other, quad, i):
     # runs dry.
     a = next(z for z in side.head if z not in quad)
     s1, s2 = _solve_on(side, (a, partner, q1, q2))
-    b = _first_across(a, n, lone)
+    b = _first_across(a, n, (lone,))
     p = other.path(lone, b)
     p += s1
     return p, s2
@@ -284,19 +293,13 @@ def _pick_bridges(y_side, w1, w2, p1_, p2_):
     w1/w2 has a neighbor a' other than the two partners.  A b whose
     neighbors across all lie in {p1_, p2_, a'} has exactly those n-k = 3,
     and those neighbors fix b (the elements of [n-1] they all hold are
-    b's), so at most one of the 7+ candidates for b fails."""
+    b's), so at most one b fails, and Y's head leaves at least two
+    candidates for b after a."""
     n = y_side.n
-    partners = {p1_, p2_}
-    for a in y_side.vertices():
-        if a == w1 or a == w2:
-            continue
-        for ap in _across(a, n):
-            if ap in partners:
-                continue
-            for b in y_side.vertices():
-                if b == w1 or b == w2 or b == a:
-                    continue
-                for bp in _across(b, n):
-                    if bp in partners or bp == ap:
-                        continue
-                    return a, ap, b, bp
+    a, *rest = (z for z in y_side.head if z != w1 and z != w2)
+    ap = _first_across(a, n, (p1_, p2_))
+    avoid = (p1_, p2_, ap)
+    for b in rest:
+        bp = _first_across(b, n, avoid)
+        if bp is not None:
+            return a, ap, b, bp

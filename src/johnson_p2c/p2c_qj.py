@@ -11,7 +11,9 @@ apex level J(n,n) is absorbed separately (``_absorb_apex``): its single
 vertex is either spliced into a top-level edge by the same expansion or
 attached by a pendant cross edge.
 
-Vertices are int bitmasks throughout, as in the Johnson constructor.  The
+Vertices are int bitmasks throughout, as in the Johnson constructor, and
+the mirror through complementation that puts a doubled top level lowest is
+the Johnson constructor's own XOR map-back, ``p2c_johnson._solve_xor``.  The
 auxiliary vertices of the lemmas come from two picks on masks: the first
 vertices of a level that are no endpoint (``_free``), and a first neighbor
 on another level (``pick_one_avoiding``, and ``pick_two_avoiding`` for the
@@ -41,6 +43,7 @@ from .hamilton import (
 from .p2c_johnson import (
     _finish,
     _solve as _solve_johnson,
+    _solve_xor,
     _with_debug,
     _wrap_cover,
 )
@@ -114,7 +117,8 @@ def _solve_qj(n, A, u, v, x, y):
         local = _local_trio(n, A, quad, lv, e4 if i == k else e1)
     elif i < j and k == l:
         # Mirror through complementation so the doubled level is lowest.
-        local = _flip_solve(n, A, i, l, u, v, x, y)
+        flipped = tuple(n - a for a in reversed(A[i : l + 1]))
+        local = _solve_xor(_solve_qj, n, flipped, quad, full_mask(n))
     elif e1 ^ 1 == e2 and j < k:
         # The lower pair lies below the upper one: two Hamilton stacks, cut
         # below the top level if the endpoints sit on two levels, else above
@@ -132,14 +136,6 @@ def _solve_qj(n, A, u, v, x, y):
         local = _local_four_levels(n, A, quad, order, s)
     ep2c_expand(local, n, A, i, l)
     return _finish(n, A, quad, *local)
-
-
-def _flip_solve(n, A, lo, hi, u, v, x, y):
-    """Solve on the complement-flipped level range and map the cover back."""
-    flipped = tuple(n - a for a in reversed(A[lo : hi + 1]))
-    full = full_mask(n)
-    p1, p2 = _solve_qj(n, flipped, full ^ u, full ^ v, full ^ x, full ^ y)
-    return [full ^ w for w in p1], [full ^ w for w in p2]
 
 
 def _local_trio(n, A, quad, lv, e):

@@ -473,6 +473,12 @@ class TestGenAndFixture:
         assert code == 0 and err == ""
         assert json.loads(out) == {"graph": descriptor, "vertices": [vertex], "edges": []}
 
+    @pytest.mark.parametrize("graph", [["johnson", "--k", "0"], ["qj", "--levels", "1"]])
+    def test_gen_on_an_empty_ground_set_is_usage_error(self, capsys, graph):
+        code, out, err = invoke(capsys, "gen", "--n", "0", "--graph", *graph)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_fixture_json(self, capsys):
         code, out, _ = invoke(capsys, "fixture")
         assert code == 0

@@ -13,7 +13,7 @@ from johnson_p2c import (
     to_dot,
 )
 from johnson_p2c.errors import NotAVertex
-from johnson_p2c.graphs import mask_generic
+from johnson_p2c.hamilton import _mask_search
 
 
 def es(elems, n):
@@ -42,6 +42,19 @@ class TestJohnsonGraph:
     def test_not_a_vertex(self):
         g = JohnsonGraph(4, 2)
         assert not g.has_vertex(es([1], 4))
+
+    @pytest.mark.parametrize("g", [JohnsonGraph(4, 2), QJGraph(4, [1, 2])])
+    def test_a_non_element_set_is_no_vertex(self, g):
+        # An int, even the mask of a vertex, is no vertex of an implicit graph.
+        for w in (3, 0b110, None, "12", (1, 2)):
+            assert not g.has_vertex(w)
+            with pytest.raises(NotAVertex):
+                g.neighbors(w)
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (-1, 0)])
+    def test_empty_ground_set_is_refused(self, n, k):
+        with pytest.raises(ValueError, match="ground set size"):
+            JohnsonGraph(n, k)
 
 
     def test_adjacent_needs_both_at_level_k(self):
@@ -199,8 +212,10 @@ class TestGenericGraph:
 
 
 class TestExport:
-    def test_mask_generic_preserves_adjacency(self):
-        # Every J(n,k) with n <= 7 and QJ(n,A) with n <= 6, up to 20 vertices.
+    def test_search_tables_preserve_adjacency(self):
+        # The exact search's tables of every J(n,k) with n <= 7 and QJ(n,A)
+        # with n <= 6, up to 20 vertices: vertices in the graph's order, and
+        # bit j of nbrs[i] set iff vertices i and j are adjacent.
         graphs = [JohnsonGraph(n, k) for n in range(1, 8) for k in range(n + 1)]
         graphs += [
             QJGraph(n, A)
@@ -210,13 +225,15 @@ class TestExport:
         ]
         for g in (g for g in graphs if g.vertex_count <= 20):
             levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels
-            gen, masks = mask_generic(g.n, levels)
+            masks, index, (nbrs, *_) = _mask_search(g.n, levels)
             verts = list(g.vertices())
             assert masks == tuple(v.bits for v in verts)
+            assert index == {b: i for i, b in enumerate(masks)}
             for i, a in enumerate(verts):
+                assert not nbrs[i] >> i & 1
                 for j, b in enumerate(verts):
                     if i != j:
-                        assert gen.adjacent(i, j) == g.adjacent(a, b)
+                        assert (nbrs[i] >> j & 1) == g.adjacent(a, b)
 
     def test_to_dot_mentions_all_vertices(self):
         g = JohnsonGraph(4, 2)

@@ -24,8 +24,8 @@ from johnson_p2c import (
 )
 from johnson_p2c import hamilton
 from johnson_p2c.errors import CoverError, EqualEndpoints, NotAVertex
-from johnson_p2c.graphs import MEMO_SIZE, mask_generic
-from johnson_p2c.subsets import k_masks
+from johnson_p2c.graphs import MEMO_SIZE
+from johnson_p2c.subsets import k_masks, same_level_masks
 from johnson_p2c.verify import KEY_SETS, certify, host_of
 
 # The package attribute ``p2c_johnson`` is the function of that name.
@@ -111,9 +111,11 @@ class TestHamiltonJohnson:
                 if math.comb(n, k) > 12:
                     continue
                 g = JohnsonGraph(n, k)
-                generic, masks = mask_generic(n, (k,))
                 verts = list(g.vertices())
-                assert masks == tuple(v.bits for v in verts)
+                edges = [
+                    (i, verts.index(w)) for i, v in enumerate(verts) for w in g.neighbors(v)
+                ]
+                generic = GenericGraph(len(verts), edges)
                 for (i, s), (j, t) in permutations(enumerate(verts), 2):
                     exact = hamilton_bruteforce(generic, i, j)
                     built = hamilton_johnson(g, s, t)
@@ -217,22 +219,31 @@ def test_clear_caches_empties_every_memo():
     assert 16 <= KEY_SETS <= 64
 
 
+def _across(a, n):
+    """The neighbors of a in J(n,k) on the other side of the split by n,
+    in bit-vector order."""
+    return [w for w in same_level_masks(a, n) if (w ^ a) >> n & 1]
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_first_across_is_the_first_listed_neighbor_across(n):
     for k in range(1, n):
         for a in k_masks(n, k):
-            across = hamilton._across(a, n)
+            across = _across(a, n)
             assert hamilton._first_across(a, n) == across[0]
-            # Each neighbor across, and a vertex that is none (a itself).
-            for avoid in [*across, a]:
-                want = next((w for w in across if w != avoid), None)
-                if want is not None:
-                    assert hamilton._first_across(a, n, avoid) == want, (k, a, avoid)
+            # Each neighbor across, a vertex that is none (a itself), and
+            # every prefix of the list, the whole list among them.
+            avoids = [(w,) for w in [*across, a]]
+            avoids += [across[:i] for i in range(len(across) + 1)]
+            for avoid in avoids:
+                want = next((w for w in across if w not in avoid), None)
+                assert hamilton._first_across(a, n, avoid) == want, (k, a, avoid)
 
 
 def test_side_heads_are_the_first_side_vertices():
     for n in range(2, 12):
         for k in range(1, n):
             for side in hamilton._sides(n, k):
-                want = tuple(islice(side.vertices(), hamilton.SIDE_HEAD))
+                on_side = (w for w in k_masks(n, k) if w & 1 << n == side.bit)
+                want = tuple(islice(on_side, hamilton.SIDE_HEAD))
                 assert side.head == want, (n, k, side.bit)

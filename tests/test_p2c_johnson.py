@@ -24,8 +24,9 @@ from johnson_p2c.errors import (
     SelectionExhausted,
     TooFewVertices,
 )
-from johnson_p2c.hamilton import Path
-from johnson_p2c.p2c_johnson import _orient
+from johnson_p2c.hamilton import Path, _sides
+from johnson_p2c.p2c_johnson import _orient, _pick_bridges
+from johnson_p2c.subsets import k_masks, same_level_masks
 
 p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
 
@@ -248,6 +249,53 @@ def test_an_oracle_search_that_finds_nothing_is_typed(monkeypatch):
     no_cover = r"^oracle found no cover of J\(5,2\)$"
     with pytest.raises(SelectionExhausted, match=no_cover):
         p2c_johnson(JohnsonGraph(5, 2), q)
+
+
+def _pick_bridges_by_full_scan(n, k, w1, w2, p1_, p2_):
+    """The first (a, a', b, b') of the four nested scans ``_pick_bridges``
+    replaced: a and b over every Y vertex of J(n,k), a' and b' over every
+    neighbor across, each in bit-vector order."""
+    nbit = 1 << n
+    y_vertices = [w for w in k_masks(n, k) if w & nbit]
+
+    def across(a):
+        return [w for w in same_level_masks(a, n) if (w ^ a) & nbit]
+
+    for a in y_vertices:
+        if a in (w1, w2):
+            continue
+        for ap in across(a):
+            if ap in (p1_, p2_):
+                continue
+            for b in y_vertices:
+                if b in (w1, w2, a):
+                    continue
+                for bp in across(b):
+                    if bp not in (p1_, p2_, ap):
+                        return a, ap, b, bp
+
+
+@pytest.mark.parametrize("n, sampled", [(6, None), (8, 20000), (10, 20000)])
+def test_pick_bridges_matches_the_full_scan(n, sampled):
+    # The bridged case of J(2k,k): w1, w2 in Y, their partners p1_, p2_ in
+    # X; every such case of J(6,3), a seeded sample on the larger graphs.
+    k = n // 2
+    y_side = _sides(n, k)[1]
+    xs = [w for w in k_masks(n, k) if not w >> n & 1]
+    ys = [w for w in k_masks(n, k) if w >> n & 1]
+    if sampled is None:
+        cases = [
+            (w1, w2, p1_, p2_)
+            for w1, w2 in permutations(ys, 2)
+            for p1_, p2_ in permutations(xs, 2)
+        ]
+        assert len(cases) == 8100
+    else:
+        rng = random.Random(n)
+        cases = [(*rng.sample(ys, 2), *rng.sample(xs, 2)) for _ in range(sampled)]
+    for case in cases:
+        want = _pick_bridges_by_full_scan(n, k, *case)
+        assert _pick_bridges(y_side, *case) == want, case
 
 
 class TestLargeGroundSet:

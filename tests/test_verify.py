@@ -24,7 +24,7 @@ from johnson_p2c import (
 )
 from johnson_p2c import hamilton
 from johnson_p2c.errors import SweepBudget, TooFewVertices, TooLargeForOracle
-from johnson_p2c.graphs import GenericGraph, mask_generic
+from johnson_p2c.graphs import GenericGraph
 from johnson_p2c.hamilton import Path, _cover_search, _search_tables
 
 
@@ -254,6 +254,14 @@ def _random_adjacency(rng, nv, mean_degree, pendants):
     return GenericGraph(nv, [(label[a], label[b]) for a, b in edges]).adjacency
 
 
+def _adjacency(g):
+    """Adjacency lists of g on the indices of its ``vertices()`` order, each
+    ascending."""
+    verts = list(g.vertices())
+    index = {v: i for i, v in enumerate(verts)}
+    return [sorted(index[w] for w in g.neighbors(v)) for v in verts]
+
+
 def _match_unpruned_search(sizes, seed, pair_count, quad_count):
     """Compare the exact search with ``_unpruned_cover`` on graphs of each
     size: every J(n,k) and QJ(n,A) with n <= 6, the graphs the oracle
@@ -269,11 +277,7 @@ def _match_unpruned_search(sizes, seed, pair_count, quad_count):
         for r in range(1, n + 1)
         for A in combinations(range(1, n + 1), r)
     ]
-    adjacencies = [
-        mask_generic(g.n, tuple(g.levels))[0].adjacency
-        for g in graphs
-        if g.vertex_count in sizes
-    ]
+    adjacencies = [_adjacency(g) for g in graphs if g.vertex_count in sizes]
     for nv in sizes:
         for mean_degree, pendants in ((nv / 2, 0), (4, 0), (4, 1), (3, 2)):
             adjacencies.append(_random_adjacency(rng, nv, mean_degree, pendants))
