@@ -1,12 +1,12 @@
 """Implicit graph models for J(n,k) and QJ(n,A), plus explicit fixtures.
 
 Johnson and QJ graphs never store adjacency: the vertex currency is
-``ElementSet``, every adjacency query is O(1) bit arithmetic, and neighbor
-lists are the mask helpers of ``subsets`` wrapped once.  The exact search
-reads the same neighbor masks (``_neighbor_masks``) straight into its own
-tables (``hamilton._mask_search``), so no J(n,k) or QJ(n,A) is copied into
-a ``GenericGraph``: that explicit structure holds only the built-in
-fixtures and graphs given by their edges, for the brute-force oracles.
+``ElementSet``, and one edge rule, the neighbor masks of ``_neighbor_masks``,
+serves ``neighbors``, ``adjacent`` and the exact search's own tables
+(``hamilton._mask_search``), so no J(n,k) or QJ(n,A) is copied into a
+``GenericGraph``: that explicit structure holds only the built-in fixtures
+and graphs given by their edges, for the brute-force oracles.  Every graph
+answers ``adjacent`` and ``neighbors`` only for its own vertices.
 """
 
 from __future__ import annotations
@@ -71,20 +71,11 @@ class _LevelGraph:
         )
 
     def adjacent(self, a: ElementSet, b: ElementSet) -> bool:
-        ca, cb = a.bits.bit_count(), b.bits.bit_count()
-        if ca == cb:
-            return ca in self.levels and (a.bits ^ b.bits).bit_count() == 2
-        if ca > cb:
-            a, b, ca, cb = b, a, cb, ca
-        ia = self._index_of(ca)
-        ib = self._index_of(cb)
-        if ia is None or ib is None or ib != ia + 1:
-            return False
-        return a.bits & ~b.bits == 0
-
-    def _index_of(self, card: int):
-        """The index of the level of cardinality card; None if there is none."""
-        return self.levels.index(card) if card in self.levels else None
+        return (
+            self.has_vertex(a)
+            and self.has_vertex(b)
+            and b.bits in _neighbor_masks(a.bits, self.n, self.levels)
+        )
 
     def neighbors(self, s: ElementSet) -> list[ElementSet]:
         if not self.has_vertex(s):
@@ -218,9 +209,11 @@ class GenericGraph:
         return isinstance(v, int) and 0 <= v < self.vertex_count
 
     def adjacent(self, a: int, b: int) -> bool:
-        return b in self.adjacency[a]
+        return self.has_vertex(a) and self.has_vertex(b) and b in self.adjacency[a]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not self.has_vertex(v):
+            raise NotAVertex(f"{v!r} is not a vertex of 0..{self.vertex_count - 1}")
         return self.adjacency[v]
 
     @property

@@ -81,7 +81,7 @@ def p2c_complete(vertices, q: EndpointQuad) -> P2CSolution:
 
 
 def p2c_johnson(g: JohnsonGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
-    """Paired 2-disjoint path cover of J(n,k), n >= 4, 1 <= k <= n-1."""
+    """Paired 2-disjoint path cover of J(n,k) = QJ(n,{k}), n >= 4, 1 <= k < n."""
     paths = p2c_johnson_masks(g, mask_keys(q.vertices(), g.n), debug)
     return _wrap_cover(q, paths, g.n)
 
@@ -90,9 +90,10 @@ def p2c_johnson_masks(g: JohnsonGraph, quad, debug: bool = False):
     """``p2c_johnson`` on masks: the quad (u, v, x, y) as four masks in, the
     masks of the u-to-v and x-to-y paths out, as two lists.  With ``debug``,
     every intermediate cover is certified too."""
-    if g.n < 4 or not 1 <= g.k <= g.n - 1:
+    n, levels = g.n, g.levels
+    if n < 4 or len(levels) != 1 or not 1 <= levels[0] <= n - 1:
         raise OutOfTheoremRange(f"{g} outside n >= 4, 1 <= k <= n-1")
-    return _with_debug(debug, _solve, g.n, g.k, *check_quad(quad, g.n, g.levels))
+    return _with_debug(debug, _solve, n, levels[0], *check_quad(quad, n, levels))
 
 
 # Whether the construction under way certifies every intermediate cover.  The

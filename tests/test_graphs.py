@@ -1,15 +1,22 @@
 import pickle
+import random
+import re
 from itertools import combinations
 
 import pytest
 
 from johnson_p2c import (
     ElementSet,
+    EndpointQuad,
     GenericGraph,
     JohnsonGraph,
     LevelSpec,
     QJGraph,
     fig1_counterexample,
+    hamilton_johnson,
+    hamilton_qj,
+    p2c_johnson,
+    p2c_qj,
     to_dot,
 )
 from johnson_p2c.errors import NotAVertex
@@ -83,6 +90,20 @@ class TestOneLevel:
                 ]
             for v in j.vertices():
                 assert j.neighbors(v) == q.neighbors(v)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_constructors_agree_with_one_level_qj(self, n):
+        # Each public constructor builds the same cover or Hamilton path on
+        # J(n,k) as on QJ(n,{k}), p2c_johnson included.
+        for k in range(1, n):
+            j, q = JohnsonGraph(n, k), QJGraph(n, [k])
+            rng = random.Random(n * 100 + k)
+            for _ in range(20):
+                quad = EndpointQuad(*rng.sample(list(j.vertices()), 4))
+                for build in (p2c_johnson, p2c_qj):
+                    assert build(j, quad) == build(q, quad), (build, j, quad)
+                for build in (hamilton_johnson, hamilton_qj):
+                    assert build(j, quad.u, quad.v) == build(q, quad.u, quad.v)
 
     def test_levels_is_stored_once(self):
         g = JohnsonGraph(6, 3)
@@ -181,6 +202,37 @@ class TestQJGraph:
         assert not g.adjacent(es([1], 4), es([1, 2, 3], 4))
 
 
+def test_adjacent_is_membership_in_neighbors():
+    # Every graph answers only for its own vertices: adjacent(a, b) is a
+    # symmetric bool, true iff both are vertices and b is a neighbor of a,
+    # and neighbors of anything else raises NotAVertex, naming it without
+    # an object address.  Foreign inputs: a vertex's bits over n+1, -1,
+    # vertex_count, None and a string.
+    graphs = [JohnsonGraph(n, k) for n in range(1, 6) for k in range(n + 1)]
+    graphs += [
+        QJGraph(n, A)
+        for n in range(1, 6)
+        for m in range(1, n + 1)
+        for A in combinations(range(1, n + 1), m)
+    ]
+    graphs.append(fig1_counterexample()[0])
+    for g in graphs:
+        own = list(g.vertices())
+        foreign = [-1, g.vertex_count, None, "12"]
+        if not isinstance(g, GenericGraph):
+            foreign += [ElementSet(v.bits, g.n + 1) for v in own]
+        for w in foreign:
+            with pytest.raises(NotAVertex, match=re.escape(str(w))) as refused:
+                g.neighbors(w)
+            assert "0x" not in str(refused.value)
+        for a in own + foreign:
+            nbrs = g.neighbors(a) if g.has_vertex(a) else ()
+            for b in own + foreign:
+                got = g.adjacent(a, b)
+                assert type(got) is bool and got == g.adjacent(b, a), (g, a, b)
+                assert got == (g.has_vertex(b) and b in nbrs), (g, a, b)
+
+
 class TestGenericGraph:
     def test_symmetry_enforced(self):
         g = GenericGraph(3, [(0, 1), (1, 2)])
@@ -224,8 +276,7 @@ class TestExport:
             for A in combinations(range(1, n + 1), r)
         ]
         for g in (g for g in graphs if g.vertex_count <= 20):
-            levels = (g.k,) if isinstance(g, JohnsonGraph) else g.levels
-            masks, index, (nbrs, *_) = _mask_search(g.n, levels)
+            masks, index, (nbrs, *_) = _mask_search(g.n, g.levels)
             verts = list(g.vertices())
             assert masks == tuple(v.bits for v in verts)
             assert index == {b: i for i, b in enumerate(masks)}

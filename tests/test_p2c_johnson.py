@@ -9,6 +9,7 @@ from johnson_p2c import (
     EndpointQuad,
     JohnsonGraph,
     P2CSolution,
+    QJGraph,
     Relabeling,
     apply_relabeling,
     check_p2c,
@@ -149,6 +150,11 @@ class TestP2CJohnson:
                 JohnsonGraph(4, 4),
                 quad(4, [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4]),
             )
+        # A QJ graph is refused unless it is one level in range.
+        for n, levels in ((6, [2, 3]), (5, [1, 4]), (4, [4]), (3, [1])):
+            q = quad(n, [1], [2], [3], [1, 2])
+            with pytest.raises(OutOfTheoremRange, match=r"outside n >= 4, 1 <= k <= n-1$"):
+                p2c_johnson(QJGraph(n, levels), q)
 
     def test_bad_quad_duplicate(self):
         g = JohnsonGraph(5, 2)

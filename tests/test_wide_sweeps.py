@@ -2,7 +2,8 @@
 
 Run with ``pytest -m slow``.  One test sweeps every quad of the 11
 ``QJ(6,A)`` with 4 to 20 vertices, 300,600 quads, in two worker processes;
-the other samples 500 quads of every ``J(8..11,k)`` with 2 <= k <= n-2.
+another sweeps every quad of ``J(7,2..5)``, 2,800,560 quads, the same way;
+the last samples 500 quads of every ``J(8..11,k)`` with 2 <= k <= n-2.
 """
 
 from itertools import combinations
@@ -29,6 +30,15 @@ def test_qj6_up_to_20_vertices_exhaustive():
         assert summary.valid == summary.total, (g, summary.failures)
         total += summary.total
     assert total == 300_600
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(2, 6))
+def test_johnson7_exhaustive(k):
+    g = JohnsonGraph(7, k)
+    summary = sweep(g, mode="exhaustive", jobs=2)
+    assert summary.total == perm(g.vertex_count, 4), g
+    assert summary.valid == summary.total, (g, summary.failures)
 
 
 @pytest.mark.slow
