@@ -268,11 +268,13 @@ def _cmd_oracle(args):
 
 def _cmd_sweep(args):
     g = _build_graph(args)
-    # argparse has checked the mode; sweep's own ValueError, for the count or
-    # a constructor that cannot run on the graph, would read as an internal
-    # error.
+    # argparse has checked the mode; sweep's own ValueError, for the count,
+    # the jobs or a constructor that cannot run on the graph, would read as
+    # an internal error.
     if args.mode == "sampled" and args.count <= 0:
         raise UsageError(f"sampled sweep needs a positive count, got {args.count}")
+    if args.jobs < 1:
+        raise UsageError(f"sweep needs at least one job, got {args.jobs}")
     _parses(builder_of)(g, args.constructor, args.oracle_cap)
     summary = sweep(
         g,

@@ -39,6 +39,7 @@ from .subsets import (
 # Larger subgraphs, the halves near the top of a cold build, are built
 # straight into their caller's list, so a cold build's memory follows its
 # output.  Every sweep graph of the acceptance criteria is below the bound.
+# The level picks' neighbor lists (``hamilton._cross_memo``) are bounded so.
 MEMO_SIZE = 1 << 14
 MEMO_VERTICES = 1000
 
@@ -206,7 +207,7 @@ class GenericGraph:
         return iter(range(self.vertex_count))
 
     def has_vertex(self, v: int) -> bool:
-        return isinstance(v, int) and 0 <= v < self.vertex_count
+        return type(v) is not bool and isinstance(v, int) and 0 <= v < self.vertex_count
 
     def adjacent(self, a: int, b: int) -> bool:
         return self.has_vertex(a) and self.has_vertex(b) and b in self.adjacency[a]

@@ -575,11 +575,28 @@ def _free(n, card, quad):
     return (w for w in k_masks(n, card) if w not in quad)
 
 
+def _cross(a, n, card_to):
+    """``cross_masks(a, n, card_to)``, read from the memo ``_cross_memo``
+    when the list is no longer than ``MEMO_VERTICES`` masks."""
+    # 2^n bounds the list's length: work it out only above the bound.
+    if 1 << n > MEMO_VERTICES:
+        c = a.bit_count()
+        size = comb(n - c, card_to - c) if card_to > c else comb(c, card_to)
+        if size > MEMO_VERTICES:
+            return cross_masks(a, n, card_to)
+    return _cross_memo(a, n, card_to)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _cross_memo(a, n, card_to) -> tuple[int, ...]:
+    return tuple(cross_masks(a, n, card_to))
+
+
 def pick_one_avoiding(n, card_to, a, avoid) -> int:
     """First neighbor of the mask a at level card_to, in bit-vector order,
     other than the mask ``avoid``.  Between two levels c and d in 1..n-1,
     a has C(n-c, d-c) or C(c, c-d) neighbors, at least two."""
-    ws = cross_masks(a, n, card_to)
+    ws = _cross(a, n, card_to)
     return ws[ws[0] == avoid]
 
 
@@ -595,8 +612,8 @@ def pick_two_avoiding(n, card_to, a, b, avoid) -> tuple[int, int]:
     each keep one candidate, the same w, and have the same neighbors
     there; but those fix a vertex, as their intersection going up and
     their union going down."""
-    cand_b = [w for w in cross_masks(b, n, card_to) if w not in avoid]
-    for ap in cross_masks(a, n, card_to):
+    cand_b = [w for w in _cross(b, n, card_to) if w not in avoid]
+    for ap in _cross(a, n, card_to):
         if ap not in avoid:
             for bp in cand_b:
                 if bp != ap:

@@ -42,6 +42,7 @@ from .graphs import MEMO_SIZE, JohnsonGraph, QJGraph
 from .hamilton import (
     BRUTE_FORCE_LIMIT,
     Path,
+    _cross_memo,
     _explicit_search,
     _first_across,
     _ham_path,
@@ -57,6 +58,7 @@ from .verify import _vertex_keys, certify, host_of
 def clear_caches() -> None:
     """Empty every memo, so the next construction starts cold."""
     _ham_path.cache_clear()
+    _cross_memo.cache_clear()
     _oracle_cover.cache_clear()
     _mask_search.cache_clear()
     _explicit_search.cache_clear()
@@ -185,8 +187,8 @@ def _dispatch(n, k, u, v, x, y):
         return _solve_xor(_solve, n, n - k, (u, v, x, y), full_mask(n))
 
     quad = (u, v, x, y)
-    in_y = [w >> n & 1 for w in quad]
-    cnt = sum(in_y)
+    in_y = (u >> n & 1, v >> n & 1, x >> n & 1, y >> n & 1)
+    cnt = in_y[0] + in_y[1] + in_y[2] + in_y[3]
     sides = _sides(n, k)
     if cnt in (0, 4):
         side = cnt // 4
@@ -202,9 +204,10 @@ def _dispatch(n, k, u, v, x, y):
 def _solve_xor(solve, n, level, quad, mask):
     """``solve(n, level, ...)`` on the quad XORed with ``mask``, both paths
     XORed back: a cover in masks that differ from the caller's by one XOR."""
+    u, v, x, y = quad
+    p1, p2 = solve(n, level, u ^ mask, v ^ mask, x ^ mask, y ^ mask)
     # List comprehensions: [*map(mask.__xor__, p)] takes nearly twice as
     # long on a half of J(18,9).
-    p1, p2 = solve(n, level, *[w ^ mask for w in quad])
     return [w ^ mask for w in p1], [w ^ mask for w in p2]
 
 
@@ -257,13 +260,15 @@ def _case_two_in_y(n, k, quad, in_y, sides):
         # Swap the lowest unbalanced element with n and re-dispatch: the
         # swapped quad no longer has exactly two endpoints containing n.
         odd = (unbalanced & -unbalanced).bit_length() - 1
+        # A mask holding one of the two trades it for the other; written out
+        # three times, as a nested function costs more than the swap.
         swap = (1 << odd) | (1 << n)
-
-        def relabel(ws):
-            return [w ^ swap if (w >> odd ^ w >> n) & 1 else w for w in ws]
-
-        p1, p2 = _solve(n, k, *relabel(quad))
-        return relabel(p1), relabel(p2)
+        u, v, x, y = [w ^ swap if (w >> odd ^ w >> n) & 1 else w for w in quad]
+        p1, p2 = _solve(n, k, u, v, x, y)
+        return (
+            [w ^ swap if (w >> odd ^ w >> n) & 1 else w for w in p1],
+            [w ^ swap if (w >> odd ^ w >> n) & 1 else w for w in p2],
+        )
 
     # Every element lies in exactly two of the four k-subsets, so 4k = 2n.
     if in_y[0] == in_y[1]:

@@ -6,23 +6,24 @@ paths once into int vertex keys, the masks of J(n,k) and QJ(n,A) or the
 indices of an explicit graph, and hands them to one certification core,
 ``certify``.  The core checks the endpoints, and then whether the paths
 cover the graph exactly, along edges.  On a graph of at most
-``SORTED_ABOVE`` vertices the paths hold as many keys as the graph has
-vertices and their union is its key set (``_vertex_keys``, kept for
-``KEY_SETS`` graphs): then each vertex is on them once, and only their
-steps are walked, with bit arithmetic on masks (``steps``).  On a larger
-graph the core walks each path once, checking membership and steps
-(``holds``), and checks repeats, disjointness and coverage on one sorted
-list of every vertex key, 8 B a vertex: the keys of a valid cover are
-``count`` distinct ones.  Only a cover that fails either test is checked
-with a set per path, and only a path that fails there is walked again, in
-order, to find the vertex or step to name; a violation's text is formatted
-only then.  A vertex that is not one of the graph's kind (an
-``ElementSet`` over another ground set, an object of another type)
-becomes a 1-tuple around itself: it fails membership and compares equal
-to what it equalled before.  The constructors' debug
-check, ``sweep`` and the CLI's ``p2c`` and ``hamilton`` hand their mask
-lists to the core directly.  The core shares no code with the
-constructors.
+``SORTED_ABOVE`` vertices a valid cover passes one short-circuit chain
+before any report is built: no path is empty, each ends at its pair, the
+lengths sum to the vertex count and the keys make up the graph's key set
+(``_vertex_keys``, kept for ``KEY_SETS`` graphs), so each vertex is on
+them once; then only the steps are walked, with bit arithmetic on masks
+(``steps``).  On a larger graph the core walks each path once, checking
+membership and steps (``holds``), and checks repeats, disjointness and
+coverage on one sorted list of every vertex key, 8 B a vertex: the keys
+of a valid cover are ``count`` distinct ones.  Only a cover that fails
+either test is checked with a set per path, and only a path that fails
+there is walked again, in order, to find the vertex or step to name; a
+violation's text is formatted only then.  A vertex that is not one of the
+graph's kind (an ``ElementSet`` over another ground set, an object of
+another type, a bool on an explicit graph) becomes a 1-tuple around
+itself: it fails membership and compares equal to what it equalled
+before.  The constructors' debug check, ``sweep`` and the CLI's ``p2c``
+and ``hamilton`` hand their mask lists to the core directly.  The core
+shares no code with the constructors.
 
 ``p2c_bruteforce`` is the exact oracle: a backtracking search that either
 produces a checkable cover or proves none exists.  ``sweep`` runs a
@@ -173,11 +174,12 @@ class _Indices:
         self.adjacency = g.adjacency
 
     def unwrap(self, paths) -> list[list]:
-        count = self.count
-        return [
-            [v if isinstance(v, int) and 0 <= v < count else (v,) for v in p]
-            for p in paths
-        ]
+        is_index = self.is_index
+        return [[v if is_index(v) else (v,) for v in p] for p in paths]
+
+    def is_index(self, v) -> bool:
+        """Whether v is a vertex index: an int, no bool, in range."""
+        return type(v) is not bool and isinstance(v, int) and 0 <= v < self.count
 
     def vertices(self) -> list[int]:
         return list(range(self.count))
@@ -192,8 +194,7 @@ class _Indices:
 
     def holds(self, p) -> bool:
         """Whether every vertex of p is an index and every step an edge."""
-        count = self.count
-        return all(isinstance(b, int) and 0 <= b < count for b in p) and self.steps(p)
+        return all(map(self.is_index, p)) and self.steps(p)
 
     def show(self, v) -> str:
         return str(v[0]) if type(v) is tuple else str(v)
@@ -220,13 +221,40 @@ def certify(host, paths, ends) -> CheckReport:
     ``ends[0][1]``; two paths are a paired cover, each joining its pair of
     ``ends`` either way.  The paths, lists of keys, must be vertex-disjoint,
     step along edges and together cover the graph exactly once.  On a graph
-    of at most ``SORTED_ABOVE`` vertices a cover is exact when its lengths
-    sum to ``host.count`` and its keys make up ``host.keys()``; then only
-    ``host.steps`` walks it.  On a larger graph every path must pass
-    ``host.holds``, and repeats, disjointness and coverage are checked on
-    one sorted list of every key.  Only a cover that fails either test is
-    checked again, by one walk per path that names the violation.
+    of at most ``SORTED_ABOVE`` vertices (read per call) a valid cover
+    passes one short-circuit chain and gets an empty report: no path is
+    empty, each ends at its pair, the lengths sum to ``host.count``, the
+    keys make up ``host.keys()``, and ``host.steps`` holds on each path.
+    On a larger graph every path must pass ``host.holds``, and repeats,
+    disjointness and coverage are checked on one sorted list of every key.
+    A cover that fails either test is checked again, endpoints first, by
+    one walk per path that names the violation.
     """
+    if host.count <= SORTED_ABOVE:
+        if len(paths) == 2:
+            (p1, p2), ((u, v), (x, y)) = paths, ends
+            if (
+                p1
+                and p2
+                and (p1[0] == u and p1[-1] == v or p1[0] == v and p1[-1] == u)
+                and (p2[0] == x and p2[-1] == y or p2[0] == y and p2[-1] == x)
+                and len(p1) + len(p2) == host.count
+                and host.keys() == {*p1, *p2}
+                and host.steps(p1)
+                and host.steps(p2)
+            ):
+                return CheckReport()
+        else:
+            (p,), ((s, t),) = paths, ends
+            if (
+                p
+                and p[0] == s
+                and p[-1] == t
+                and len(p) == host.count
+                and host.keys() == {*p}
+                and host.steps(p)
+            ):
+                return CheckReport()
     report = CheckReport()
     show = host.show
     if len(paths) == 1:
@@ -247,13 +275,6 @@ def certify(host, paths, ends) -> CheckReport:
             keys.sort()
             if len(keys) == host.count and all(map(lt, keys, islice(keys, 1, None))):
                 return report
-    elif (
-        # host.count keys whose union is the vertex set: each vertex once.
-        sum(map(len, paths)) == host.count
-        and host.keys() == set().union(*paths)
-        and all(map(host.steps, paths))
-    ):
-        return report
     seen = [_check_steps(host, p, report) for p in paths]
     if not report.valid:
         return report
@@ -455,8 +476,10 @@ def sweep(
     an explicit graph) listed in ``vertices()`` order, and the constructor
     and the checker run on those keys.  With ``jobs`` > 1 each worker
     process draws and runs one index range of the quads, and the summary
-    equals the one-process summary."""
+    equals the one-process summary; ``jobs`` below 1 raises ValueError."""
     build = builder_of(g, constructor, oracle_cap)
+    if jobs < 1:
+        raise ValueError(f"sweep needs at least one job, got {jobs}")
     verts = host_of(g).vertices()
     nv = len(verts)
     if nv < 4:

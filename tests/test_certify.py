@@ -187,8 +187,11 @@ def _mutations(g, p1, p2):
             out.append((f"dup_inner_{name}", *put(a[:2] + a[1:])))
             out.append((f"dup_far_{name}", *put(a[:-1] + [a[1], a[-1]])))
             out.append((f"other_path_vertex_{name}", *put(a[:1] + [b[0]] + a[2:])))
+            out.append((f"wrong_end_{name}", *put(a[:-2] + [a[-1], a[-2]])))
         if len(a) > 3:
             out.append((f"swap_inner_{name}", *put([a[0], a[2], a[1], *a[3:]])))
+            out.append((f"repeat_inner_{name}", *put(a[:2] + [a[1]] + a[3:])))
+        out.append((f"reversed_{name}", *put(a[::-1])))
         out.append((f"drop_end_{name}", *put(a[:-1])))
         out.append((f"dup_end_{name}", *put(a + [a[-1]])))
         out.append((f"swap_ends_{name}", *put([a[-1], *a[1:-1], a[0]])))
@@ -196,6 +199,8 @@ def _mutations(g, p1, p2):
         for i, f in enumerate(_foreign(g, a[0])):
             out.append((f"foreign{i}_inner_{name}", *put(a[:1] + [f] + a[1:])))
             out.append((f"foreign{i}_end_{name}", *put(a[:-1] + [f])))
+            if len(a) > 2:
+                out.append((f"foreign{i}_for_inner_{name}", *put(a[:1] + [f] + a[2:])))
     out.append(("swap_across", [p1[0], p2[1], *p1[2:]], [p2[0], p1[1], *p2[2:]]))
     shared = _insert_shared(g, p1, p2)
     if shared is not None:
@@ -253,6 +258,77 @@ def test_check_hamilton_matches_frozen_checker(g):
             want = frozen_check_hamilton(g, p1, s, t).violations
             assert check_hamilton(g, p1, s, t).violations == want, name
             assert check_hamilton(g, Path(tuple(p1)), s, t).violations == want, name
+
+
+def _chain_link(host, paths, ends):
+    """The first link of ``certify``'s one-pass chain for a graph of at most
+    ``SORTED_ABOVE`` vertices that the cover fails, or None if it holds:
+    no path empty, each path's ends (either way on a paired cover), the
+    lengths, the key set, the steps."""
+    if not all(paths):
+        return "empty"
+    for p, (a, b) in zip(paths, ends):
+        if (p[0], p[-1]) != (a, b) and (len(paths) == 1 or (p[-1], p[0]) != (a, b)):
+            return "ends"
+    if sum(map(len, paths)) != host.count:
+        return "length"
+    if set().union(*paths) != host.keys():
+        return "keys"
+    if not all(map(host.steps, paths)):
+        return "steps"
+    return None
+
+
+def test_corpus_reaches_every_link_of_the_one_pass_chain(monkeypatch):
+    # Every link of the chain stops some cover of the corpus, and each such
+    # cover gets the frozen checker's report from the code behind the chain;
+    # only a cover that holds at every link skips that code.
+    check_steps = verify_module._check_steps
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_steps(*args)
+
+    monkeypatch.setattr(verify_module, "_check_steps", counting)
+    reached = {"p2c": set(), "hamilton": set()}
+    for g in GRAPHS:
+        assert g.vertex_count <= verify_module.SORTED_ABOVE
+        host = host_of(g)
+        for name, q, sol in _cover_corpus(g):
+            (u, v, x, y), *paths = host.unwrap((q.vertices(), *sol))
+            link = _chain_link(host, paths, ((u, v), (x, y)))
+            calls.clear()
+            want = frozen_check_p2c(g, q, sol).violations
+            assert check_p2c(g, q, sol).violations == want, (name, link)
+            assert (link is None) == (not calls) == (not want), (name, link)
+            reached["p2c"].add(link)
+        s, t = list(g.vertices())[1:3]
+        for name, p, _ in _mutations(g, list(_hamilton(g, s, t)), [s, t]):
+            (s_, t_), p_ = host.unwrap(((s, t), p))
+            link = _chain_link(host, [p_], ((s_, t_),))
+            calls.clear()
+            want = frozen_check_hamilton(g, p, s, t).violations
+            assert check_hamilton(g, p, s, t).violations == want, (name, link)
+            assert (link is None) == (not calls) == (not want), (name, link)
+            reached["hamilton"].add(link)
+    links = {None, "empty", "ends", "length", "keys", "steps"}
+    assert reached == {"p2c": links, "hamilton": links}
+
+
+def test_a_bool_is_foreign_on_an_explicit_graph():
+    # Once True passed for the vertex 1, in a path as in the checker's view.
+    g, _ = fig1_counterexample()
+    q = EndpointQuad(0, 7, 2, 5)
+    # Vertex 1, no endpoint, is inner to one of the paths.
+    sol = p2c_bruteforce(g, q)
+    mutant = P2CSolution(*(Path(tuple(w if w != 1 else True for w in p)) for p in sol))
+    want = frozen_check_p2c(g, q, mutant).violations
+    assert want[0] == ("ForeignVertex", "True is not a vertex of the host graph")
+    assert check_p2c(g, q, mutant).violations == want
+    host = host_of(g)
+    assert host.unwrap([[0, True, False]]) == [[0, (True,), (False,)]]
+    assert not host.holds([True]) and not host.holds([0, False])
 
 
 def _silent_mutants(g, p1, p2):

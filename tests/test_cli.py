@@ -307,6 +307,18 @@ class TestSweepCommand:
         assert code == 2
         assert out == "" and "usage error" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_job_count_below_one_is_usage_error(self, capsys, jobs):
+        # Once run serially with exit 0.
+        code, out, err = invoke(
+            capsys,
+            "sweep", "--graph", "johnson", "--n", "5", "--k", "2",
+            "--mode", "sampled", "--count", "10", "--jobs", jobs,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: sweep needs at least one job, got {jobs}\n"
+
 
     # Exit code of each pairing of a graph with --constructor (none given
     # first): 1 where the covers fail the checker (complete on a graph that

@@ -262,6 +262,17 @@ class TestGenericGraph:
         assert len(g.neighbors(0b101)) == 3
         assert (u, v, x, y) == (0b000, 0b101, 0b100, 0b001)
 
+    def test_bools_are_no_vertices(self):
+        # Once True and False were the vertices 1 and 0: on fig1,
+        # neighbors(True) gave vertex 1's neighbors.
+        g, _ = fig1_counterexample()
+        for flag in (True, False):
+            assert not g.has_vertex(flag)
+            assert not g.adjacent(flag, 3) and not g.adjacent(0, flag)
+            with pytest.raises(NotAVertex, match=f"^{flag} is not a vertex of 0..7$"):
+                g.neighbors(flag)
+        assert not g.adjacent(False, True)
+
 
 class TestExport:
     def test_search_tables_preserve_adjacency(self):

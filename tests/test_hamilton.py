@@ -205,11 +205,12 @@ def test_clear_caches_empties_every_memo():
         p2c_johnson_module._oracle_cover,
         hamilton._mask_search,
         hamilton._sides,
+        hamilton._cross_memo,
     ]
     own_bound = [hamilton._explicit_search, verify_module._vertex_keys]
     assert all(memo.cache_info().currsize for memo in [*memos, *own_bound])
     clear_caches()
-    assert [memo.cache_info().currsize for memo in [*memos, *own_bound]] == [0] * 6
+    assert [memo.cache_info().currsize for memo in [*memos, *own_bound]] == [0] * 7
     # One bound for every memo, and a finite one; the tables of explicit
     # graphs, which are arbitrary, keep one graph, and the vertex keys the
     # checker compares a cover with keep a few dozen.

@@ -23,6 +23,7 @@ from johnson_p2c import (
     sweep,
 )
 from johnson_p2c import hamilton
+from johnson_p2c import verify as verify_module
 from johnson_p2c.errors import SweepBudget, TooFewVertices, TooLargeForOracle
 from johnson_p2c.graphs import GenericGraph
 from johnson_p2c.hamilton import Path, _cover_search, _search_tables
@@ -390,6 +391,17 @@ class TestSweep:
         parallel = sweep(graph, mode="exhaustive", constructor=constructor, jobs=2)
         assert serial == parallel
         assert (serial.invalid > 0) == (constructor == "complete")
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_a_job_count_below_one_is_refused(self, jobs, monkeypatch):
+        # Once run serially as if it were 1.  No quad runs before the refusal.
+        def refuse(*args):
+            raise AssertionError("a quad ran")
+
+        monkeypatch.setattr(verify_module, "_run_quads", refuse)
+        message = f"^sweep needs at least one job, got {jobs}$"
+        with pytest.raises(ValueError, match=message):
+            sweep(JohnsonGraph(5, 2), mode="sampled", count=10, jobs=jobs)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_parallel_workers_get_index_ranges(self, mode, monkeypatch):
