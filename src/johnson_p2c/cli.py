@@ -11,6 +11,7 @@ else it is an internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -397,6 +398,11 @@ def main() -> None:
         # stdout on devnull so that the flush at exit raises nothing.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    # Finalization walks every object the collector tracks before it tears
+    # the modules down; frozen objects sit in the permanent generation,
+    # which it skips.  Not in run(), which callers run in process, and not
+    # os._exit, which would skip atexit handlers and ``finally`` blocks.
+    gc.freeze()
     sys.exit(code)
 
 

@@ -136,10 +136,14 @@ def path_json_parts(masks: list[int], n: int) -> Iterator[str]:
     """``json.dumps([mask_elements(m) for m in masks])`` for masks over [n],
     in parts of at most ``EMIT_SLICE`` vertices each.
 
-    [n] is cut into chunks of consecutive elements: two halves for n <= 20,
-    8 elements each beyond.  Each chunk has a table from its bit patterns to
-    its elements as JSON text, each followed by ", "; a vertex's text joins
-    its chunks' entries and drops the last separator.
+    [n] is cut into c chunks of consecutive elements: two halves for
+    n <= 20, 8 elements each beyond, so no table has more than 1,024
+    entries.  Each chunk has a table from its bit patterns to JSON text:
+    the first chunk's entries open a vertex with "], [" and list their
+    elements, the others put ", " before each element.  A part's text
+    interleaves its vertices' entries, chunk j in every c-th slot from j,
+    and is joined once; a vertex with no element in the first chunk reads
+    "[, " there, the only place that text occurs, and one replace mends it.
     """
     if not masks:
         yield "[]"
@@ -149,23 +153,28 @@ def path_json_parts(masks: list[int], n: int) -> Iterator[str]:
         (lo, (1 << width) - 1, _chunk_table(lo, min(lo + width, n + 1)))
         for lo in range(1, n + 1, width)
     ]
-    opening = "[["
+    c = len(chunks)
     for i in range(0, len(masks), EMIT_SLICE):
         part = masks[i : i + EMIT_SLICE]
-        columns = [[table[b >> lo & m] for b in part] for lo, m, table in chunks]
-        texts = [t[:-2] for t in map("".join, zip(*columns))]
-        yield opening + "], [".join(texts)
-        opening = "], ["
+        columns = [""] * (c * len(part))
+        for j, (lo, m, table) in enumerate(chunks):
+            columns[j::c] = [table[b >> lo & m] for b in part]
+        if not i:
+            columns[0] = "[[" + columns[0][4:]
+        yield "".join(columns).replace("[, ", "[")
     yield "]]"
 
 
 def _chunk_table(lo: int, hi: int) -> list[str]:
-    """Entry b: the elements lo + i < hi with bit i set in b, each as "e, ",
-    in ascending order."""
+    """Entry b: the elements lo + i < hi with bit i set in b, in ascending
+    order, each as ", e"; in the first chunk (lo == 1), "], [" and then
+    the elements joined by ", "."""
     table = [""]
     for e in range(lo, hi):
         # The entries with bit e - lo set are those without it, plus e.
-        table += [text + f"{e}, " for text in table]
+        table += [text + f", {e}" for text in table]
+    if lo == 1:
+        table = ["], [" + text[2:] for text in table]
     return table
 
 

@@ -167,11 +167,12 @@ class _Masks:
 class _Indices:
     """An explicit graph as the core sees it: a vertex key is an index."""
 
-    __slots__ = ("count", "adjacency")
+    __slots__ = ("count", "adjacency", "_keys")
 
     def __init__(self, g: GenericGraph):
         self.count = g.vertex_count
         self.adjacency = g.adjacency
+        self._keys = frozenset(range(self.count))
 
     def unwrap(self, paths) -> list[list]:
         is_index = self.is_index
@@ -185,7 +186,7 @@ class _Indices:
         return list(range(self.count))
 
     def keys(self) -> frozenset:
-        return frozenset(range(self.count))
+        return self._keys
 
     def steps(self, p) -> bool:
         """Whether every step of p, a path of vertex indices, is an edge."""
@@ -231,30 +232,35 @@ def certify(host, paths, ends) -> CheckReport:
     one walk per path that names the violation.
     """
     if host.count <= SORTED_ABOVE:
-        if len(paths) == 2:
-            (p1, p2), ((u, v), (x, y)) = paths, ends
-            if (
-                p1
-                and p2
-                and (p1[0] == u and p1[-1] == v or p1[0] == v and p1[-1] == u)
-                and (p2[0] == x and p2[-1] == y or p2[0] == y and p2[-1] == x)
-                and len(p1) + len(p2) == host.count
-                and host.keys() == {*p1, *p2}
-                and host.steps(p1)
-                and host.steps(p2)
-            ):
-                return CheckReport()
-        else:
-            (p,), ((s, t),) = paths, ends
-            if (
-                p
-                and p[0] == s
-                and p[-1] == t
-                and len(p) == host.count
-                and host.keys() == {*p}
-                and host.steps(p)
-            ):
-                return CheckReport()
+        try:
+            if len(paths) == 2:
+                (p1, p2), ((u, v), (x, y)) = paths, ends
+                if (
+                    p1
+                    and p2
+                    and (p1[0] == u and p1[-1] == v or p1[0] == v and p1[-1] == u)
+                    and (p2[0] == x and p2[-1] == y or p2[0] == y and p2[-1] == x)
+                    and len(p1) + len(p2) == host.count
+                    and host.keys() == {*p1, *p2}
+                    and host.steps(p1)
+                    and host.steps(p2)
+                ):
+                    return CheckReport()
+            else:
+                (p,), ((s, t),) = paths, ends
+                if (
+                    p
+                    and p[0] == s
+                    and p[-1] == t
+                    and len(p) == host.count
+                    and host.keys() == {*p}
+                    and host.steps(p)
+                ):
+                    return CheckReport()
+        except TypeError:
+            # A key that cannot be hashed fails the chain; the report code
+            # tests membership before it hashes a key, and names it.
+            pass
     report = CheckReport()
     show = host.show
     if len(paths) == 1:

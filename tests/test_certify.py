@@ -331,6 +331,34 @@ def test_a_bool_is_foreign_on_an_explicit_graph():
     assert not host.holds([True]) and not host.holds([0, False])
 
 
+@pytest.mark.parametrize("graph", ["J(5,2)", "fig1"])
+def test_an_unhashable_vertex_is_foreign(graph):
+    # The one-pass chain hashes every key; a list in place of an inner
+    # vertex, the length kept, once raised TypeError there.
+    if graph == "fig1":
+        g, _ = fig1_counterexample()
+        q = EndpointQuad(0, 7, 2, 5)
+        sol = p2c_bruteforce(g, q)
+    else:
+        g = JohnsonGraph(5, 2)
+        verts = list(g.vertices())
+        q = EndpointQuad(verts[0], verts[9], verts[1], verts[2])
+        sol = p2c_johnson(g, q)
+    paths = [list(p) for p in sol]
+    long = max(paths, key=len)
+    long[1] = [1]
+    mutant = P2CSolution(*(Path(tuple(p)) for p in paths))
+    want = [("ForeignVertex", "[1] is not a vertex of the host graph")]
+    assert check_p2c(g, q, mutant).violations == want
+    assert check_hamilton(g, Path(tuple(long)), long[0], long[-1]).violations == want
+
+
+def test_an_explicit_graph_keeps_its_key_set():
+    g, _ = fig1_counterexample()
+    host = host_of(g)
+    assert host.keys() is host.keys() == frozenset(range(8))
+
+
 def _silent_mutants(g, p1, p2):
     """(name, path_uv, path_xy) for covers of edges only, as many vertices
     long as g, that still repeat a vertex: a path that steps back to the

@@ -10,6 +10,7 @@ import pytest
 import johnson_p2c
 from johnson_p2c import ElementSet
 from johnson_p2c.cli import run
+from johnson_p2c.hamilton import EMIT_SLICE
 
 
 def invoke(capsys, *argv):
@@ -379,23 +380,54 @@ class TestSweepCommand:
 
 
 class TestModuleEntry:
-    def test_python_m_cli(self):
+    @staticmethod
+    def _env():
+        """The environment of a child that imports this package."""
         src = os.path.dirname(os.path.dirname(johnson_p2c.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src, *filter(None, [env.get("PYTHONPATH")])]
         )
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "johnson_p2c.cli",
-                "p2c", "--graph", "johnson", "--n", "4", "--k", "2",
-                "--u", "1,2", "--v", "1,3", "--x", "2,3", "--y", "2,4",
-            ],
-            capture_output=True, text=True, env=env, timeout=60,
+        return env
+
+    def _python_m(self, argv, stdin=b""):
+        """``python -m johnson_p2c.cli ARGV``: the exit goes through
+        ``main``, so through its freeze and the interpreter's teardown."""
+        return subprocess.run(
+            [sys.executable, "-m", "johnson_p2c.cli", *argv],
+            input=stdin, capture_output=True, env=self._env(), timeout=60,
         )
+
+    def test_python_m_cli(self, capsys):
+        proc = self._python_m([
+            "p2c", "--graph", "johnson", "--n", "4", "--k", "2",
+            "--u", "1,2", "--v", "1,3", "--x", "2,3", "--y", "2,4",
+        ])
         assert proc.returncode == 0, proc.stderr
         sol = json.loads(proc.stdout)
         assert sol["path_uv"][0] == [1, 2] and sol["path_xy"][-1] == [2, 4]
+        # J(15,7) has 6,435 vertices: path_uv is written in two parts,
+        # and all of it reaches stdout before the process ends.
+        argv = [
+            "p2c", "--graph", "johnson", "--n", "15", "--k", "7",
+            "--u", "1,2,3,4,5,6,7", "--v", "9,10,11,12,13,14,15",
+            "--x", "1,2,3,4,5,6,8", "--y", "2,3,4,5,6,7,8",
+        ]
+        proc = self._python_m(argv)
+        code, out, _ = invoke(capsys, *argv)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out.encode()
+        assert len(json.loads(out)["path_uv"]) > EMIT_SLICE
+        # A broken cover: exit 1, with the report on stdout.
+        broken = json.dumps({"path_uv": [[1, 2], [3, 4]], "path_xy": [[1, 3], [2, 5]]})
+        proc = self._python_m(
+            ["verify", "--graph", "johnson", "--n", "5", "--k", "2",
+             "--u", "1,2", "--v", "3,4", "--x", "1,3", "--y", "2,5"],
+            broken.encode(),
+        )
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["valid"] is False and report["violations"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -411,18 +443,13 @@ class TestModuleEntry:
     def test_closed_stdout_ends_without_a_traceback(self, argv):
         # As after `| head -c 50`, but every write fails: the pipe's read
         # end is closed before the child starts.
-        src = os.path.dirname(os.path.dirname(johnson_p2c.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src, *filter(None, [env.get("PYTHONPATH")])]
-        )
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "johnson_p2c.cli", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
-                timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=self._env(), timeout=60,
             )
         finally:
             os.close(write_end)

@@ -22,8 +22,10 @@ from johnson_p2c import (
     p2c_johnson,
     p2c_qj,
 )
+from johnson_p2c import hamilton
 from johnson_p2c.cli import run
 from johnson_p2c.hamilton import EMIT_SLICE, Path, path_json_parts
+from johnson_p2c.subsets import mask_elements
 
 
 def _cli_stdout(argv) -> str:
@@ -134,14 +136,62 @@ def test_empty_path():
     assert _text(Path(()), 5) == "[]"
 
 
+def _dumps(masks) -> str:
+    """The text the emitter must write for a list of masks."""
+    return json.dumps([mask_elements(m) for m in masks])
+
+
+def _first_width(n) -> int:
+    """The width of the emitter's first chunk of [n]."""
+    return (n + 1) // 2 if n <= 20 else 8
+
+
+def _mask(elements) -> int:
+    return sum(1 << e for e in elements)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_every_cardinality(n):
+    # Every size from the empty set to [n]; then, for each size that fits,
+    # a vertex with no element in the first chunk, whose text opens "[, "
+    # before the fix-up.  The path opens with the empty set, with [n] and
+    # with a vertex of the upper chunks only.
+    rng = random.Random(n)
+    masks = [_mask(rng.sample(range(1, n + 1), size)) for size in range(n + 1)]
+    upper = range(_first_width(n) + 1, n + 1)
+    high = [_mask(rng.sample(upper, size)) for size in range(len(upper) + 1)]
+    for path in (masks + high, masks[::-1] + high, high[::-1] + masks):
+        assert "".join(path_json_parts(path, n)) == _dumps(path)
+
+
 @pytest.mark.parametrize("length", [EMIT_SLICE - 1, EMIT_SLICE, 2 * EMIT_SLICE + 1])
 def test_parts_across_slices(length):
     rng = random.Random(length)
     masks = [rng.getrandbits(18) << 1 for _ in range(length)]
+    # Vertices with no element in the first chunk (1..9) open the path,
+    # and open and close every part.
+    for i in {0, EMIT_SLICE - 1, EMIT_SLICE, length - 1} & {*range(length)}:
+        masks[i] = rng.getrandbits(9) << 10
     parts = list(path_json_parts(masks, 18))
     assert len(parts) == -(-length // EMIT_SLICE) + 1
     path = Path(tuple(ElementSet(m, 18) for m in masks))
-    assert "".join(parts) == json.dumps(path.to_json())
+    assert "".join(parts) == json.dumps(path.to_json()) == _dumps(masks)
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_tables_stay_small(n, monkeypatch):
+    sizes = []
+    build = hamilton._chunk_table
+
+    def recorded(lo, hi):
+        table = build(lo, hi)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(hamilton, "_chunk_table", recorded)
+    masks = [_mask(range(1, n + 1)), 0, 1 << n]
+    assert "".join(path_json_parts(masks, n)) == _dumps(masks)
+    assert sizes and max(sizes) <= 1024
 
 
 def test_fig1_int_paths():
