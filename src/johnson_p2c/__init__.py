@@ -16,8 +16,7 @@ from .hamilton import (
     hamilton_johnson,
     hamilton_qj,
 )
-from .p2c_johnson import clear_caches, p2c_complete, p2c_johnson
-from .p2c_qj import p2c_qj
+from .p2c_qj import clear_caches, p2c_complete, p2c_johnson, p2c_qj
 from .subsets import (
     ElementSet,
     Relabeling,

@@ -29,7 +29,7 @@ from .hamilton import (
     mask_path,
     path_json_parts,
 )
-from .p2c_johnson import p2c_complete
+from .p2c_qj import p2c_complete
 from .subsets import ElementSet, mask_keys, vertex_json
 from .verify import (
     DEFAULT_ORACLE_CAP,

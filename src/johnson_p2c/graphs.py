@@ -182,16 +182,16 @@ class GenericGraph:
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise ValueError(f"negative vertex count {vertex_count}")
-        vertices = range(vertex_count)
-        adjacency = [set() for _ in vertices]
+        object.__setattr__(self, "vertex_count", vertex_count)
+        adjacency = [set() for _ in range(vertex_count)]
         for a, b in edges:
+            # Each endpoint by ``has_vertex``'s rule: an int, no bool, in range.
+            if not (self.has_vertex(a) and self.has_vertex(b)):
+                raise ValueError(f"edge ({a!r}, {b!r}) leaves 0..{vertex_count - 1}")
             if a == b:
                 raise ValueError(f"self-loop at {a}")
-            if a not in vertices or b not in vertices:
-                raise ValueError(f"edge ({a}, {b}) leaves 0..{vertex_count - 1}")
             adjacency[a].add(b)
             adjacency[b].add(a)
-        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(
             self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
         )

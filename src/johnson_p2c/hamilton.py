@@ -571,7 +571,7 @@ def _ham_qj_build(n, levels, s, t):
 # ---------------------------------------------------------------------------
 # The level stack, shared by ``_ham_qj_build`` and ``p2c_qj``.  The picks
 # run between levels in 1..n-1 with n >= 4: the apex level n is spliced as
-# itself, ``p2c_qj_masks`` refuses n < 4, and a stack that ``_ham_qj_build``
+# itself, ``p2c_masks`` refuses n < 4, and a stack that ``_ham_qj_build``
 # splices has 13+ vertices, so n >= 4.  So each pick finds what it looks
 # for; its docstring says why.
 

@@ -65,8 +65,8 @@ class ElementSet:
     def from_elements(cls, elements, n: int) -> "ElementSet":
         bits = 0
         for e in elements:
-            if not 1 <= e <= n:
-                raise ValueError(f"element {e} outside [1..{n}]")
+            if type(e) is bool or not 1 <= e <= n:
+                raise ValueError(f"element {e!r} outside [1..{n}]")
             bits |= 1 << e
         return cls(bits, n)
 

@@ -381,14 +381,14 @@ def builder_of(g, name: str | None = None, oracle_cap: int = DEFAULT_ORACLE_CAP)
     paths' keys, or None where the oracle proves there is no cover.
 
     ``None`` names the graph's own: johnson for J(n,k), qj for QJ(n,A),
-    oracle for an explicit graph.  A name that cannot run on g (johnson on
-    any other graph, qj on an explicit one) raises ValueError, and the
-    oracle on a graph above ``oracle_cap`` raises ``TooLargeForOracle``.
+    both the one mask entry ``p2c_masks``, and oracle for an explicit
+    graph.  A name that cannot run on g (johnson on any other graph, qj on
+    an explicit one) raises ValueError, and the oracle on a graph above
+    ``oracle_cap`` raises ``TooLargeForOracle``.
     This is the one place that tells the graph kinds apart to pick a
     builder."""
     # Local imports keep verify free of a static dependency on the builders.
-    from .p2c_johnson import p2c_complete, p2c_johnson_masks
-    from .p2c_qj import p2c_qj_masks
+    from .p2c_qj import p2c_complete, p2c_masks
 
     explicit = isinstance(g, GenericGraph)
     if name is None:
@@ -396,10 +396,8 @@ def builder_of(g, name: str | None = None, oracle_cap: int = DEFAULT_ORACLE_CAP)
     if name == "johnson" and not isinstance(g, JohnsonGraph) or name == "qj" and explicit:
         kind = g.descriptor()["kind"]
         raise ValueError(f"constructor {name!r} cannot run on a {kind} graph")
-    if name == "johnson":
-        return p2c_johnson_masks
-    if name == "qj":
-        return p2c_qj_masks
+    if name in ("johnson", "qj"):
+        return p2c_masks
     if name == "complete":
         return partial(_complete_paths, p2c_complete, host_of(g).vertices())
     if name == "oracle":

@@ -47,8 +47,7 @@ from johnson_p2c.errors import (
 from johnson_p2c.hamilton import Path, mask_path
 from johnson_p2c.verify import certify, host_of
 
-p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
-p2c_qj_module = importlib.import_module("johnson_p2c.p2c_qj")
+p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
 verify_module = importlib.import_module("johnson_p2c.verify")
 
 
@@ -579,7 +578,7 @@ def test_host_lists_vertices_in_graph_order():
 
 def test_debug_check_uses_the_core_on_masks(monkeypatch):
     # An intermediate cover that drops a vertex is named by the core.
-    solve_small = p2c_johnson_module._solve_small
+    solve_small = p2c_module._solve_small
 
     def drop_one(*args):
         p1, p2 = solve_small(*args)
@@ -587,7 +586,7 @@ def test_debug_check_uses_the_core_on_masks(monkeypatch):
         del longer[1]
         return p1, p2
 
-    monkeypatch.setattr(p2c_johnson_module, "_solve_small", drop_one)
+    monkeypatch.setattr(p2c_module, "_solve_small", drop_one)
     g = JohnsonGraph(5, 3)
     quad = ([1, 2, 3], [3, 4, 5], [1, 2, 4], [2, 4, 5])
     q = EndpointQuad(*(ElementSet.from_elements(w, 5) for w in quad))
@@ -605,7 +604,7 @@ QJ_ONE_LEVEL_QUAD = ([1, 2, 3], [3, 4, 5], [1, 2, 4], [2, 4, 5])
 
 def test_debug_check_reaches_the_nested_subproblems_of_qj(monkeypatch):
     monkeypatch.setattr(
-        p2c_johnson_module, "_solve_small", _drop_one(p2c_johnson_module._solve_small)
+        p2c_module, "_solve_small", _drop_one(p2c_module._solve_small)
     )
     g = QJGraph(5, (2, 3))
     q = EndpointQuad(*(ElementSet.from_elements(w, 5) for w in QJ_ONE_LEVEL_QUAD))
@@ -620,7 +619,7 @@ def test_debug_check_reaches_the_nested_subproblems_of_qj(monkeypatch):
 
 def test_debug_context_is_reset_after_a_failed_check(monkeypatch):
     monkeypatch.setattr(
-        p2c_johnson_module, "_solve_small", _drop_one(p2c_johnson_module._solve_small)
+        p2c_module, "_solve_small", _drop_one(p2c_module._solve_small)
     )
     calls = []
 
@@ -628,18 +627,18 @@ def test_debug_context_is_reset_after_a_failed_check(monkeypatch):
         calls.append(args)
         return certify(*args)
 
-    monkeypatch.setattr(p2c_johnson_module, "certify", counting)
+    monkeypatch.setattr(p2c_module, "certify", counting)
     g = JohnsonGraph(5, 3)
     quad = mask_keys(
         [ElementSet.from_elements(w, 5) for w in QJ_ONE_LEVEL_QUAD], 5
     )
     with pytest.raises(InvariantViolated):
-        p2c_johnson_module.p2c_johnson_masks(g, quad, True)
+        p2c_module.p2c_masks(g, quad, True)
     assert len(calls) == 1
     # Neither a solver called outside any entry nor an entry without debug
     # certifies anything once the failed entry has returned.
-    p2c_johnson_module._solve(5, 3, *quad)
-    p2c_johnson_module.p2c_johnson_masks(g, quad)
+    p2c_module._solve(5, 3, *quad)
+    p2c_module.p2c_masks(g, quad)
     assert len(calls) == 1
 
 
@@ -661,12 +660,9 @@ def _mask_entry_cases():
 
 @pytest.mark.parametrize("g", list(_mask_entry_cases()), ids=repr)
 def test_public_constructor_is_wrapped_mask_entry(g):
-    if isinstance(g, JohnsonGraph):
-        public, entry = p2c_johnson, p2c_johnson_module.p2c_johnson_masks
-    else:
-        public, entry = p2c_qj, p2c_qj_module.p2c_qj_masks
+    public = p2c_johnson if isinstance(g, JohnsonGraph) else p2c_qj
     for q in _quads(g, 6, 17):
-        p1, p2 = entry(g, tuple(w.bits for w in q.vertices()))
+        p1, p2 = p2c_module.p2c_masks(g, tuple(w.bits for w in q.vertices()))
         sol = public(g, q)
         assert sol == P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
         # The wrapper ends its paths at the quad's own objects.
@@ -683,8 +679,10 @@ BAD_QUADS = [
      "BadQuad: {1,2,3} is not a vertex of the host graph"),
     (JohnsonGraph(5, 2), [([1, 2], 5), ([3, 4], 5), ([1, 3], 6), ([2, 4], 5)],
      "BadQuad: {1,3} is not a vertex of the host graph"),
+    # Refused with the QJ wording since J(n,k) and QJ(n,A) share one mask
+    # entry; the range check of p2c_johnson itself keeps its own text.
     (JohnsonGraph(3, 1), [([1], 3), ([1], 3), ([2], 3), ([3], 3)],
-     "OutOfTheoremRange: J(3,1) outside n >= 4, 1 <= k <= n-1"),
+     "OutOfTheoremRange: J(3,1) has n < 4"),
     (QJGraph(5, (1, 3)), [([1], 5), ([1, 2], 5), ([1, 2, 3], 5), ([4], 5)],
      "BadQuad: {1,2} is not a vertex of the host graph"),
     (QJGraph(5, (1, 3)), [([1], 5), ([2], 5), ([2], 5), ([1, 2, 3], 5)],
@@ -698,17 +696,18 @@ BAD_QUADS = [
 
 @pytest.mark.parametrize("g, quad, error", BAD_QUADS)
 def test_mask_entry_refuses_bad_quads_as_before(g, quad, error):
-    # The constructor and its mask entry refuse the quad with the same text,
-    # and so do EndpointQuad.validate and the oracle, as all share one
-    # validator.
-    if isinstance(g, JohnsonGraph):
-        build, entry = p2c_johnson, p2c_johnson_module.p2c_johnson_masks
-    else:
-        build, entry = p2c_qj, p2c_qj_module.p2c_qj_masks
+    # The mask entry and its wrapper p2c_qj refuse the quad with the same
+    # text on either kind of graph.  A bad quad is refused so by the graph's
+    # own constructor too, and by EndpointQuad.validate and the oracle, as
+    # all share one validator.
+    build = p2c_johnson if isinstance(g, JohnsonGraph) else p2c_qj
     q = EndpointQuad(*(ElementSet.from_elements(e, n) for e, n in quad))
-    refusers = [lambda: build(g, q), lambda: entry(g, mask_keys(q.vertices(), g.n))]
+    keys = mask_keys(q.vertices(), g.n)
+    refusers = [lambda: p2c_qj(g, q), lambda: p2c_module.p2c_masks(g, keys)]
     if error.startswith("BadQuad"):
-        refusers += [lambda: q.validate(g), lambda: p2c_bruteforce(g, q)]
+        refusers += [
+            lambda: build(g, q), lambda: q.validate(g), lambda: p2c_bruteforce(g, q)
+        ]
     for refuse in refusers:
         with pytest.raises(CoverError) as info:
             refuse()
@@ -750,7 +749,7 @@ def test_absorb_apex_refuses_bad_quads():
         p2c_qj(g, EndpointQuad(a, a, b, c))
     assert str(info.value) == repeated
     with pytest.raises(BadQuad) as info:
-        p2c_qj_module.p2c_qj_masks(g, (a.bits, a.bits, b.bits, c.bits))
+        p2c_module.p2c_masks(g, (a.bits, a.bits, b.bits, c.bits))
     assert str(info.value) == repeated
 
 
@@ -758,7 +757,7 @@ def test_absorb_apex_is_wrapped_mask_entry():
     g = QJGraph(5, (3, 4, 5))
     for q in _quads(g, 20, 2):
         quad = tuple(w.bits for w in q.vertices())
-        p1, p2 = p2c_qj_module.p2c_qj_masks(g, quad)
+        p1, p2 = p2c_module.p2c_masks(g, quad)
         sol = p2c_qj(g, q)
         assert sol == P2CSolution(mask_path(p1, g.n), mask_path(p2, g.n))
         assert check_p2c(g, q, sol).valid
@@ -807,9 +806,24 @@ def _raise_exhausted(solve):
 
 
 def _mutate(change):
+    """A breaker of ``_solve`` that applies ``change`` to the paths of the
+    outermost call only, the one with no ``_solve`` frame above it: a
+    one-level cover, or a level that the stacked construction covers.  The
+    Johnson induction's own calls, which read ``_solve`` too, pass through
+    unchanged: the digests below were recorded with a seam that saw the
+    outermost calls only."""
+
     def wrap(solve):
+        depth = 0
+
         def broken(n, k, u, v, x, y):
-            return change(*solve(n, k, u, v, x, y), n, k)
+            nonlocal depth
+            depth += 1
+            try:
+                p1, p2 = solve(n, k, u, v, x, y)
+            finally:
+                depth -= 1
+            return (p1, p2) if depth else change(p1, p2, n, k)
 
         return broken
 
@@ -835,47 +849,47 @@ def _repeat(p1, p2, n, k):
 
 
 BROKEN = [
-    ("drop_one", p2c_johnson_module, "_solve_small", _drop_one,
+    ("drop_one", p2c_module, "_solve_small", _drop_one,
      JohnsonGraph(5, 3), "johnson",
      "603568b674f2cd517ba767107917939df8a33ab4d2c582c01df5e898ea58b918",
      {"quad": [[1, 2, 3], [1, 2, 4], [2, 4, 5], [1, 3, 4]],
       "violations": [{"code": "NotCovering", "detail": "9 of 10 vertices covered"}]}),
-    ("raise", p2c_johnson_module, "_solve_small", _raise_exhausted,
+    ("raise", p2c_module, "_solve_small", _raise_exhausted,
      JohnsonGraph(5, 2), "johnson",
      "e128a0079d2f11d40f03176180b580a810ac2da0f6a8870d9e87f14927cff001",
      {"quad": [[1, 2], [1, 3], [3, 5], [2, 3]],
       "error": "SelectionExhausted: oracle found no cover of J(5,2)"}),
-    ("swap_inner", p2c_qj_module, "_solve_johnson", _mutate(_swap_inner),
+    ("swap_inner", p2c_module, "_solve", _mutate(_swap_inner),
      QJGraph(5, (1, 2, 3)), "qj",
      "a03551b05a114f1a7e7f6e20965d98419be2e8016328d995feaa2ada76821413",
      {"quad": [[1, 2, 5], [1, 3], [1, 2, 3], [2, 3, 5]],
       "violations": [{"code": "NotAdjacentStep",
                       "detail": "{1,3,4} -- {2,3,5} is not an edge"}]}),
-    ("wrong_level", p2c_qj_module, "_solve_johnson", _mutate(_wrong_level),
+    ("wrong_level", p2c_module, "_solve", _mutate(_wrong_level),
      QJGraph(5, (2, 3)), "qj",
      "b1274c1621169f28c82ee5ef8226fb0978e4ab4adf2e72407397e278c9e9d2b9",
      {"quad": [[1, 2, 3], [1, 2, 5], [2, 4, 5], [1, 2, 4]],
       "violations": [{"code": "ForeignVertex",
                       "detail": "{1,2,3,4} is not a vertex of the host graph"}]}),
-    ("repeat", p2c_qj_module, "_solve_johnson", _mutate(_repeat),
+    ("repeat", p2c_module, "_solve", _mutate(_repeat),
      QJGraph(6, (2, 4, 6)), "qj",
      "0bd862dcfbf0b49bb78aece47a3d8ebd20163a462b7ceaa52a70d19bfb7f58e7",
      {"quad": [[1, 2, 3, 4, 5, 6], [2, 4], [1, 3, 4, 6], [1, 4, 5, 6]],
       "violations": [{"code": "RepeatedVertex",
                       "detail": "{1,2,3,5} appears more than once"}]}),
-    ("bad_end", p2c_qj_module, "_solve_johnson",
+    ("bad_end", p2c_module, "_solve",
      _mutate(lambda p1, p2, n, k: (p1[:-1], p2)),
      QJGraph(5, (2,)), "qj",
      "fbe086a4e38b0c5b74d02f1591042e33bd86d4508692ed6af463e01697fdd2cf",
      {"quad": [[1, 2], [1, 3], [3, 5], [2, 3]],
       "violations": [{"code": "BadEndpoint",
                       "detail": "path_uv endpoints are not {{1,2},{1,3}}"}]}),
-    ("steal", p2c_qj_module, "_solve_johnson",
+    ("steal", p2c_module, "_solve",
      _mutate(lambda p1, p2, n, k: (p1, p2 + [p1[-2]])),
      QJGraph(6, (3,)), "qj",
      "83624a185250ec17deb8d5094581ba651fc55ee13e63f9f62bf1113517ffea39",
      None),
-    ("swap_paths", p2c_qj_module, "_solve_johnson",
+    ("swap_paths", p2c_module, "_solve",
      _mutate(lambda p1, p2, n, k: (p2, p1)),
      QJGraph(5, (1, 2)), "qj",
      "a37d7b55510840acec0f5baeeafa121a34a3a1cb847ce27e9f2bedf365653437",
@@ -889,15 +903,12 @@ BROKEN = [
 def test_sweep_names_a_mask_outside_the_ground_set(bit, text, monkeypatch):
     # Wrapping such a mask in an ElementSet raised ValueError and ended the
     # whole sweep; the core reports it as a foreign vertex of that quad.
-    solve = p2c_qj_module._solve_johnson
-
-    def broken(n, k, u, v, x, y):
-        p1, p2 = solve(n, k, u, v, x, y)
+    def change(p1, p2, n, k):
         if 0b10110 in p1[1:-1]:
             p1[p1.index(0b10110)] |= bit
         return p1, p2
 
-    monkeypatch.setattr(p2c_qj_module, "_solve_johnson", broken)
+    monkeypatch.setattr(p2c_module, "_solve", _mutate(change)(p2c_module._solve))
     g = QJGraph(5, (3,))
     summary = sweep(g, mode="sampled", constructor="qj", seed=1, count=40)
     assert summary.invalid > 0 and summary.valid + summary.invalid == 40

@@ -91,9 +91,9 @@ class TestP2CCommand:
     def test_debug_check_failure_is_one_line(self, capsys, monkeypatch):
         # An oracle that drops a vertex yields an invalid intermediate cover,
         # which --debug-check reports as a typed error, not a traceback.
-        # The package exports the function p2c_johnson under the module's name.
-        p2c_johnson = importlib.import_module("johnson_p2c.p2c_johnson")
-        solve_small = p2c_johnson._solve_small
+        # The package exports the function p2c_qj under the module's name.
+        p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
+        solve_small = p2c_module._solve_small
 
         def drop_one(*args):
             p1, p2 = solve_small(*args)
@@ -101,7 +101,7 @@ class TestP2CCommand:
             del longer[1]
             return p1, p2
 
-        monkeypatch.setattr(p2c_johnson, "_solve_small", drop_one)
+        monkeypatch.setattr(p2c_module, "_solve_small", drop_one)
         code, out, err = invoke(
             capsys,
             "p2c", "--graph", "johnson", "--n", "5", "--k", "3",
@@ -117,12 +117,12 @@ class TestP2CCommand:
     def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
         # A ValueError past input parsing is a fault of the program: exit 1,
         # one line, no traceback.
-        p2c_johnson = importlib.import_module("johnson_p2c.p2c_johnson")
+        p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
 
         def broken(*args):
             raise ValueError("tuple.index(x): x not in tuple")
 
-        monkeypatch.setattr(p2c_johnson, "_solve_small", broken)
+        monkeypatch.setattr(p2c_module, "_solve_small", broken)
         code, out, err = invoke(
             capsys,
             "p2c", "--graph", "johnson", "--n", "5", "--k", "3",
@@ -265,6 +265,19 @@ class TestVerifyCommand:
             "verify", "--graph", "johnson", "--n", "5", "--k", "2",
             "--u", "1,2", "--v", "3,4", "--x", "1,3", "--y", "2,5",
         )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_a_json_true_is_no_element(self, capsys, monkeypatch):
+        # Once the cover with each element 1 written as true was valid.
+        args = (
+            "--graph", "johnson", "--n", "5", "--k", "2",
+            "--u", "1,2", "--v", "3,4", "--x", "1,3", "--y", "2,5",
+        )
+        _, out, _ = invoke(capsys, "p2c", *args)
+        assert "[1, " in out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out.replace("[1, ", "[true, ")))
+        code, out, err = invoke(capsys, "verify", *args)
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
 

@@ -1,9 +1,10 @@
 """One context, not a threaded flag, says whether covers are certified.
 
 The constructors certify every intermediate cover when an entry point is
-called with ``debug=True``.  Only the four entry points take that parameter;
-they set the context variable ``_certifying`` through ``_with_debug``, and
-only ``_finish``, the step that ends every subproblem, reads it.  A private
+called with ``debug=True``.  Only the three entry points take that
+parameter; the mask entry sets the context variable ``_certifying`` through
+``_with_debug``, and only ``_finish``, the step that ends every subproblem,
+reads it.  A private
 function that takes ``debug`` again, or a second reader of the variable,
 would be a second way to reach the check.
 """
@@ -15,19 +16,18 @@ import johnson_p2c
 
 PACKAGE = Path(johnson_p2c.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
-CONSTRUCTORS = [PACKAGE / "p2c_johnson.py", PACKAGE / "p2c_qj.py"]
+CONSTRUCTORS = [PACKAGE / "p2c_qj.py"]
 ENTRIES = {
-    ("p2c_johnson.py", "p2c_johnson"),
-    ("p2c_johnson.py", "p2c_johnson_masks"),
+    ("p2c_qj.py", "p2c_johnson"),
     ("p2c_qj.py", "p2c_qj"),
-    ("p2c_qj.py", "p2c_qj_masks"),
+    ("p2c_qj.py", "p2c_masks"),
 }
 CONTEXT = "_certifying"
 CONTEXT_USES = {
-    ("p2c_johnson.py", "<module>", None),
-    ("p2c_johnson.py", "_with_debug", "set"),
-    ("p2c_johnson.py", "_with_debug", "reset"),
-    ("p2c_johnson.py", "_finish", "get"),
+    ("p2c_qj.py", "<module>", None),
+    ("p2c_qj.py", "_with_debug", "set"),
+    ("p2c_qj.py", "_with_debug", "reset"),
+    ("p2c_qj.py", "_finish", "get"),
 }
 
 

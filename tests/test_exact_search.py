@@ -29,7 +29,7 @@ from johnson_p2c import (
 from johnson_p2c.hamilton import _search_masks
 from johnson_p2c.subsets import k_masks
 
-p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
+p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
 
 
 def _level_graphs(max_n, max_vertices):
@@ -76,7 +76,7 @@ def test_nothing_goes_back_through_the_public_searches(monkeypatch):
         assert summary.valid == summary.total == 300
     g = JohnsonGraph(10, 5)
     quad = tuple(k_masks(10, 5))[:4]
-    p1, p2 = p2c_johnson_module.p2c_johnson_masks(g, quad)
+    p1, p2 = p2c_module.p2c_masks(g, quad)
     assert len(p1) + len(p2) == g.vertex_count
     assert calls == []
 

@@ -21,6 +21,7 @@ from johnson_p2c import (
 )
 from johnson_p2c.errors import NotAVertex
 from johnson_p2c.hamilton import _mask_search
+from johnson_p2c.verify import builder_of
 
 
 def es(elems, n):
@@ -97,11 +98,13 @@ class TestOneLevel:
         # J(n,k) as on QJ(n,{k}), p2c_johnson included.
         for k in range(1, n):
             j, q = JohnsonGraph(n, k), QJGraph(n, [k])
+            assert builder_of(j) is builder_of(q)
             rng = random.Random(n * 100 + k)
             for _ in range(20):
                 quad = EndpointQuad(*rng.sample(list(j.vertices()), 4))
                 for build in (p2c_johnson, p2c_qj):
                     assert build(j, quad) == build(q, quad), (build, j, quad)
+                assert p2c_johnson(j, quad) == p2c_qj(j, quad), (j, quad)
                 for build in (hamilton_johnson, hamilton_qj):
                     assert build(j, quad.u, quad.v) == build(q, quad.u, quad.v)
 
@@ -249,6 +252,10 @@ class TestGenericGraph:
         # Once a TypeError from the list index.
         (3, [(0, 1.5)], r"^edge \(0, 1\.5\) leaves 0\.\.2$"),
         (-1, [], r"^negative vertex count -1$"),
+        # Once an untyped TypeError from the list index.
+        (3, [(0, 1.0)], r"^edge \(0, 1\.0\) leaves 0\.\.2$"),
+        # Once stored as a neighbor: adjacency ((True,), (0,), ()).
+        (3, [(0, True)], r"^edge \(0, True\) leaves 0\.\.2$"),
     ])
     def test_edges_outside_the_vertices_are_refused(self, count, edges, message):
         with pytest.raises(ValueError, match=message):

@@ -28,8 +28,8 @@ from johnson_p2c.graphs import MEMO_SIZE
 from johnson_p2c.subsets import k_masks, same_level_masks
 from johnson_p2c.verify import KEY_SETS, certify, host_of
 
-# The package attribute ``p2c_johnson`` is the function of that name.
-p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
+# The package attribute ``p2c_qj`` is the function of that name.
+p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
 verify_module = importlib.import_module("johnson_p2c.verify")
 
 
@@ -202,7 +202,7 @@ def test_clear_caches_empties_every_memo():
     assert hamilton_bruteforce(fig1, 0, 7) is not None
     memos = [
         hamilton._ham_path,
-        p2c_johnson_module._oracle_cover,
+        p2c_module._oracle_cover,
         hamilton._mask_search,
         hamilton._sides,
         hamilton._cross_memo,

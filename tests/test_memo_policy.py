@@ -20,8 +20,8 @@ from johnson_p2c import JohnsonGraph, QJGraph, clear_caches, hamilton, sweep
 from johnson_p2c.graphs import MEMO_SIZE, MEMO_VERTICES
 from johnson_p2c.subsets import k_masks
 
-# The package attribute ``p2c_johnson`` is the function of that name.
-p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
+# The package attribute ``p2c_qj`` is the function of that name.
+p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
 
 SOURCES = sorted(Path(johnson_p2c.__file__).parent.glob("*.py"))
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -72,13 +72,13 @@ def test_memoized_paths_are_fresh_lists():
     assert hamilton._ham_path.cache_info().hits == hits + 1
 
     quad = (_elements(1, 2), _elements(3, 4), _elements(1, 3), _elements(2, 5))
-    p1, p2 = p2c_johnson_module._solve_small(5, 2, *quad)
+    p1, p2 = p2c_module._solve_small(5, 2, *quad)
     expected = (list(p1), list(p2))
     p1[1:1] = [0]
     p2.clear()
-    hits = p2c_johnson_module._oracle_cover.cache_info().hits
-    assert p2c_johnson_module._solve_small(5, 2, *quad) == expected
-    assert p2c_johnson_module._oracle_cover.cache_info().hits == hits + 1
+    hits = p2c_module._oracle_cover.cache_info().hits
+    assert p2c_module._solve_small(5, 2, *quad) == expected
+    assert p2c_module._oracle_cover.cache_info().hits == hits + 1
 
 
 def test_memo_holds_small_canonical_paths(monkeypatch):
@@ -96,7 +96,7 @@ def test_memo_holds_small_canonical_paths(monkeypatch):
     clear_caches()
     g = JohnsonGraph(16, 8)
     quad = tuple(random.Random(1).sample(list(k_masks(16, 8)), 4))
-    first = p2c_johnson_module.p2c_johnson_masks(g, quad)
+    first = p2c_module.p2c_masks(g, quad)
     assert len(entries) > 100
     for (n, levels, _, _), path in entries.items():
         assert len(levels) > 1 or 2 * levels[0] <= n, (n, levels)
@@ -105,7 +105,7 @@ def test_memo_holds_small_canonical_paths(monkeypatch):
     # Built again from the memo alone, with no miss: no in-place splice
     # touched what the memo handed out.
     misses = memo.cache_info().misses
-    assert p2c_johnson_module.p2c_johnson_masks(g, quad) == first
+    assert p2c_module.p2c_masks(g, quad) == first
     assert memo.cache_info().misses == misses
     assert memo.cache_info().hits > 0
 
@@ -129,7 +129,7 @@ def test_sweeps_keep_every_memo_hit(g, count, ham, oracle):
     assert summary.valid == count
     for memo, (hits, misses) in (
         (hamilton._ham_path, ham),
-        (p2c_johnson_module._oracle_cover, oracle),
+        (p2c_module._oracle_cover, oracle),
     ):
         info = memo.cache_info()
         assert info.hits == hits and info.misses <= misses, (memo, info)

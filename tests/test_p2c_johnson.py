@@ -26,10 +26,10 @@ from johnson_p2c.errors import (
     TooFewVertices,
 )
 from johnson_p2c.hamilton import Path, _sides
-from johnson_p2c.p2c_johnson import _orient, _pick_bridges
+from johnson_p2c.p2c_qj import _orient, _pick_bridges
 from johnson_p2c.subsets import k_masks, same_level_masks
 
-p2c_johnson_module = importlib.import_module("johnson_p2c.p2c_johnson")
+p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
 
 
 def es(elems, n):
@@ -143,7 +143,7 @@ class TestP2CJohnson:
             assert check_p2c(g, q, p2c_johnson(g, q)).valid
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfTheoremRange):
+        with pytest.raises(OutOfTheoremRange, match=r"^J\(3,1\) outside n >= 4, 1 <= k <= n-1$"):
             p2c_johnson(JohnsonGraph(3, 1), quad(3, [1], [2], [3], [1]))
         with pytest.raises(OutOfTheoremRange):
             p2c_johnson(
@@ -232,13 +232,13 @@ class TestOrient:
     def test_a_sub_solver_with_swapped_ends_is_caught(self, monkeypatch):
         # The oracle's cover of J(5,2) with the last vertices of its two
         # paths swapped: u runs to y and x to v.  _finish must refuse it.
-        oracle = p2c_johnson_module._solve_small
+        oracle = p2c_module._solve_small
 
         def swapped(*args):
             p1, p2 = oracle(*args)
             return p1[:-1] + p2[-1:], p2[:-1] + p1[-1:]
 
-        monkeypatch.setattr(p2c_johnson_module, "_solve_small", swapped)
+        monkeypatch.setattr(p2c_module, "_solve_small", swapped)
         g = JohnsonGraph(5, 2)
         q = quad(5, [1, 2], [3, 4], [1, 3], [2, 5])
         with pytest.raises(InvariantViolated, match="paired endpoints"):
@@ -249,8 +249,8 @@ def test_an_oracle_search_that_finds_nothing_is_typed(monkeypatch):
     # Every quad of a small J(n,k) has a cover, so the search the oracle
     # runs always finds one; a search that finds none is a typed error,
     # not a crash.  _search_masks is patched where _oracle_cover reads it.
-    monkeypatch.setattr(p2c_johnson_module, "_search_masks", lambda *args: None)
-    p2c_johnson_module.clear_caches()
+    monkeypatch.setattr(p2c_module, "_search_masks", lambda *args: None)
+    p2c_module.clear_caches()
     q = quad(5, [1, 2], [3, 4], [1, 3], [2, 5])
     no_cover = r"^oracle found no cover of J\(5,2\)$"
     with pytest.raises(SelectionExhausted, match=no_cover):

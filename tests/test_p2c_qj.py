@@ -11,8 +11,7 @@ from johnson_p2c import (
     p2c_qj,
 )
 from johnson_p2c.errors import BadQuad, OutOfTheoremRange, SpliceEdgeNotFound
-from johnson_p2c.p2c_johnson import _solve as _solve_johnson
-from johnson_p2c.p2c_qj import ep2c_expand, pick_one_avoiding, pick_two_avoiding
+from johnson_p2c.p2c_qj import _solve, ep2c_expand, pick_one_avoiding, pick_two_avoiding
 from johnson_p2c.subsets import cross_masks, k_masks
 
 
@@ -100,7 +99,7 @@ class TestPickTwo:
 
 class TestEP2CExpand:
     def test_identity_on_full_range(self):
-        p1, p2 = _solve_johnson(
+        p1, p2 = _solve(
             4, 2, mask([1, 2], 4), mask([1, 3], 4), mask([2, 3], 4), mask([2, 4], 4)
         )
         paths = [list(p1), list(p2)]

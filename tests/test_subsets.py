@@ -47,6 +47,11 @@ class TestElementSet:
         with pytest.raises(ValueError):
             es([5], 4)
 
+    def test_a_bool_is_no_element(self):
+        # Once [True, 2] was the set {1,2}: a JSON true passed for 1.
+        with pytest.raises(ValueError, match=r"^element True outside \[1\.\.5\]$"):
+            es([True, 2], 5)
+
     def test_ordering_is_bit_vector_order(self):
         # {2,3} packs to a smaller word than {1,4}
         assert es([2, 3], 4) < es([1, 4], 4)
