@@ -249,7 +249,7 @@ def _cmd_verify(args):
 @_parses
 def _load_vertex(w, args):
     if args.fixture:
-        if isinstance(w, int):
+        if type(w) is int:
             return w
     elif isinstance(w, list) and all(isinstance(e, int) for e in w):
         return ElementSet.from_elements(w, args.n)

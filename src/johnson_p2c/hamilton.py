@@ -478,7 +478,7 @@ def _sides(n: int, k: int) -> tuple[_Side, _Side]:
 def _swappable(a: int, n: int) -> int:
     """The elements a vertex of J(n,k) trades with n to cross the split by n:
     its own on X, the ones of [n-1] it lacks on Y."""
-    return (~a if a >> n & 1 else a) & full_mask(n - 1)
+    return (~a if a >> n & 1 else a) & (1 << n) - 2
 
 
 def _first_across(a: int, n: int, avoid=()) -> int | None:

@@ -38,10 +38,11 @@ on another level (``pick_one_avoiding``, and ``pick_two_avoiding`` for the
 ends of an edge).  The picks and the expansion live in ``hamilton``, whose
 QJ Hamilton builder splices levels the same way.
 
-Every subproblem ends in ``_finish``, which orients its two paths and,
-while an entry point called with ``debug=True`` runs, certifies them: the
-mask entry sets one context variable for the length of the call, so no
-solver function passes a flag on.
+Every subproblem ends in ``_finish``, which orients its two paths where
+they do not already run u to v and x to y and, while an entry point called
+with ``debug=True`` runs, certifies them: such a call of the mask entry
+sets one context variable for its length, and a plain call writes none, so
+no solver function passes a flag on and the off path costs one read.
 """
 
 from __future__ import annotations
@@ -127,25 +128,30 @@ def p2c_qj(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
 def p2c_masks(g, quad, debug: bool = False):
     """The cover of J(n,k) or QJ(n,A) on masks: the quad (u, v, x, y) as four
     masks in, the masks of the u-to-v and x-to-y paths out, as two lists.
-    With ``debug``, every intermediate cover is certified too.  The one way
-    into the Johnson induction, the stacked and the apex construction."""
+    With ``debug``, every intermediate cover is certified too, under the
+    context that ``_with_debug`` sets; without it the solver runs directly
+    and no context is written.  The one way into the Johnson induction, the
+    stacked and the apex construction."""
     if g.n < 4:
         raise OutOfTheoremRange(f"{g} has n < 4")
     if g.vertex_count < 4:
         raise OutOfTheoremRange(f"{g} has fewer than 4 vertices")
     check_quad(quad, g.n, g.levels)
     solve = _absorb_apex if g.n in g.levels else _solve_qj
-    return _with_debug(debug, solve, g.n, g.levels, *quad)
+    if debug:
+        return _with_debug(solve, g.n, g.levels, *quad)
+    return solve(g.n, g.levels, *quad)
 
 
 # Whether the construction under way certifies every intermediate cover.  The
-# mask entry sets it for the length of one call; only ``_finish`` reads it.
+# mask entry sets it for the length of a ``debug=True`` call and leaves it
+# unset otherwise; only ``_finish`` reads it.
 _certifying = ContextVar("certifying", default=False)
 
 
-def _with_debug(on, solve, *args):
-    """``solve(*args)`` with intermediate covers certified iff ``on``."""
-    token = _certifying.set(on)
+def _with_debug(solve, *args):
+    """``solve(*args)`` with every intermediate cover certified."""
+    token = _certifying.set(True)
     try:
         return solve(*args)
     finally:
@@ -172,7 +178,8 @@ def _finish(n, levels, quad, p1, p2):
     masks, oriented as (u-to-v, x-to-y).  While intermediate covers are
     being certified, raises InvariantViolated naming the violations."""
     u, v, x, y = quad
-    p1, p2 = _orient(p1, p2, u, v, x, y)
+    if not (p1[0] == u and p1[-1] == v and p2[0] == x and p2[-1] == y):
+        p1, p2 = _orient(p1, p2, u, v, x, y)
     if _certifying.get():
         g = JohnsonGraph(n, levels[0]) if len(levels) == 1 else QJGraph(n, levels)
         report = certify(host_of(g), (p1, p2), ((u, v), (x, y)))
@@ -287,7 +294,9 @@ def _case_one_apart(n, side, other, quad, i):
     # With n >= 6 and k >= 2 each side has 5+ vertices, 3 of them endpoints,
     # and a has k >= 2 (X) or n-k >= 2 (Y) neighbors across: neither pick
     # runs dry.
-    a = next(z for z in side.head if z not in quad)
+    for a in side.head:
+        if a not in quad:
+            break
     s1, s2 = _solve_on(side, (a, partner, q1, q2))
     b = _first_across(a, n, (lone,))
     p = other.path(lone, b)

@@ -65,7 +65,7 @@ class ElementSet:
     def from_elements(cls, elements, n: int) -> "ElementSet":
         bits = 0
         for e in elements:
-            if type(e) is bool or not 1 <= e <= n:
+            if type(e) is bool or not isinstance(e, int) or not 1 <= e <= n:
                 raise ValueError(f"element {e!r} outside [1..{n}]")
             bits |= 1 << e
         return cls(bits, n)

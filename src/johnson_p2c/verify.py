@@ -104,7 +104,7 @@ class CheckReport:
 class _Masks:
     """J(n,k) or QJ(n,A) as the core sees it: a vertex key is a mask."""
 
-    __slots__ = ("n", "count", "levels", "outside", "gaps")
+    __slots__ = ("n", "count", "levels", "outside", "gaps", "_keys")
 
     def __init__(self, g):
         levels = tuple(g.levels)
@@ -112,6 +112,7 @@ class _Masks:
         self.count = g.vertex_count
         self.levels = levels
         self.outside = ~(((1 << g.n) - 1) << 1)
+        self._keys = None
         # |a ^ b| along an edge between two consecutive levels, a in b.
         self.gaps = {}
         for a, b in zip(levels, levels[1:]):
@@ -125,7 +126,11 @@ class _Masks:
         return [b for a in self.levels for b in k_masks(self.n, a)]
 
     def keys(self) -> frozenset:
-        return _vertex_keys(self.n, self.levels)
+        """The vertex masks, read from the memo once and then kept: a sweep
+        certifies every cover on one host."""
+        if self._keys is None:
+            self._keys = _vertex_keys(self.n, self.levels)
+        return self._keys
 
     def steps(self, p) -> bool:
         """Whether every step of p, a path of vertex masks, is an edge:

@@ -358,6 +358,21 @@ def test_an_explicit_graph_keeps_its_key_set():
     assert host.keys() is host.keys() == frozenset(range(8))
 
 
+def test_a_level_graph_keeps_its_key_set(monkeypatch):
+    # A sweep certifies every cover on one host, which reads the memo once.
+    memo = verify_module._vertex_keys
+    reads = []
+
+    def counting(*args):
+        reads.append(args)
+        return memo(*args)
+
+    monkeypatch.setattr(verify_module, "_vertex_keys", counting)
+    host = host_of(QJGraph(5, (2, 3)))
+    assert host.keys() is host.keys() == frozenset(host.vertices())
+    assert reads == [(5, (2, 3))]
+
+
 def _silent_mutants(g, p1, p2):
     """(name, path_uv, path_xy) for covers of edges only, as many vertices
     long as g, that still repeat a vertex: a path that steps back to the

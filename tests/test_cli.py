@@ -281,6 +281,18 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    def test_a_json_true_is_no_fixture_vertex(self, capsys, monkeypatch):
+        # Once it was checked, and reported as a ForeignVertex (exit 1).
+        cover = {"path_uv": [0, 2], "path_xy": [True, 5, 4, 6, 7, 3]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cover)))
+        code, out, err = invoke(
+            capsys,
+            "verify", "--fixture", "fig1",
+            "--u", "000", "--v", "010", "--x", "001", "--y", "011",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_rejects_broken_solution(self, capsys, monkeypatch):
         broken = json.dumps({"path_uv": [[1, 2], [3, 4]], "path_xy": [[1, 3], [2, 5]]})
         monkeypatch.setattr(sys, "stdin", io.StringIO(broken))

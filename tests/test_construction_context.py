@@ -2,17 +2,22 @@
 
 The constructors certify every intermediate cover when an entry point is
 called with ``debug=True``.  Only the three entry points take that
-parameter; the mask entry sets the context variable ``_certifying`` through
-``_with_debug``, and only ``_finish``, the step that ends every subproblem,
-reads it.  A private
-function that takes ``debug`` again, or a second reader of the variable,
-would be a second way to reach the check.
+parameter.  A ``debug=True`` call of the mask entry sets the context
+variable ``_certifying`` through ``_with_debug`` for its length, a plain
+call leaves it unset, and only ``_finish``, the step that ends every
+subproblem, reads it.  A private function that takes ``debug`` again, or a
+second reader of the variable, would be a second way to reach the check.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
 import johnson_p2c
+from johnson_p2c import JohnsonGraph, QJGraph
+from johnson_p2c.verify import host_of, sweep
 
 PACKAGE = Path(johnson_p2c.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -94,3 +99,21 @@ def test_a_threaded_flag_and_a_second_reader_are_found():
         ("x.py", "_case.inner", "get"),
         ("x.py", "p2c_johnson", None),
     ]
+
+
+def test_only_a_debug_call_writes_the_context(monkeypatch):
+    p2c_qj = importlib.import_module("johnson_p2c.p2c_qj")
+
+    def refuse(*args):
+        raise RuntimeError("context written")
+
+    monkeypatch.setattr(p2c_qj, "_with_debug", refuse)
+    summary = sweep(JohnsonGraph(6, 3), mode="sampled", count=200)
+    assert summary.valid == summary.total == 200
+    summary = sweep(QJGraph(5, (2, 3)), mode="sampled", count=200)
+    assert summary.valid == summary.total == 200
+    g = JohnsonGraph(5, 2)
+    quad = host_of(g).vertices()[:4]
+    assert p2c_qj.p2c_masks(g, quad)
+    with pytest.raises(RuntimeError, match="context written"):
+        p2c_qj.p2c_masks(g, quad, True)

@@ -26,7 +26,7 @@ from johnson_p2c.errors import (
     TooFewVertices,
 )
 from johnson_p2c.hamilton import Path, _sides
-from johnson_p2c.p2c_qj import _orient, _pick_bridges
+from johnson_p2c.p2c_qj import _finish, _orient, _pick_bridges, _solve_small
 from johnson_p2c.subsets import k_masks, same_level_masks
 
 p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
@@ -228,6 +228,22 @@ class TestOrient:
             _orient([u, x], [v, y], u, v, x, y)
         with pytest.raises(InvariantViolated):
             _orient([u, v], [x, u], u, v, x, y)
+
+    def test_finish_orients_as_orient_does(self):
+        # _finish skips _orient for paths that already run u-to-v and
+        # x-to-y; in each of the 8 ways to present a cover it returns what
+        # _orient returns, and mis-ended paths still raise.
+        q = (0b110, 0b11000, 0b1010, 0b100100)
+        p1, p2 = _solve_small(5, 2, *q)
+        for swap in (False, True):
+            for flip1 in (False, True):
+                for flip2 in (False, True):
+                    a = p1[::-1] if flip1 else p1
+                    b = p2[::-1] if flip2 else p2
+                    a, b = (b, a) if swap else (a, b)
+                    assert _finish(5, (2,), q, a, b) == _orient(a, b, *q) == (p1, p2)
+        with pytest.raises(InvariantViolated, match="paired endpoints"):
+            _finish(5, (2,), q, p1[:-1] + p2[-1:], p2[:-1] + p1[-1:])
 
     def test_a_sub_solver_with_swapped_ends_is_caught(self, monkeypatch):
         # The oracle's cover of J(5,2) with the last vertices of its two

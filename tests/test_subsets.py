@@ -52,6 +52,12 @@ class TestElementSet:
         with pytest.raises(ValueError, match=r"^element True outside \[1\.\.5\]$"):
             es([True, 2], 5)
 
+    @pytest.mark.parametrize("elements", [[1.0, 2], ["1"], [None]])
+    def test_a_non_int_is_no_element(self, elements):
+        # Once 1.0 failed at << and "1" or None at <=, as TypeErrors.
+        with pytest.raises(ValueError, match=r"^element .* outside \[1\.\.5\]$"):
+            es(elements, 5)
+
     def test_ordering_is_bit_vector_order(self):
         # {2,3} packs to a smaller word than {1,4}
         assert es([2, 3], 4) < es([1, 4], 4)
