@@ -22,13 +22,7 @@ from itertools import chain
 from .covers import EndpointQuad, P2CSolution
 from .errors import CoverError
 from .graphs import JohnsonGraph, QJGraph, fig1_counterexample, to_dot
-from .hamilton import (
-    Path,
-    hamilton_bruteforce,
-    hamilton_masks,
-    mask_path,
-    path_json_parts,
-)
+from .hamilton import Path, hamilton_bruteforce, hamilton_masks, path_json_parts
 from .p2c_qj import p2c_complete
 from .subsets import ElementSet, mask_keys, vertex_json
 from .verify import (
@@ -77,12 +71,15 @@ class _Phases:
         return " ".join([elapsed, *self.laps])
 
 
-def _add_graph_flags(p):
+def _add_graph_flags(p, *flags):
+    """The flags that name a graph, then one per endpoint in ``flags``."""
     p.add_argument("--graph", choices=["johnson", "qj", "complete"])
     p.add_argument("--fixture", choices=["fig1"])
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--levels", help="comma-separated level cardinalities, e.g. 1,3")
+    for flag in flags:
+        p.add_argument(f"--{flag}")
 
 
 @_parses
@@ -132,7 +129,7 @@ def _emit(obj):
 
 def _solution_dot(g, paths):
     """DOT of g with the two paths of masks highlighted."""
-    uv, xy = (list(mask_path(p, g.n)) for p in paths)
+    uv, xy = ([ElementSet(m, g.n) for m in p] for p in paths)
     return to_dot(
         g, highlight={"color=red, penwidth=2": uv, "color=blue, penwidth=2": xy}
     )
@@ -176,16 +173,24 @@ def _cmd_hamilton(args):
         s, t = mask_keys((s, t), g.n)
         path = hamilton_masks(g, s, t)
         parts = path_json_parts(path, g.n)
-    args.phases.lap("build")
-    report = certify(host_of(g), [path], ((s, t),))
-    args.phases.lap("check")
-    if not report.valid:
-        print(json.dumps(report.to_json()), file=sys.stderr)
+    if not _certified(args, g, [path], ((s, t),)):
         return 1
     # The text of _emit({"path": ...}), written part by part.
     sys.stdout.writelines(chain(['{"path": '], parts, ["}\n"]))
     args.phases.lap("emit")
     return 0
+
+
+def _certified(args, g, paths, ends) -> bool:
+    """End the build phase, certify the paths (masks, or indices of a
+    fixture) against their end pairs and end the check phase; an invalid
+    report goes to stderr."""
+    args.phases.lap("build")
+    report = certify(host_of(g), paths, ends)
+    args.phases.lap("check")
+    if not report.valid:
+        print(json.dumps(report.to_json()), file=sys.stderr)
+    return report.valid
 
 
 def _cmd_p2c(args):
@@ -202,12 +207,8 @@ def _cmd_p2c(args):
         paths = [mask_keys(p, n) for p in p2c_complete(list(g.vertices()), q)]
     else:
         paths = builder_of(g)(g, quad, debug=args.debug_check)
-    args.phases.lap("build")
     u, v, x, y = quad
-    report = certify(host_of(g), paths, ((u, v), (x, y)))
-    args.phases.lap("check")
-    if not report.valid:
-        print(json.dumps(report.to_json()), file=sys.stderr)
+    if not _certified(args, g, paths, ((u, v), (x, y))):
         return 1
     if args.format == "dot":
         print(_solution_dot(g, paths))
@@ -321,29 +322,21 @@ def _make_parser():
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("hamilton", help="Hamilton path between two vertices")
-    _add_graph_flags(p)
-    p.add_argument("--s")
-    p.add_argument("--t")
+    _add_graph_flags(p, "s", "t")
     p.set_defaults(fn=_cmd_hamilton)
 
     p = sub.add_parser("p2c", help="paired 2-disjoint path cover")
-    _add_graph_flags(p)
-    for flag in ("u", "v", "x", "y"):
-        p.add_argument(f"--{flag}")
+    _add_graph_flags(p, "u", "v", "x", "y")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--debug-check", action="store_true")
     p.set_defaults(fn=_cmd_p2c)
 
     p = sub.add_parser("verify", help="check a solution JSON read from stdin")
-    _add_graph_flags(p)
-    for flag in ("u", "v", "x", "y"):
-        p.add_argument(f"--{flag}")
+    _add_graph_flags(p, "u", "v", "x", "y")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exact brute-force P2C search")
-    _add_graph_flags(p)
-    for flag in ("u", "v", "x", "y"):
-        p.add_argument(f"--{flag}")
+    _add_graph_flags(p, "u", "v", "x", "y")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(fn=_cmd_oracle)
 

@@ -1,6 +1,7 @@
 """Endpoint quadruples, two-path cover solutions, and the one quad check:
 ``check_quad`` on masks, which ``EndpointQuad.validate`` calls for a
-Johnson or QJ graph."""
+Johnson or QJ graph.  ``wrap_cover`` is the one wrapper from the two mask
+paths of a cover to a public ``P2CSolution``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import NamedTuple
 
 from .errors import BadQuad
 from .graphs import GenericGraph
-from .hamilton import Path
+from .hamilton import Path, wrap_path
 from .subsets import foreign_key, key_text, mask_keys
 
 
@@ -63,3 +64,11 @@ class P2CSolution(NamedTuple):
 
     def to_json(self) -> dict:
         return {"path_uv": self.path_uv.to_json(), "path_xy": self.path_xy.to_json()}
+
+
+def wrap_cover(q: EndpointQuad, paths, n: int) -> P2CSolution:
+    """The oriented mask paths of a cover over [n] as ``ElementSet`` paths
+    that end at the quad's own vertex objects."""
+    u, v, x, y = q.vertices()
+    p1, p2 = paths
+    return P2CSolution(wrap_path(u, p1, v, n), wrap_path(x, p2, y, n))

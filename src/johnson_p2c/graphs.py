@@ -17,6 +17,7 @@ from typing import Iterator
 from .errors import NotAVertex
 from .subsets import (
     ElementSet,
+    _Frozen,
     down_masks,
     k_subsets,
     same_level_masks,
@@ -44,7 +45,7 @@ MEMO_SIZE = 1 << 14
 MEMO_VERTICES = 1000
 
 
-class _LevelGraph:
+class _LevelGraph(_Frozen):
     """The subsets of [n] whose cardinalities are the ``levels``, with
     Johnson edges inside a level and containment edges between consecutive
     levels.  J(n,k) is the one-level graph QJ(n,{k}), so both kinds share
@@ -56,9 +57,6 @@ class _LevelGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "vertex_count", sum(comb(n, a) for a in levels))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def vertices(self) -> Iterator[ElementSet]:
         for a in self.levels:
@@ -108,6 +106,8 @@ class JohnsonGraph(_LevelGraph):
     __slots__ = ("k",)
 
     def __init__(self, n: int, k: int):
+        if type(n) is not int or type(k) is not int:
+            raise ValueError(f"n={n!r} and k={k!r} must be ints")
         if n < 1:
             raise ValueError(f"ground set size {n} below 1")
         if not 0 <= k <= n:
@@ -137,6 +137,8 @@ class LevelSpec(tuple):
         levels = tuple(levels)
         if not levels:
             raise ValueError("level set must be non-empty")
+        if any(type(a) is not int for a in levels):
+            raise ValueError(f"levels {levels} must be ints")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"levels {levels} not strictly increasing")
         if levels[0] < 1:
@@ -155,6 +157,8 @@ class QJGraph(_LevelGraph):
     __slots__ = ()
 
     def __init__(self, n: int, levels):
+        if type(n) is not int:
+            raise ValueError(f"ground set size {n!r} must be an int")
         if not isinstance(levels, LevelSpec):
             levels = LevelSpec(levels)
         if levels[-1] > n:
@@ -174,12 +178,14 @@ class QJGraph(_LevelGraph):
         return f"QJ({self.n},{{{','.join(map(str, self.levels))}}})"
 
 
-class GenericGraph:
+class GenericGraph(_Frozen):
     """Explicit undirected graph on opaque indices 0..vertex_count-1."""
 
     __slots__ = ("vertex_count", "adjacency")
 
     def __init__(self, vertex_count: int, edges):
+        if type(vertex_count) is not int:
+            raise ValueError(f"vertex count {vertex_count!r} must be an int")
         if vertex_count < 0:
             raise ValueError(f"negative vertex count {vertex_count}")
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -195,9 +201,6 @@ class GenericGraph:
         object.__setattr__(
             self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenericGraph is immutable")
 
     def __reduce__(self):
         edges = [(a, b) for a, nbrs in enumerate(self.adjacency) for b in nbrs if a < b]

@@ -8,10 +8,12 @@ the stack and splices the other part in through the EP2C expansion
 (``ep2c_expand``) that ``p2c_qj`` runs on its local covers; that splice and
 its vertex picks live here, below both users.  J(n,k) is the one-level
 stack QJ(n,{k}), so both builders share one memo, ``_ham_path``, keyed by
-``(n, levels, s, t)``.  Recursion bottoms out in ``_search_masks``, an
-exact backtracking search on any host graph with at most
-``BRUTE_FORCE_LIMIT`` (12) vertices; the same search, with two terminal
-pairs, is the P2C oracle and the Johnson constructor's base case.
+``(n, levels, s, t)``, and one dispatch, ``_ham_build``, which sends a
+complete graph J(n,1) to ``hamilton_complete`` and a small graph to
+``_search_masks``, an exact backtracking search on any host graph with at
+most ``BRUTE_FORCE_LIMIT`` (12) vertices, before either builder runs; the
+same search, with two terminal pairs, is the P2C oracle and the Johnson
+constructor's base case.
 
 The search reads each small graph through tables built once, straight
 from the graph's neighbor masks (``graphs._neighbor_masks``), and kept in
@@ -39,10 +41,12 @@ half of the split with its embedding into J(n,k), an XOR with its ``bit``:
 0 on X, bit n on Y.  So each mirrored X/Y case is written once, and
 ``_first_across`` is the one pick of a neighbor on the other side, for the
 builder here and for the Johnson P2C constructor.
-``hamilton_masks`` takes and returns masks; the public ``hamilton_johnson``
-and ``hamilton_qj`` unwrap their ``ElementSet`` endpoints for it and wrap
-the finished path.  ``path_json_parts`` writes a path of masks as JSON
-text without wrapping it.
+``hamilton_masks`` takes and returns masks; the public ``hamilton_qj``,
+which ``hamilton_johnson`` calls, unwraps its ``ElementSet`` endpoints for
+it and wraps the finished path with ``wrap_path``, the package's one
+wrapper from masks to a public ``Path``: the path ends at the caller's own
+endpoint objects.  ``path_json_parts`` writes a path of masks as JSON text
+without wrapping it.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .graphs import (
 )
 from .subsets import (
     ElementSet,
+    _Frozen,
     cross_masks,
     full_mask,
     foreign_key,
@@ -77,16 +82,13 @@ from .subsets import (
 BRUTE_FORCE_LIMIT = 12
 
 
-class Path:
+class Path(_Frozen):
     """An ordered sequence of pairwise-distinct, consecutively adjacent vertices."""
 
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: tuple):
         _set_vertices(self, vertices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Path is immutable")
 
     def __reduce__(self):
         return Path, (self.vertices,)
@@ -115,16 +117,19 @@ class Path:
         return [vertex_json(v) for v in self.vertices]
 
 
-# The slot's own setter, which skips the immutability guard above.
+# The slot's own setter, which skips the immutability guard of ``_Frozen``.
 _set_vertices = Path.vertices.__set__
 
 
-def mask_path(masks, n: int) -> Path:
-    """Wrap a path of masks over [n] as a Path of ElementSets."""
+def wrap_path(first, masks, last, n: int) -> Path:
+    """A path of masks over [n], at least two, as a Path of ElementSets that
+    ends at the vertex objects ``first`` and ``last``, the caller's own:
+    only the inner vertices are wrapped anew."""
     # tuple() of a list allocates the tuple at its final size, reusing freed
     # tuples of that size; tuple() of a generator grows one by resizing, and
     # the freed path tuples then pile up in the interpreter's free lists.
-    return Path(tuple([*map(ElementSet, masks, repeat(n))]))
+    inner = map(ElementSet, islice(masks, 1, len(masks) - 1), repeat(n))
+    return Path(tuple([first, *inner, last]))
 
 
 # Vertices per part of ``path_json_parts``: the text of a whole path is never
@@ -370,15 +375,13 @@ def hamilton_complete(vertices, s, t) -> Path:
 
 
 def hamilton_johnson(g: JohnsonGraph, s: ElementSet, t: ElementSet) -> Path:
-    return _hamilton(g, s, t)
+    return hamilton_qj(g, s, t)
 
 
 def hamilton_qj(g: QJGraph, s: ElementSet, t: ElementSet) -> Path:
-    return _hamilton(g, s, t)
-
-
-def _hamilton(g, s: ElementSet, t: ElementSet) -> Path:
-    return mask_path(hamilton_masks(g, *mask_keys((s, t), g.n)), g.n)
+    """Hamilton path of QJ(n,A), or J(n,k), from s to t: the caller's own
+    objects at its ends."""
+    return wrap_path(s, hamilton_masks(g, *mask_keys((s, t), g.n)), t, g.n)
 
 
 def hamilton_masks(g, s, t) -> list[int]:
@@ -427,19 +430,23 @@ def _ham_build(n: int, levels: tuple, s: int, t: int, out: int = 0) -> list[int]
     """A new Hamilton path of QJ(n,levels) under a canonical key, a single
     level k having 2k <= n, with every vertex XORed with ``out``.  Only a
     one-level graph is ever flipped or embedded, so ``out`` is 0 on more
-    levels."""
+    levels.  The one dispatch of a Hamilton path: the complete graph J(n,1),
+    then the exact search on a graph of at most ``BRUTE_FORCE_LIMIT``
+    vertices, then the Johnson split or the level stack."""
+    if levels == (1,):
+        h = hamilton_complete(k_masks(n, 1), s, t)
+        return [v ^ out for v in h] if out else list(h)
+    # out is nonzero only above MEMO_VERTICES, never on a small graph.
+    if sum(comb(n, a) for a in levels) <= BRUTE_FORCE_LIMIT:
+        found = _search_masks(n, levels, ((s, t),))
+        if found is None:
+            raise CoverError(
+                f"no Hamilton path from {s:#x} to {t:#x} in QJ({n},{set(levels)})"
+            )
+        return found[0]
     if len(levels) == 1:
         return _ham_johnson_build(n, levels[0], s, t, out)
     return _ham_qj_build(n, levels, s, t)
-
-
-def _ham_small(n: int, levels: tuple, s: int, t: int) -> list[int]:
-    found = _search_masks(n, levels, ((s, t),))
-    if found is None:
-        raise CoverError(
-            f"no Hamilton path from {s:#x} to {t:#x} in QJ({n},{set(levels)})"
-        )
-    return found[0]
 
 
 class _Side(NamedTuple):
@@ -499,15 +506,9 @@ def _first_across(a: int, n: int, avoid=()) -> int | None:
 
 
 def _ham_johnson_build(n, k, s, t, out):
-    """A new Hamilton path of J(n,k) from s to t, with every vertex XORed
-    with ``out``; s and t are masks of J(n,k) itself."""
-    if k == 1:
-        h = hamilton_complete(k_masks(n, 1), s, t)
-        return [v ^ out for v in h] if out else list(h)
-    # out is nonzero only above MEMO_VERTICES, never on a small graph.
-    if comb(n, k) <= BRUTE_FORCE_LIMIT:
-        return _ham_small(n, (k,), s, t)
-
+    """A new Hamilton path of J(n,k) from s to t, 2 <= k and 2k <= n, with
+    more than ``BRUTE_FORCE_LIMIT`` vertices, with every vertex XORed with
+    ``out``; s and t are masks of J(n,k) itself."""
     sides = _sides(n, k)
     i, j = s >> n & 1, t >> n & 1
     if i == j:
@@ -539,9 +540,8 @@ def _ham_johnson_build(n, k, s, t, out):
 
 
 def _ham_qj_build(n, levels, s, t):
-    if sum(comb(n, a) for a in levels) <= BRUTE_FORCE_LIMIT:
-        return _ham_small(n, levels, s, t)
-
+    """A new Hamilton path of QJ(n,levels), two or more levels, with more
+    than ``BRUTE_FORCE_LIMIT`` vertices, from s to t."""
     top = levels[-1]
     s_top = s.bit_count() == top
     if s_top == (t.bit_count() == top):

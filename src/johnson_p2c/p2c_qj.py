@@ -4,9 +4,9 @@ J(n,k) is the one-level stack QJ(n,{k}), so both graph classes have one
 mask entry, ``p2c_masks``: it refuses graphs outside the theorem, checks
 the quad (u, v, x, y) of four masks and returns the masks of the two paths
 as lists.  ``p2c_johnson`` and ``p2c_qj`` are its wrappers, which take an
-``EndpointQuad`` of ``ElementSet``s and return wrapped paths that end at
-the quad's own objects; ``p2c_johnson`` also refuses any graph that is not
-one level in 1..n-1.
+``EndpointQuad`` of ``ElementSet``s and wrap the two paths with
+``covers.wrap_cover``, so they end at the quad's own objects;
+``p2c_johnson`` also refuses any graph that is not one level in 1..n-1.
 
 One level is covered by the Johnson double induction (``_solve``):
 complement reduction when k < n < 2k, then a split of J(n,k) by the
@@ -49,10 +49,10 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice
 from math import comb
 
-from .covers import EndpointQuad, P2CSolution, check_quad, not_distinct
+from .covers import EndpointQuad, P2CSolution, check_quad, not_distinct, wrap_cover
 from .errors import (
     BadQuad,
     InvariantViolated,
@@ -79,7 +79,7 @@ from .hamilton import (
     pick_one_avoiding,
     pick_two_avoiding,
 )
-from .subsets import ElementSet, full_mask, k_masks, mask_keys
+from .subsets import full_mask, k_masks, mask_keys
 from .verify import _vertex_keys, certify, host_of
 
 
@@ -122,7 +122,7 @@ def p2c_johnson(g: JohnsonGraph, q: EndpointQuad, debug: bool = False) -> P2CSol
 def p2c_qj(g: QJGraph, q: EndpointQuad, debug: bool = False) -> P2CSolution:
     """Paired 2-disjoint path cover of QJ(n,A), n >= 4, at least 4 vertices."""
     paths = p2c_masks(g, mask_keys(q.vertices(), g.n), debug)
-    return _wrap_cover(q, paths, g.n)
+    return wrap_cover(q, paths, g.n)
 
 
 def p2c_masks(g, quad, debug: bool = False):
@@ -156,21 +156,6 @@ def _with_debug(solve, *args):
         return solve(*args)
     finally:
         _certifying.reset(token)
-
-
-def _wrap_cover(q: EndpointQuad, paths, n: int) -> P2CSolution:
-    """The oriented mask paths as ``ElementSet`` paths that end at the quad's
-    own vertex objects."""
-    u, v, x, y = q.vertices()
-    p1, p2 = paths
-    return P2CSolution(_end_path(u, p1, v, n), _end_path(x, p2, y, n))
-
-
-def _end_path(first, masks, last, n) -> Path:
-    """``mask_path`` of an oriented path that reuses the vertex objects of
-    its ends: only the inner vertices are wrapped anew."""
-    inner = map(ElementSet, islice(masks, 1, len(masks) - 1), repeat(n))
-    return Path(tuple([first, *inner, last]))
 
 
 def _finish(n, levels, quad, p1, p2):

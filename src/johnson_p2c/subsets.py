@@ -42,21 +42,32 @@ def mask_text(bits: int) -> str:
     return "{%s}" % ",".join(map(str, mask_elements(bits)))
 
 
-class ElementSet:
+class _Frozen:
+    """The one immutability guard: an instance of a subclass refuses every
+    attribute assignment.  A subclass sets its slots once, in its
+    constructor, through their own setters or ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ElementSet(_Frozen):
     """An immutable subset of [n], n >= 1, packed into an int."""
 
     __slots__ = ("bits", "n")
 
     def __init__(self, bits: int, n: int):
+        # One type test each: a bool, though an int, is no size or mask.
+        if type(bits) is not int or type(n) is not int:
+            raise ValueError(f"bits {bits!r} and ground set size {n!r} must be ints")
         if n < 1:
             raise ValueError(f"ground set size {n} below 1")
         if bits & 1 or bits >> n >> 1:
             raise ValueError(f"bits {bits:#x} outside ground set [1..{n}]")
         _set_bits(self, bits)
         _set_n(self, n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ElementSet is immutable")
 
     def __reduce__(self):
         return ElementSet, (self.bits, self.n)
@@ -90,9 +101,13 @@ class ElementSet:
         return hash(self.bits)
 
     def __lt__(self, other: "ElementSet") -> bool:
+        if not isinstance(other, ElementSet):
+            return NotImplemented
         return self.bits < other.bits
 
     def __le__(self, other: "ElementSet") -> bool:
+        if not isinstance(other, ElementSet):
+            return NotImplemented
         return self.bits <= other.bits
 
     def __repr__(self) -> str:
@@ -102,7 +117,7 @@ class ElementSet:
         return mask_elements(self.bits)
 
 
-# The slots' own setters, which skip the immutability guard above.
+# The slots' own setters, which skip the immutability guard of ``_Frozen``.
 _set_bits = ElementSet.bits.__set__
 _set_n = ElementSet.n.__set__
 
@@ -138,20 +153,18 @@ def vertex_json(v):
     return v.to_json() if isinstance(v, ElementSet) else v
 
 
-class Relabeling:
+class Relabeling(_Frozen):
     """A permutation of [n], applied pointwise to element sets."""
 
     __slots__ = ("perm",)
 
     def __init__(self, perm):
         perm = tuple(perm)
-        n = len(perm)
-        if sorted(perm) != list(range(1, n + 1)):
+        # The images are elements: ints and no bool, as ``from_elements`` takes.
+        ints = all(type(e) is not bool and isinstance(e, int) for e in perm)
+        if not ints or sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError("not a permutation of [n]")
         object.__setattr__(self, "perm", perm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Relabeling is immutable")
 
     def __reduce__(self):
         return Relabeling, (self.perm,)

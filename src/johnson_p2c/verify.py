@@ -42,10 +42,10 @@ from math import perm
 from operator import contains, lt
 from typing import NamedTuple
 
-from .covers import EndpointQuad, P2CSolution
+from .covers import EndpointQuad, P2CSolution, wrap_cover
 from .errors import CoverError, SweepBudget, TooFewVertices, TooLargeForOracle
 from .graphs import GenericGraph, JohnsonGraph
-from .hamilton import Path, _cover_search, _explicit_search, _search_masks, mask_path
+from .hamilton import Path, _cover_search, _explicit_search, _search_masks
 from .subsets import k_masks, key_text, mask_elements, mask_keys
 
 DEFAULT_ORACLE_CAP = 20
@@ -347,7 +347,7 @@ def p2c_bruteforce(g, q: EndpointQuad, cap: int = DEFAULT_ORACLE_CAP):
         return None
     if isinstance(g, GenericGraph):
         return P2CSolution(Path(tuple(found[0])), Path(tuple(found[1])))
-    return P2CSolution(mask_path(found[0], g.n), mask_path(found[1], g.n))
+    return wrap_cover(q, found, g.n)
 
 
 def _oracle_paths(g, quad, cap: int):

@@ -44,11 +44,16 @@ from johnson_p2c.errors import (
     InvariantViolated,
     SelectionExhausted,
 )
-from johnson_p2c.hamilton import Path, mask_path
+from johnson_p2c.hamilton import Path
 from johnson_p2c.verify import certify, host_of
 
 p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
 verify_module = importlib.import_module("johnson_p2c.verify")
+
+
+def mask_path(masks, n):
+    """The reference wrap: every vertex of a path of masks a new ElementSet."""
+    return Path(tuple(ElementSet(m, n) for m in masks))
 
 
 # ---------------------------------------------------------------------------

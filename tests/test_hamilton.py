@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -18,7 +19,10 @@ from johnson_p2c import (
     hamilton_complete,
     hamilton_johnson,
     hamilton_qj,
+    Path,
+    P2CSolution,
     k_subsets,
+    p2c_bruteforce,
     p2c_johnson,
     p2c_qj,
 )
@@ -26,7 +30,7 @@ from johnson_p2c import hamilton
 from johnson_p2c.errors import CoverError, EqualEndpoints, NotAVertex
 from johnson_p2c.graphs import MEMO_SIZE
 from johnson_p2c.subsets import k_masks, same_level_masks
-from johnson_p2c.verify import KEY_SETS, certify, host_of
+from johnson_p2c.verify import DEFAULT_ORACLE_CAP, KEY_SETS, certify, host_of
 
 # The package attribute ``p2c_qj`` is the function of that name.
 p2c_module = importlib.import_module("johnson_p2c.p2c_qj")
@@ -248,3 +252,42 @@ def test_side_heads_are_the_first_side_vertices():
                 on_side = (w for w in k_masks(n, k) if w & 1 << n == side.bit)
                 want = tuple(islice(on_side, hamilton.SIDE_HEAD))
                 assert side.head == want, (n, k, side.bit)
+
+
+def _level_hosts():
+    for n in range(4, 8):
+        for k in range(1, n):
+            yield JohnsonGraph(n, k)
+    for n in (4, 5):
+        for m in range(1, n + 1):
+            for A in combinations(range(1, n + 1), m):
+                g = QJGraph(n, A)
+                if g.vertex_count >= 4:
+                    yield g
+
+
+def _wrapped(masks, n):
+    return Path(tuple(ElementSet(m, n) for m in masks))
+
+
+@pytest.mark.parametrize("g", list(_level_hosts()), ids=repr)
+def test_public_paths_end_at_the_callers_objects(g):
+    # Hamilton paths and oracle covers of J(n,k) and QJ(n,A) end at the
+    # caller's own endpoint objects, and equal the masks wrapped anew.
+    build = hamilton_johnson if isinstance(g, JohnsonGraph) else hamilton_qj
+    verts = list(g.vertices())
+    rng = random.Random(g.vertex_count)
+    for _ in range(4):
+        u, v, x, y = (ElementSet(w.bits, g.n) for w in rng.sample(verts, 4))
+        p = build(g, u, v)
+        assert p[0] is u and p[-1] is v
+        assert p == _wrapped(hamilton.hamilton_masks(g, u.bits, v.bits), g.n)
+        if g.vertex_count > DEFAULT_ORACLE_CAP:
+            continue
+        q = EndpointQuad(u, v, x, y)
+        sol = p2c_bruteforce(g, q)
+        assert sol.path_uv[0] is q.u and sol.path_uv[-1] is q.v
+        assert sol.path_xy[0] is q.x and sol.path_xy[-1] is q.y
+        pairs = ((u.bits, v.bits), (x.bits, y.bits))
+        p1, p2 = hamilton._search_masks(g.n, g.levels, pairs)
+        assert sol == P2CSolution(_wrapped(p1, g.n), _wrapped(p2, g.n))

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
@@ -44,3 +45,44 @@ def test_main_prints_a_total(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1].split()
     assert last[:3] == ["24", "10", "total"]
     assert loc.main([str(tmp_path / "none")]) == 2
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        + list(args),
+        cwd=repo,
+        check=True,
+        capture_output=True,
+    )
+
+
+def test_against_compares_with_a_commit(tmp_path, capsys, monkeypatch):
+    # Commit 1 has a.py and gone.py; commit 2 grows a.py by two code lines,
+    # removes gone.py and adds new.py.
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text(SOURCE)
+    (src / "gone.py").write_text("x = 1\n\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "one")
+    (src / "a.py").write_text(SOURCE + "y = 2\nz = 3\n")
+    (src / "gone.py").unlink()
+    (src / "new.py").write_text('"""Docstring."""\n\nw = 4\n')
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "two")
+    monkeypatch.chdir(tmp_path)
+    assert loc.main(["--against", "HEAD~1"]) == 0
+    rows = [row.split(None, 6) for row in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [
+        ["22", "9", "24", "11", "+2", "+2", "src/a.py"],
+        ["2", "1", "0", "0", "-2", "-1", "src/gone.py (removed)"],
+        ["0", "0", "3", "1", "+3", "+1", "src/new.py (added)"],
+        ["24", "10", "27", "12", "+3", "+2", "total (src against HEAD~1: 1 added, 1 removed)"],
+    ]
+    # The working tree is the last commit; nothing is checked out.
+    assert loc.main(["--against", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[4:6] == ["+0", "+0"]
+    assert (src / "new.py").exists() and not (src / "gone.py").exists()
+    assert loc.main(["--against", "no-such-rev"]) == 2

@@ -1,17 +1,22 @@
 """The value types of the public API: equality, hashing, immutability, repr
 and pickling."""
 
+import ast
 import pickle
+from pathlib import Path as FilePath
 
 import pytest
 
+import johnson_p2c
 from johnson_p2c import (
     CheckReport,
     ElementSet,
     EndpointQuad,
+    GenericGraph,
     JohnsonGraph,
     P2CSolution,
     Path,
+    QJGraph,
     Relabeling,
     SweepSummary,
     sweep,
@@ -147,3 +152,80 @@ def test_relabeling():
     assert copy(1) == 3 and copy.inverse().perm == r.perm
     with pytest.raises(AttributeError):
         copy.perm = ()
+
+
+# A frozen class, a factory of one of its values, and a slot it has.
+FROZEN = [
+    (ElementSet, lambda: ElementSet(0b110, 3), "bits"),
+    (Path, lambda: Path((0, 1)), "vertices"),
+    (Relabeling, lambda: Relabeling((2, 1, 3)), "perm"),
+    (JohnsonGraph, lambda: JohnsonGraph(5, 2), "k"),
+    (QJGraph, lambda: QJGraph(5, (1, 3)), "levels"),
+    (GenericGraph, lambda: GenericGraph(3, [(0, 1), (1, 2)]), "adjacency"),
+]
+
+
+@pytest.mark.parametrize("cls, make, slot", FROZEN, ids=[f[0].__name__ for f in FROZEN])
+def test_a_frozen_value_refuses_assignment(cls, make, slot):
+    value = make()
+    state = value.__reduce__()
+    for name in (slot, "new_attribute"):
+        with pytest.raises(AttributeError, match=rf"^{cls.__name__} is immutable$"):
+            setattr(value, name, None)
+    assert value.__reduce__() == state
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy.__reduce__() == state
+
+
+def test_one_class_guards_assignment():
+    # Every frozen class inherits the one guard, subsets._Frozen.
+    guards = []
+    for path in sorted(FilePath(johnson_p2c.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                names = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                if "__setattr__" in names:
+                    guards.append(f"{path.name}:{node.name}")
+    assert guards == ["subsets.py:_Frozen"]
+
+
+# Sizes and masks are ints and no bool; each row was once accepted, or an
+# untyped TypeError.
+NOT_INTS = [
+    (JohnsonGraph, (5, True)),
+    (JohnsonGraph, (4.5, 2)),
+    (QJGraph, (5, [True, 2])),
+    (QJGraph, (5, [1.5])),
+    (QJGraph, (4.5, [1])),
+    (GenericGraph, (2.5, [])),
+    (GenericGraph, (True, [])),
+    (ElementSet, (2, True)),
+    (ElementSet, (1.5, 3)),
+    (Relabeling, ([1.0, 2],)),
+    (Relabeling, ([True, 2],)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    NOT_INTS,
+    ids=[f"{cls.__name__}({', '.join(map(repr, args))})" for cls, args in NOT_INTS],
+)
+def test_a_size_is_an_int_and_no_bool(cls, args):
+    with pytest.raises(ValueError):
+        cls(*args)
+
+
+@pytest.mark.parametrize("other", [3, None, (0b110,)])
+def test_an_element_set_orders_only_element_sets(other):
+    s = ElementSet(0b110, 3)
+    assert s.__lt__(other) is NotImplemented and s.__le__(other) is NotImplemented
+    for compare in (
+        lambda: s < other,
+        lambda: s <= other,
+        lambda: other < s,
+        lambda: other <= s,
+    ):
+        with pytest.raises(TypeError):
+            compare()
+    assert s < ElementSet(0b1010, 3) and s <= s
